@@ -1,10 +1,12 @@
 """Discriminant groups, their quadratic forms, and 2-elementary invariants.
 
 The discriminant group of a nondegenerate lattice L is L*/L.  Working in
-the coordinates of L, the dual L* is spanned by the columns of the inverse
-Gram matrix, and L*/L is the cokernel of G: Z^n -> Z^n, so its invariant
-factors come from the Smith normal form of G.  Values of the discriminant
-quadratic form live in Q/2Z and are represented canonically in [0, 2).
+the coordinates of L, L*/L is the cokernel of G: Z^n -> Z^n, so its
+invariant factors come from the Smith normal form P G Q = D, and the same
+transform gives its generators without a matrix inverse: column i of Q
+divided by d_i is the dual vector G^{-1} P^{-1} e_i.  Values of the
+discriminant quadratic form live in Q/2Z and are represented canonically
+in [0, 2).
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     if determinant(L) == 0:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
     n = L.rank
-    d, _, pinv, _, _ = la.snf_with_transforms(L.gram) if n else ((), (), (), (), ())
-    ginv = la.rational_inverse(L.gram) if n else ()
+    d, _, _, q, _ = la.snf_with_transforms(L.gram) if n else ((), (), (), (), ())
     factors = []
     gens = []
     for i in range(n):
@@ -58,12 +59,9 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
         if di == 1:
             continue
         # cokernel generator e_i pulls back to the dual vector
-        # G^{-1} (column i of P^{-1}); reduce mod Z^n for a canonical rep
-        col = tuple(pinv[r][i] for r in range(n))
-        dual = tuple(
-            sum(ginv[r][c] * col[c] for c in range(n)) for r in range(n)
-        )
-        gens.append(tuple(x - x.__floor__() for x in dual))
+        # G^{-1} (column i of P^{-1}) = column i of Q D^{-1}, since
+        # P G Q = D; reduce mod Z^n for a canonical rep
+        gens.append(tuple(Fraction(q[r][i] % di, di) for r in range(n)))
         factors.append(di)
     return DiscriminantGroup(tuple(factors), tuple(gens), L)
 

@@ -4,8 +4,10 @@ Matrices are immutable tuples of tuples of Python ints (or Fractions where
 noted); nothing here ever touches floating point.  The routines this package
 leans on are a fraction-free Bareiss determinant, a column-style Hermite
 normal form with recorded transform, a Smith normal form with all four
-transforms, a symmetric congruence reduction giving exact inertia, and a
-Gram-only LLL for speeding up definite enumerations.
+transforms, and one exact symmetric LDL^t elimination (ldl).  Its pivots
+give the inertia, and on a definite Gram matrix its multipliers are the
+Gram-Schmidt data that the Gram-only LLL and the Fincke-Pohst enumeration
+in roots both work from.
 """
 
 from __future__ import annotations
@@ -299,41 +301,6 @@ def invariant_factors(m) -> tuple[int, ...]:
     return tuple(x for x in diag if x != 1)
 
 
-def rational_solve(m, v):
-    """Solve M x = v over the rationals; None if inconsistent.
-
-    M is m x n with integer or Fraction entries.  Returns one solution as a
-    tuple of Fractions (free variables set to zero).
-    """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    a = [[Fraction(x) for x in row] + [Fraction(v[i])] for i, row in enumerate(m)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                g = a[i][c]
-                a[i] = [x - g * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if a[i][nc]:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = a[i][nc]
-    return tuple(x)
-
-
 def rational_inverse(m):
     """Inverse of a square nonsingular matrix, entries as Fractions."""
     n = len(m)
@@ -353,48 +320,84 @@ def rational_inverse(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-def inertia(gram) -> tuple[int, int, int]:
-    """Exact Sylvester inertia (positive, negative, zero) of a symmetric
-    integer matrix, by rational congruence reduction."""
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Exact symmetric elimination of a symmetric integer matrix.
+
+    Returns fresh lists (d, mu): pivots d and unit lower-triangular
+    multipliers mu with B^t G B = mu diag(d) mu^t, where B is the basis the
+    elimination ended up using.  A zero pivot is repaired as in a rational
+    congruence reduction: a symmetric swap with a later basis vector of
+    nonzero square, or, when every remaining diagonal entry is zero,
+    b_j += b_i for a pair with b_i.b_j != 0; a block that is entirely zero
+    leaves zero pivots.  By Sylvester's law the signs of d are the inertia.
+
+    When every pivot has the same strict sign, G is definite, so no repair
+    step ran (a definite form has no zero diagonal entry at any stage): B is
+    the given basis and mu is its Gram-Schmidt data, mu[i][j] =
+    b_i.b*_j / d[j] with d[j] = b*_j.b*_j.  Only the lower triangle is
+    kept current; a repair step first mirrors it into the upper one, which
+    is never read otherwise.
+    """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = zero = 0
+    a = [
+        [Fraction(x) for x in row[: i + 1]] + [0] * (n - i - 1)
+        for i, row in enumerate(gram)
+    ]
+    d: list[Fraction] = []
     t = 0
     while t < n:
-        piv = next((i for i in range(t, n) if a[i][i]), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]),
-                None,
-            )
-            if pair is None:
-                zero += n - t
-                break
-            i, j = pair
-            # symmetric op making a nonzero diagonal entry: b_j += b_i
-            for k in range(n):
-                a[j][k] += a[i][k]
-            for k in range(n):
-                a[k][j] += a[k][i]
-            continue
+        piv = t if a[t][t] else next((i for i in range(t + 1, n) if a[i][i]), None)
         if piv != t:
+            for i in range(t, n):
+                for j in range(t, i):
+                    a[j][i] = a[i][j]
+            if piv is None:
+                pair = next(
+                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]),
+                    None,
+                )
+                if pair is None:
+                    d.extend([_ZERO] * (n - t))
+                    break
+                i, j = pair
+                # b_j += b_i; columns left of t hold the multipliers of b_j
+                for k in range(n):
+                    a[j][k] += a[i][k]
+                for k in range(t, n):
+                    a[k][j] += a[k][i]
+                continue
             a[t], a[piv] = a[piv], a[t]
-            for row in a:
+            for row in a[t:]:
                 row[t], row[piv] = row[piv], row[t]
-        d = a[t][t]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = a[i][t] / d
-            if f:
-                for j in range(t + 1, n):
-                    a[i][j] -= f * a[t][j]
-        for i in range(t + 1, n):
-            a[i][t] = a[t][i] = 0
+        p = a[t][t]
+        d.append(p)
+        col = [a[i][t] for i in range(t + 1, n)]
+        for i, ci in enumerate(col, t + 1):
+            if ci:
+                f = a[i][t] = ci / p
+                row = a[i]
+                for j, cj in enumerate(col[: i - t], t + 1):
+                    if cj:
+                        row[j] -= f * cj
         t += 1
-    return pos, neg, zero
+    mu = [row[:i] + [_ONE] + [_ZERO] * (n - i - 1) for i, row in enumerate(a)]
+    return d, mu
+
+
+def sign_counts(d) -> tuple[int, int, int]:
+    """(positive, negative, zero) entries of a pivot list."""
+    pos = sum(1 for x in d if x.numerator > 0)
+    neg = sum(1 for x in d if x.numerator < 0)
+    return pos, neg, len(d) - pos - neg
+
+
+def inertia(gram) -> tuple[int, int, int]:
+    """Exact Sylvester inertia (positive, negative, zero) of a symmetric
+    integer matrix: the signs of its ldl pivots."""
+    return sign_counts(ldl(gram)[0])
 
 
 def floor_sqrt(x) -> int:
@@ -406,40 +409,23 @@ def floor_sqrt(x) -> int:
     return isqrt(int(x))
 
 
-def _gso(a):
-    # Gram-Schmidt data straight from a Gram matrix: squared lengths B and
-    # coefficients mu, all exact.
-    n = len(a)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    c = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i + 1):
-            s = Fraction(a[i][j])
-            for k in range(j):
-                s -= mu[j][k] * c[i][k]
-            c[i][j] = s
-            if j < i:
-                if b[j] == 0:
-                    raise ValueError("gram matrix is not positive definite")
-                mu[i][j] = s / b[j]
-        b[i] = c[i][i]
-        if b[i] <= 0:
-            raise ValueError("gram matrix is not positive definite")
-    return b, mu
+# Lovasz constant of the LLL exchange condition.
+_LLL_DELTA = Fraction(3, 4)
 
 
-def lll_reduce_gram(gram, delta: Fraction = Fraction(3, 4)) -> tuple[Mat, Mat]:
+def lll_reduce_gram(gram) -> tuple[Mat, Mat]:
     """LLL-reduce a positive definite Gram matrix without vector coordinates.
 
-    Returns (G', T) with G' = T^t G T and T unimodular.
+    Returns (G', T) with G' = T^t G T and T unimodular; raises ValueError
+    when an ldl pivot of G is not positive.  Size reduction updates the
+    Gram-Schmidt data in place; only a swap refactors.
     """
     n = len(gram)
     a = [list(map(int, row)) for row in gram]
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n <= 1:
-        _gso(a)  # validates definiteness
-        return freeze(a), freeze(t)
+    b, mu = ldl(a)
+    if any(x <= 0 for x in b):
+        raise ValueError("gram matrix is not positive definite")
 
     def reduce_pair(k, j, qq):
         # b_k -= qq * b_j
@@ -452,7 +438,6 @@ def lll_reduce_gram(gram, delta: Fraction = Fraction(3, 4)) -> tuple[Mat, Mat]:
 
     k = 1
     while k < n:
-        b, mu = _gso(a)
         for j in range(k - 1, -1, -1):
             q = int((mu[k][j] + Fraction(1, 2)).__floor__())
             if q:
@@ -460,7 +445,7 @@ def lll_reduce_gram(gram, delta: Fraction = Fraction(3, 4)) -> tuple[Mat, Mat]:
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
-        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+        if b[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * b[k - 1]:
             k += 1
         else:
             a[k], a[k - 1] = a[k - 1], a[k]
@@ -468,5 +453,6 @@ def lll_reduce_gram(gram, delta: Fraction = Fraction(3, 4)) -> tuple[Mat, Mat]:
                 row[k], row[k - 1] = row[k - 1], row[k]
             for r in t:
                 r[k], r[k - 1] = r[k - 1], r[k]
+            b, mu = ldl(a)
             k = max(k - 1, 1)
     return freeze(a), freeze(t)

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmbeddingMismatch,
     InvalidInputFile,
+    NotDefinite,
     NotInSublattice,
     NotInvolution,
     NotIsometry,
@@ -30,6 +31,7 @@ from .lattices import (
     Lattice,
     SublatticeEmbedding,
     Vec,
+    _as_int,
     check_vector,
     is_hyperbolic,
     lattice_from_json_dict,
@@ -49,7 +51,7 @@ class IntegralInvolution:
 
     def __post_init__(self):
         n = self.ambient.rank
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(_as_int(x) for x in row) for row in self.matrix)
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch(
                 f"matrix is not {n} x {n}"
@@ -227,15 +229,12 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     if comp.rank == 0:
         return MembershipResult("no", None)
     inner = comp.induced_lattice()
-    p, nn, z = la.inertia(inner.gram)
-    definite = z == 0 and (p == 0 or nn == 0)
-    if definite:
-        try:
-            cands = vectors_of_norm(inner, -4).vectors
-        except SignMismatch:
-            return MembershipResult("no", None)
+    try:
+        cands = vectors_of_norm(inner, -4).vectors
         exhaustive = True
-    else:
+    except SignMismatch:
+        return MembershipResult("no", None)
+    except NotDefinite:
         cands = bounded_vectors_of_norm(inner, -4, bound).vectors
         exhaustive = False
     hits = []

@@ -1,8 +1,9 @@
 """Enumeration of lattice vectors with a prescribed self-intersection.
 
 Definite lattices get a complete answer from Fincke-Pohst enumeration over
-an exact rational Cholesky factorization; indefinite lattices can only be
-scanned inside an explicit coordinate box, and the result says so.
+the exact LDL^t factorization of the Gram matrix (intlinalg.ldl), the same
+single factorization that decides definiteness; indefinite lattices can
+only be scanned inside an explicit coordinate box, and the result says so.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .lattices import (
     SublatticeEmbedding,
     Vec,
     check_vector,
-    signature,
 )
 
 # Box scans refuse to touch more cells than this; keeps a typo from eating
@@ -82,27 +82,14 @@ def _floor_c_plus_sqrt(c: Fraction, r: Fraction) -> int:
             return f
 
 
-def _fp_cholesky(gram) -> list[list[Fraction]]:
-    # Fincke-Pohst preprocessing: q[i][i] > 0 and Q(x) =
-    # sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
+def _fp_enumerate(d, mu, target: int) -> list[Vec]:
+    """All integer x with x^t G x = target, where G = mu diag(d) mu^t is
+    positive definite (every d[i] > 0) and target > 0.
 
-
-def _fp_enumerate(gram, target: int) -> list[Vec]:
-    """All integer x with x^t G x = target, G positive definite, target > 0."""
-    n = len(gram)
-    q = _fp_cholesky(gram)
+    x^t G x = sum_i d[i] * (x_i + sum_{j>i} mu[j][i] x_j)^2, so the
+    coordinates are bounded one at a time from the last one down.
+    """
+    n = len(d)
     found: list[Vec] = []
     x = [0] * n
 
@@ -111,13 +98,13 @@ def _fp_enumerate(gram, target: int) -> list[Vec]:
             if rem == 0:
                 found.append(tuple(x))
             return
-        c = sum(q[i][j] * x[j] for j in range(i + 1, n)) if i < n - 1 else Fraction(0)
-        r = rem / q[i][i]
+        c = sum(mu[j][i] * x[j] for j in range(i + 1, n)) if i < n - 1 else Fraction(0)
+        r = rem / d[i]
         hi = _floor_c_plus_sqrt(-c, r)
         lo = -_floor_c_plus_sqrt(c, r)
         for xi in range(lo, hi + 1):
             x[i] = xi
-            descend(i - 1, rem - q[i][i] * (xi + c) ** 2)
+            descend(i - 1, rem - d[i] * (xi + c) ** 2)
         x[i] = 0
 
     descend(n - 1, Fraction(target))
@@ -127,12 +114,16 @@ def _fp_enumerate(gram, target: int) -> list[Vec]:
 def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:
     """Complete list of vectors of self-intersection m in a definite lattice.
 
-    use_lll: None picks the default (reduce the Gram matrix first when the
-    rank is at least 10; below that the reduction is not worth its cost).
+    One ldl of the Gram matrix gives the signature, the NotDefinite
+    verdict, and the Fincke-Pohst data (negating a negative definite form
+    only negates the pivots).  use_lll: None picks the default (reduce the
+    Gram matrix first when the rank is at least 10; below that the
+    reduction is not worth its cost); the reduced matrix is factored anew.
     """
     if L.rank == 0:
         return _make_result([], True)
-    p, nneg, z = signature(L)
+    d, mu = la.ldl(L.gram)
+    p, nneg, z = la.sign_counts(d)
     if z > 0 or (p > 0 and nneg > 0):
         raise NotDefinite(f"signature {(p, nneg, z)} is not definite")
     positive = p > 0
@@ -140,14 +131,17 @@ def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> Enumerat
         raise SignMismatch(
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
-    work = L.gram if positive else tuple(tuple(-x for x in row) for row in L.gram)
     if use_lll is None:
         use_lll = L.rank >= 10
     if use_lll:
+        work = L.gram if positive else tuple(tuple(-x for x in row) for row in L.gram)
         work, trans = la.lll_reduce_gram(work)
+        d, mu = la.ldl(work)
     else:
         trans = la.identity(L.rank)
-    sols = _fp_enumerate(work, abs(m))
+        if not positive:
+            d = [-x for x in d]
+    sols = _fp_enumerate(d, mu, abs(m))
     vecs = [la.mat_vec(trans, s) for s in sols]
     return _make_result(vecs, True)
 
@@ -163,17 +157,10 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     rows = [la.mat_vec(L.gram, o) for o in ortho]
     comp_basis = la.kernel(rows, ncols=L.rank) if rows else tuple(la.identity(L.rank))
     comp = SublatticeEmbedding(L, comp_basis)
-    inner_lattice = comp.induced_lattice()
-    if comp.rank > 0:
-        p, nneg, z = signature(inner_lattice)
-        if z > 0 or (p > 0 and nneg > 0):
-            raise ComplementNotDefinite(
-                f"complement has signature {(p, nneg, z)}"
-            )
     try:
-        internal = vectors_of_norm(inner_lattice, m)
-    except NotDefinite as exc:  # pragma: no cover - shielded by the check above
-        raise ComplementNotDefinite(str(exc)) from None
+        internal = vectors_of_norm(comp.induced_lattice(), m)
+    except NotDefinite as exc:
+        raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:
         # wrong-sign norm in a definite complement: simply no solutions
         return _make_result([], True)

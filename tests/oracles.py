@@ -71,6 +71,25 @@ def sympy_invariant_factors(m):
     return tuple(f for f in factors if f > 1)
 
 
+def inverse_gram_generators(gram, diag, pinv):
+    """Discriminant-group generators by the inverse-Gram route.
+
+    For each Smith factor d_i > 1 of P G Q = D (diag lists the d_i), the
+    generator is G^{-1} times column i of P^{-1}, with the inverse taken
+    by sympy, reduced mod Z^n into [0, 1).
+    """
+    n = len(gram)
+    ginv = sp.Matrix([list(r) for r in gram]).inv()
+    gens = []
+    for i, di in enumerate(diag):
+        if di == 1:
+            continue
+        dual = ginv * sp.Matrix([pinv[r][i] for r in range(n)])
+        fracs = (Fraction(int(x.p), int(x.q)) for x in dual)
+        gens.append(tuple(f - math.floor(f) for f in fracs))
+    return tuple(gens)
+
+
 def brute_box_vectors(gram, target, bound):
     """All integer vectors with max-|coordinate| <= bound and v^T G v = target.
 

@@ -33,6 +33,12 @@ def files(tmp_path):
         "swap": dump("swap.json", {
             "gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [1, 0]],
         }),
+        "floatinv": dump("floatinv.json", {
+            "gram": [[0, 1], [1, 0]], "matrix": [[1.9, 0], [0, True]],
+        }),
+        "strinv": dump("strinv.json", {
+            "gram": [[0, 1], [1, 0]], "matrix": [["1", 0], [0, 1]],
+        }),
         "badmodel": dump("badmodel.json", {
             "gram": [[-2, 0], [0, -2]], "a0": [1, 0], "e": [0, 1], "f": [1, 1],
         }),
@@ -183,8 +189,9 @@ def test_exit2_paths(files, capsys):
         assert err.startswith("error:")
     code, _, err = invoke(capsys, "k3-check", files["badmodel"])
     assert code == 2 and err.startswith("error:")
-    code, _, err = invoke(capsys, "involution", files["s311"])
-    assert code == 2 and err.startswith("error:")
+    for path in (files["s311"], files["floatinv"], files["strinv"]):
+        code, out, err = invoke(capsys, "involution", path)
+        assert code == 2 and out == "" and err.startswith("error:"), path
 
 
 # --- exit code 3: precondition violations ---

@@ -77,6 +77,9 @@ def test_discriminant_group_generators_have_right_order():
             # no smaller multiple lands in the lattice
             for k in range(1, f):
                 assert any((k * c).denominator != 1 for c in g)
+        d, _, pinv, _, _ = la.snf_with_transforms(L.gram)
+        diag = [d[i][i] for i in range(L.rank)]
+        assert dg.generators == oracles.inverse_gram_generators(L.gram, diag, pinv)
         done += 1
 
 

@@ -172,7 +172,7 @@ def test_invariant_factors_match_sympy():
         assert la.invariant_factors(m) == oracles.sympy_invariant_factors(m)
 
 
-# --- rational solving ---
+# --- rational inverse ---
 
 
 def test_rational_inverse_roundtrip():
@@ -194,21 +194,6 @@ def test_rational_inverse_roundtrip():
         done += 1
 
 
-def test_rational_solve_agrees_with_matrix_action():
-    rng = random.Random(71)
-    done = 0
-    while done < 60:
-        n = rng.randint(1, 4)
-        m = rand_matrix(rng, n, n)
-        if la.bareiss_det(m) == 0:
-            continue
-        v = tuple(rng.randint(-9, 9) for _ in range(n))
-        x = la.rational_solve(m, v)
-        for i in range(n):
-            assert sum(Fraction(m[i][j]) * x[j] for j in range(n)) == v[i]
-        done += 1
-
-
 # --- inertia ---
 
 
@@ -227,9 +212,6 @@ def test_inertia_known_values():
     assert la.inertia(()) == (0, 0, 0)
 
 
-# --- LLL on Gram matrices ---
-
-
 def _random_posdef_gram(rng, n):
     # A^t A + I is positive definite for any integer A
     a = rand_matrix(rng, n, n, -3, 3)
@@ -238,6 +220,36 @@ def _random_posdef_gram(rng, n):
     return tuple(
         tuple(g[i][j] + (1 if i == j else 0) for j in range(n)) for i in range(n)
     )
+
+
+def test_ldl_reconstructs_definite_and_signs_match_inertia():
+    rng = random.Random(89)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = _random_posdef_gram(rng, n)
+        if rng.random() < 0.5:
+            g = tuple(tuple(-x for x in row) for row in g)
+        d, mu = la.ldl(g)
+        for i in range(n):
+            assert mu[i][i] == 1 and all(mu[i][j] == 0 for j in range(i + 1, n))
+            for j in range(n):
+                assert sum(mu[i][k] * d[k] * mu[j][k] for k in range(n)) == g[i][j]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        # a diagonal shift makes about half of them positive definite
+        shift = rng.choice((0, rng.randint(1, 12)))
+        g = tuple(
+            tuple(x + (shift if i == j else 0) for j, x in enumerate(row))
+            for i, row in enumerate(rand_symmetric(rng, n, -4, 4))
+        )
+        d, _ = la.ldl(g)
+        assert len(d) == n
+        posdef = all(x > 0 for x in d)
+        assert posdef == (la.inertia(g) == (n, 0, 0))
+        assert posdef == (oracles.sympy_inertia(g) == (n, 0, 0))
+
+
+# --- LLL on Gram matrices ---
 
 
 def test_lll_preserves_lattice_and_reduces():
