@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 try:
@@ -29,13 +28,6 @@ from zlattice import (
     model_degeneracy_scan,
     standard_lattice,
 )
-
-
-@dataclass
-class ScanConfig:
-    d_values: tuple[int, ...] = (-2, -4, -6, -8, -10, -12)
-    scan_bound: int = 4
-    include_minimal: bool = True
 
 
 def model_over(d: int | None):
@@ -58,19 +50,13 @@ def main() -> int:
     if args.max_d >= 0 or args.max_d % 2:
         parser.error("--max-d must be a negative even integer")
 
-    cfg = ScanConfig(
-        d_values=tuple(range(-2, args.max_d - 1, -2)),
-        scan_bound=args.bound,
-    )
-
     print(f"{'model':<14} {'verdict':<16} {'witnesses':>9}  scan")
-    rows = [("S311", None)] if cfg.include_minimal else []
-    rows += [(f"S311+<{d}>", d) for d in cfg.d_values]
+    rows = [("S311", None)] + [(f"S311+<{d}>", d) for d in range(-2, args.max_d - 1, -2)]
     for label, d in rows:
         m = model_over(d)
         ok, wits = is_nondegenerate(m)
         verdict = "NONDEGENERATE" if ok else "DEGENERATE-POSS"
-        scan = model_degeneracy_scan(m, cfg.scan_bound)
+        scan = model_degeneracy_scan(m, args.bound)
         print(f"{label:<14} {verdict:<16} {len(wits):>9}  {scan.status}")
     return 0
 

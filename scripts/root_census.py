@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 try:
@@ -24,22 +23,17 @@ except ImportError:
 from zlattice import direct_sum, make_lattice, standard_lattice, vectors_of_norm
 
 
-@dataclass
-class CensusConfig:
-    norm_floor: int = -6
-    lattice_names: tuple[str, ...] = ("A1(-1)", "E8(-1)")
-    wide: bool = False  # rank-16 sum; slow below norm -2
-    show_timing: bool = False
-
-
-def build_catalog(cfg: CensusConfig):
-    catalog = [(name, standard_lattice(name)) for name in cfg.lattice_names]
+def build_catalog(wide: bool):
     a1 = standard_lattice("A1(-1)")
-    catalog.append(("A1(-1)^2", direct_sum(a1, a1)))
-    catalog.append(("A1(-1)^4", direct_sum(direct_sum(a1, a1), direct_sum(a1, a1))))
-    catalog.append(("<-4>+<-6>", make_lattice(((-4, 0), (0, -6)))))
-    if cfg.wide:
-        e8 = standard_lattice("E8(-1)")
+    e8 = standard_lattice("E8(-1)")
+    catalog = [
+        ("A1(-1)", a1),
+        ("E8(-1)", e8),
+        ("A1(-1)^2", direct_sum(a1, a1)),
+        ("A1(-1)^4", direct_sum(direct_sum(a1, a1), direct_sum(a1, a1))),
+        ("<-4>+<-6>", make_lattice(((-4, 0), (0, -6)))),
+    ]
+    if wide:  # rank-16 sum; slow below norm -2
         catalog.append(("E8(-1)^2", direct_sum(e8, e8)))
     return catalog
 
@@ -56,10 +50,8 @@ def main() -> int:
     if args.floor >= 0 or args.floor % 2:
         parser.error("--floor must be a negative even integer")
 
-    cfg = CensusConfig(norm_floor=args.floor, show_timing=args.timing,
-                       wide=args.wide)
-    norms = list(range(-2, cfg.norm_floor - 1, -2))
-    catalog = build_catalog(cfg)
+    norms = list(range(-2, args.floor - 1, -2))
+    catalog = build_catalog(args.wide)
 
     header = ["lattice".ljust(12)] + [f"m={m}".rjust(9) for m in norms]
     print("  ".join(header))
@@ -69,7 +61,7 @@ def main() -> int:
             t0 = time.perf_counter()
             count = vectors_of_norm(L, m).count
             dt = time.perf_counter() - t0
-            cell = f"{count}" + (f" ({dt:.2f}s)" if cfg.show_timing else "")
+            cell = f"{count}" + (f" ({dt:.2f}s)" if args.timing else "")
             cells.append(cell.rjust(9))
         print("  ".join(cells))
     return 0

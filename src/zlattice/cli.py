@@ -2,8 +2,12 @@
 
 Exit codes: 0 success; 2 malformed or invalid input file; 3 a precondition
 of the requested operation failed; 4 unknown verb or bad flags.  All
-diagnostics go to stderr with the prefix "error:".  Output is plain text,
-one fact per line, or JSON with --json; both are byte-deterministic.
+diagnostics go to stderr with the prefix "error:".
+
+Each verb has one executor, which computes every fact once and returns one
+result document, and one text renderer, which reads only that document.
+--json prints the document as sorted-key JSON; otherwise the rendered text
+is printed, one fact per line.  Both are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .discriminant import (
     discriminant_form_value,
@@ -86,112 +91,91 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _dim(d) -> str:
+    return "undefined" if d is None else str(d)
+
+
 def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputFile(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidInputFile(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputFile(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InvalidInputFile(f"{path}: JSON nested too deeply") from None
 
 
-# --- per-verb loaders (exit 2 territory) and executors (exit 3 territory) ---
-
-
-def _load_lattice(args):
-    return lattice_from_json_dict(_load_json_file(args.file))
-
-
-def _load_involution(args):
-    return involution_from_json_dict(_load_json_file(args.file))
-
-
-def _load_model(args):
-    return model_from_json_dict(_load_json_file(args.file))
-
-
-def _load_nothing(args):
-    return None
+# --- per-verb executors (exit 3 territory) and text renderers ---
 
 
 def _exec_invariants(args, L):
-    sig = signature(L)
-    lines = [
-        f"rank: {L.rank}",
-        f"determinant: {determinant(L)}",
-        f"signature: {_fmt_vec(sig)}",
-        f"even: {_yesno(is_even(L))}",
-    ]
     doc = {
         "rank": L.rank,
         "determinant": determinant(L),
-        "signature": list(sig),
+        "signature": signature(L),
         "even": is_even(L),
     }
     try:
-        triple = two_elementary_invariants(L)
+        doc["two_elementary"] = two_elementary_invariants(L)
     except LatticeError:
-        lines.append("two-elementary: NOT-2-ELEMENTARY")
         doc["two_elementary"] = None
-    else:
-        lines.append(
-            f"two-elementary: (r,a,delta) = ({triple[0]},{triple[1]},{triple[2]})"
-        )
-        doc["two_elementary"] = list(triple)
-    return lines, doc
+    return doc
+
+
+def _text_invariants(doc):
+    triple = doc["two_elementary"]
+    return [
+        f"rank: {doc['rank']}",
+        f"determinant: {doc['determinant']}",
+        f"signature: {_fmt_vec(doc['signature'])}",
+        f"even: {_yesno(doc['even'])}",
+        "two-elementary: " + ("NOT-2-ELEMENTARY" if triple is None
+                              else "(r,a,delta) = ({},{},{})".format(*triple)),
+    ]
 
 
 def _exec_discriminant(args, L):
     dg = discriminant_group(L)
-    lines = [
-        f"order: {dg.order}",
-        "invariant-factors: (" + ", ".join(str(f) for f in dg.invariant_factors) + ")",
-    ]
-    gens = []
-    for i, g in enumerate(dg.generators, start=1):
-        q = discriminant_form_value(L, g)
-        coords = "(" + ", ".join(str(c) for c in g) + ")"
-        lines.append(f"generator {i}: {coords}  q = {q}")
-        gens.append({"coords": [str(c) for c in g], "q": str(q)})
-    doc = {
+    return {
         "order": dg.order,
-        "invariant_factors": list(dg.invariant_factors),
-        "generators": gens,
+        "invariant_factors": dg.invariant_factors,
+        "generators": [
+            {"coords": [str(c) for c in g], "q": str(discriminant_form_value(L, g))}
+            for g in dg.generators
+        ],
     }
-    return lines, doc
+
+
+def _text_discriminant(doc):
+    lines = [f"order: {doc['order']}",
+             f"invariant-factors: {_fmt_vec(doc['invariant_factors'])}"]
+    for i, g in enumerate(doc["generators"], start=1):
+        lines.append(f"generator {i}: {_fmt_vec(g['coords'])}  q = {g['q']}")
+    return lines
 
 
 def _exec_roots(args, L):
-    if args.ortho is not None and args.bound is not None:
-        raise _UsageError("--ortho cannot be combined with --bound")
     if args.bound is not None:
         result = bounded_vectors_of_norm(L, args.norm, args.bound)
     elif args.ortho is not None:
         result = constrained_roots(L, args.ortho, args.norm)
     else:
         result = vectors_of_norm(L, args.norm)
-    lines = [f"count: {result.count}", f"complete: {_yesno(result.complete)}"]
-    lines.extend(_fmt_vec(v) for v in result.vectors)
-    doc = {
-        "count": result.count,
-        "complete": result.complete,
-        "vectors": [list(v) for v in result.vectors],
-    }
-    return lines, doc
+    return {"count": result.count, "complete": result.complete, "vectors": result.vectors}
+
+
+def _text_roots(doc):
+    return [f"count: {doc['count']}", f"complete: {_yesno(doc['complete'])}",
+            *map(_fmt_vec, doc["vectors"])]
 
 
 def _exec_involution(args, loaded):
-    psi, s_from_file = loaded
+    psi, s = loaded
     fixed, anti = eigenlattices(psi)
-    lines = [
-        f"rank: {psi.ambient.rank}",
-        f"fixed-rank: {fixed.rank}",
-        f"fixed-hyperbolic: {_yesno(is_hyperbolic(fixed.induced_lattice()))}",
-        f"anti-rank: {anti.rank}",
-        f"anti-hyperbolic: {_yesno(is_hyperbolic(anti.induced_lattice()))}",
-        f"rank-sum-check: {'pass' if involution_rank_sum_check(psi) else 'fail'}",
-    ]
     doc = {
         "rank": psi.ambient.rank,
         "fixed_rank": fixed.rank,
@@ -200,53 +184,46 @@ def _exec_involution(args, loaded):
         "anti_hyperbolic": is_hyperbolic(anti.induced_lattice()),
         "rank_sum_check": involution_rank_sum_check(psi),
     }
-    s = None
     if args.s_basis is not None:
         s = make_sublattice(psi.ambient, args.s_basis)
-    elif s_from_file is not None:
-        s = s_from_file
     if s is not None:
-        summary = period_domain_summary(psi, s)
-        undef = "undefined"
-        lines.extend(
-            [
-                f"anti-s-rank: {summary.rank_anti_s}",
-                f"anti-s-hyperbolic: {_yesno(summary.anti_s_hyperbolic)}",
-                f"lambda-plus-dim: {summary.dim_lambda_plus if summary.dim_lambda_plus is not None else undef}",
-                f"lambda-minus-dim: {summary.dim_lambda_minus if summary.dim_lambda_minus is not None else undef}",
-            ]
-        )
-        doc["period_domain"] = {
-            "rank_fixed": summary.rank_fixed,
-            "rank_anti_s": summary.rank_anti_s,
-            "fixed_hyperbolic": summary.fixed_hyperbolic,
-            "anti_s_hyperbolic": summary.anti_s_hyperbolic,
-            "dim_lambda_plus": summary.dim_lambda_plus,
-            "dim_lambda_minus": summary.dim_lambda_minus,
-        }
-    return lines, doc
+        doc["period_domain"] = asdict(period_domain_summary(psi, s))
+    return doc
+
+
+def _text_involution(doc):
+    lines = [
+        f"rank: {doc['rank']}",
+        f"fixed-rank: {doc['fixed_rank']}",
+        f"fixed-hyperbolic: {_yesno(doc['fixed_hyperbolic'])}",
+        f"anti-rank: {doc['anti_rank']}",
+        f"anti-hyperbolic: {_yesno(doc['anti_hyperbolic'])}",
+        f"rank-sum-check: {'pass' if doc['rank_sum_check'] else 'fail'}",
+    ]
+    pd = doc.get("period_domain")
+    if pd is not None:
+        lines += [
+            f"anti-s-rank: {pd['rank_anti_s']}",
+            f"anti-s-hyperbolic: {_yesno(pd['anti_s_hyperbolic'])}",
+            f"lambda-plus-dim: {_dim(pd['dim_lambda_plus'])}",
+            f"lambda-minus-dim: {_dim(pd['dim_lambda_minus'])}",
+        ]
+    return lines
 
 
 def _exec_k3_check(args, model):
     ok, witnesses = is_nondegenerate(model)
-    verdict = "NONDEGENERATE" if ok else "DEGENERATE-POSSIBLE"
-    neg_f = tuple(-c for c in model.f)
-    labels = []
-    for w in witnesses:
-        if w == model.f:
-            labels.append("+f")
-        elif w == neg_f:
-            labels.append("-f")
-        else:
-            labels.append(_fmt_vec(w))
-    lines = [f"{verdict}; witnesses: {', '.join(labels)}"]
-    doc = {
+    names = {model.f: "+f", tuple(-c for c in model.f): "-f"}
+    return {
         "nondegenerate": ok,
-        "verdict": verdict,
-        "witnesses": [list(w) for w in witnesses],
-        "labels": labels,
+        "verdict": "NONDEGENERATE" if ok else "DEGENERATE-POSSIBLE",
+        "witnesses": witnesses,
+        "labels": [names.get(w) or _fmt_vec(w) for w in witnesses],
     }
-    return lines, doc
+
+
+def _text_k3_check(doc):
+    return [f"{doc['verdict']}; witnesses: {', '.join(doc['labels'])}"]
 
 
 def _exec_da_scan(args, model):
@@ -255,40 +232,24 @@ def _exec_da_scan(args, model):
         result = da_degeneracy_scan(model.lattice, s, args.bound)
     else:
         result = model_degeneracy_scan(model, args.bound)
-    if result.found:
-        lines = [
-            "DEGENERATE",
-            f"delta: {_fmt_vec(result.delta)}",
-            f"delta1: {_fmt_vec(result.delta1)}",
-            f"delta2: {_fmt_vec(result.delta2)}",
-        ]
-    else:
-        lines = ["NO-WITNESS-WITHIN-BOUND"]
-    doc = {
-        "status": result.status,
-        "delta": list(result.delta) if result.delta is not None else None,
-        "delta1": list(result.delta1) if result.delta1 is not None else None,
-        "delta2": list(result.delta2) if result.delta2 is not None else None,
-    }
-    return lines, doc
+    return asdict(result)
+
+
+def _text_da_scan(doc):
+    if doc["status"] != "degenerate":
+        return ["NO-WITNESS-WITHIN-BOUND"]
+    return ["DEGENERATE"] + [f"{k}: {_fmt_vec(doc[k])}" for k in ("delta", "delta1", "delta2")]
 
 
 def _exec_demo(args, _):
-    items = s311_selfcheck() + f4_checks()
-    lines = []
-    all_ok = True
-    for item in items:
-        status = "" if item.ok else " [FAILED]"
-        lines.append(f"{item.name}: {item.detail}{status}")
-        all_ok = all_ok and item.ok
-    lines.append(f"all-ok: {_yesno(all_ok)}")
-    doc = {
-        "checks": [
-            {"name": it.name, "detail": it.detail, "ok": it.ok} for it in items
-        ],
-        "all_ok": all_ok,
-    }
-    return lines, doc
+    checks = [asdict(item) for item in s311_selfcheck() + f4_checks()]
+    return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
+
+
+def _text_demo(doc):
+    lines = [f"{c['name']}: {c['detail']}{'' if c['ok'] else ' [FAILED]'}"
+             for c in doc["checks"]]
+    return lines + [f"all-ok: {_yesno(doc['all_ok'])}"]
 
 
 def _build_parser() -> _Parser:
@@ -298,77 +259,73 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    def add(name, help_text, load, execute):
+    def add(name, help_text, parse, execute, render):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.set_defaults(load=load, execute=execute)
+        if parse is not None:
+            p.add_argument("file")
+        p.set_defaults(parse=parse, execute=execute, render=render)
         return p
 
-    p = add("invariants", "rank, determinant, signature, parity data of a lattice file",
-            _load_lattice, _exec_invariants)
-    p.add_argument("file")
+    add("invariants", "rank, determinant, signature, parity data of a lattice file",
+        lattice_from_json_dict, _exec_invariants, _text_invariants)
 
-    p = add("discriminant", "invariant factors and quadratic form values of the discriminant group",
-            _load_lattice, _exec_discriminant)
-    p.add_argument("file")
+    add("discriminant", "invariant factors and quadratic form values of the discriminant group",
+        lattice_from_json_dict, _exec_discriminant, _text_discriminant)
 
-    p = add("roots", "enumerate vectors of a given norm", _load_lattice, _exec_roots)
-    p.add_argument("file")
+    p = add("roots", "enumerate vectors of a given norm",
+            lattice_from_json_dict, _exec_roots, _text_roots)
     p.add_argument("--norm", type=int, required=True, help="target self-intersection")
-    p.add_argument("--ortho", type=_vector_list, default=None, metavar="V;V;...",
-                   help="restrict to the orthogonal complement of these vectors")
-    p.add_argument("--bound", type=_positive_int, default=None,
-                   help="scan a coordinate box instead of exact enumeration")
+    exclusive = p.add_mutually_exclusive_group()
+    exclusive.add_argument("--ortho", type=_vector_list, default=None, metavar="V;V;...",
+                           help="restrict to the orthogonal complement of these vectors")
+    exclusive.add_argument("--bound", type=_positive_int, default=None,
+                           help="scan a coordinate box instead of exact enumeration")
 
     p = add("involution", "eigenlattice data of an involution file",
-            _load_involution, _exec_involution)
-    p.add_argument("file")
+            involution_from_json_dict, _exec_involution, _text_involution)
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",
                    help="marked sublattice basis for the period-domain summary "
                         "(overrides the file's s_basis)")
 
-    p = add("k3-check", "decide double-point nondegeneracy for a Picard model file",
-            _load_model, _exec_k3_check)
-    p.add_argument("file")
+    add("k3-check", "decide double-point nondegeneracy for a Picard model file",
+        model_from_json_dict, _exec_k3_check, _text_k3_check)
 
     p = add("da-scan", "bounded search for a degeneracy witness in a Picard model file",
-            _load_model, _exec_da_scan)
-    p.add_argument("file")
+            model_from_json_dict, _exec_da_scan, _text_da_scan)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="max |coordinate| of scanned vectors")
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",
                    help="scan over this sublattice instead of the marked one")
 
-    p = add("demo", "run the built-in consistency report", _load_nothing, _exec_demo)
+    p = add("demo", "run the built-in consistency report", None, _exec_demo, _text_demo)
     p.add_argument("target", choices=["s311"])
 
     return parser
+
+
+def _error(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _error(exc, 4)
     try:
-        loaded = args.load(args)
+        loaded = args.parse(_load_json_file(args.file)) if args.parse else None
     except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     try:
-        lines, doc = args.execute(args, loaded)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        doc = args.execute(args, loaded)
     except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(args.render(doc)))
     return 0
 
 

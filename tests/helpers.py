@@ -1,10 +1,13 @@
 """Shared fixtures: block involutions on the rank-22 lattice, marked models
-with known degeneracy behaviour, and a seeded random-involution generator.
+with known degeneracy behaviour, a seeded random-involution generator, and
+the environment for child `python -m zlattice` processes.
 """
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from zlattice import (
     Lattice,
@@ -16,6 +19,17 @@ from zlattice import (
     make_sublattice,
     standard_lattice,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**overrides) -> dict:
+    """os.environ plus overrides, with src/ first on PYTHONPATH, so that a
+    child interpreter imports this checkout's zlattice without an install."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
 
 # Block layout of the rank-22 lattice U^3 + E8(-1)^2.
 U1 = (0, 1)

@@ -6,7 +6,6 @@ shows up as a normal pytest failure instead).
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import time
 
 from helpers import (
     E8B,
+    child_env,
     lk3,
     n4_model,
     n4_sprime,
@@ -208,10 +208,9 @@ def test_criterion_11_byte_determinism(tmp_path):
         {"gram": [list(r) for r in standard_lattice("E8(-1)").gram]}))
 
     def run_once(args, seed):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
         proc = subprocess.run(
             [sys.executable, "-m", "zlattice", *args],
-            capture_output=True, env=env,
+            capture_output=True, env=child_env(PYTHONHASHSEED=str(seed)),
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
