@@ -109,7 +109,8 @@ class ComplementNotDefinite(LatticeError):
 
 
 class EnumerationOverflow(LatticeError):
-    """Requested coordinate box is too large to scan."""
+    """Requested coordinate box is too large to scan, or a Fincke-Pohst
+    search passed its node cap."""
 
 
 # Picard models

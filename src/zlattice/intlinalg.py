@@ -7,13 +7,13 @@ normal form with recorded transform, a Smith normal form with all four
 transforms, and one exact symmetric LDL^t elimination (ldl).  Its pivots
 give the inertia, and on a definite Gram matrix its multipliers are the
 Gram-Schmidt data that the Gram-only LLL and the Fincke-Pohst enumeration
-in roots both work from.
+in roots both work from; roots scales them to integers once, so the
+search itself does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -398,15 +398,6 @@ def inertia(gram) -> tuple[int, int, int]:
     """Exact Sylvester inertia (positive, negative, zero) of a symmetric
     integer matrix: the signs of its ldl pivots."""
     return sign_counts(ldl(gram)[0])
-
-
-def floor_sqrt(x) -> int:
-    """floor(sqrt(x)) for a nonnegative int or Fraction, exactly."""
-    if x < 0:
-        raise ValueError("negative argument")
-    if isinstance(x, Fraction):
-        return isqrt(x.numerator * x.denominator) // x.denominator
-    return isqrt(int(x))
 
 
 # Lovasz constant of the LLL exchange condition.

@@ -2,16 +2,21 @@
 
 Definite lattices get a complete answer from Fincke-Pohst enumeration over
 the exact LDL^t factorization of the Gram matrix (intlinalg.ldl), the same
-single factorization that decides definiteness; indefinite lattices can
+single factorization that decides definiteness.  The factorization is
+scaled to integers once, so the search runs on Python ints only (each
+coordinate bounded with isqrt), and it writes every vector directly in the
+caller's basis: the lattice's own, the one before LLL, or the ambient
+coordinates of an orthogonal complement.  A search that passes
+_MAX_FP_NODES nodes raises EnumerationOverflow.  Indefinite lattices can
 only be scanned inside an explicit coordinate box, and the result says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from math import floor
+from math import isqrt, lcm
+from operator import add, neg
 
 import numpy as np
 
@@ -24,7 +29,6 @@ from .errors import (
 )
 from .lattices import (
     Lattice,
-    SublatticeEmbedding,
     Vec,
     check_vector,
 )
@@ -32,6 +36,10 @@ from .lattices import (
 # Box scans refuse to touch more cells than this; keeps a typo from eating
 # the machine.  20 coordinates at bound 1 is already past it.
 _MAX_BOX_CELLS = 200_000_000
+
+# Fincke-Pohst searches refuse to visit more nodes than this.  E8(-1)^2 at
+# norm -6 (1,050,240 vectors) stays below it; at norm -8 it does not.
+_MAX_FP_NODES = 10_000_000
 
 # Elbow room below 2^63 for every intermediate of the int64 norm formula.
 _INT64_SAFE = 2**62
@@ -70,59 +78,105 @@ def _make_result(vectors, complete: bool) -> EnumerationResult:
     return EnumerationResult(ordered, len(ordered), complete)
 
 
-def _floor_c_plus_sqrt(c: Fraction, r: Fraction) -> int:
-    # floor(c + sqrt(r)) for r >= 0, exactly; the candidate undershoots by
-    # at most one, so the loop runs at most twice
-    f = la.floor_sqrt(r) + floor(c)
-    while True:
-        d = f + 1 - c
-        if d <= 0 or d * d <= r:
-            f += 1
-        else:
-            return f
+def _node_overflow(nodes: int, n: int) -> EnumerationOverflow:
+    return EnumerationOverflow(
+        f"Fincke-Pohst search reached {nodes} nodes in rank {n} "
+        f"(limit {_MAX_FP_NODES}); the norm is too large to enumerate"
+    )
 
 
-def _fp_enumerate(d, mu, target: int) -> list[Vec]:
-    """All integer x with x^t G x = target, where G = mu diag(d) mu^t is
-    positive definite (every d[i] > 0) and target > 0.
+def _fp_enumerate(d, mu, target: int, basis) -> list[Vec]:
+    """All v = sum_i x_i basis[i] over integer x with x^t G x = target,
+    where G = mu diag(d) mu^t is positive definite (every d[i] > 0) and
+    target > 0.
 
-    x^t G x = sum_i d[i] * (x_i + sum_{j>i} mu[j][i] x_j)^2, so the
-    coordinates are bounded one at a time from the last one down.
+    x^t G x = sum_i d[i] (x_i + sum_{j>i} mu[j][i] x_j)^2.  Scaling column
+    i of mu by the lcm s_i of its denominators makes y_i = s_i x_i + t_i,
+    t_i = sum_{j>i} m[j][i] x_j, an integer; scaling the form by the lcm
+    `scale` of the denominators of d[i] / s_i^2 gives integer weights w_i
+    with sum_i w_i y_i^2 = scale * target.  The coordinates are bounded
+    one at a time from the last one down, |y_i| <= isqrt(rem // w_i), and
+    the first one is solved for.  Only x whose last nonzero coordinate is
+    positive are visited; -v is emitted next to each v.  Every coordinate
+    value fixed, a solved first one included, counts as a node; past
+    _MAX_FP_NODES the search raises EnumerationOverflow.
     """
     n = len(d)
+    s = [lcm(*(mu[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
+    cols = [[(j, int(mu[j][i] * s[i])) for j in range(i + 1, n) if mu[j][i]] for i in range(n)]
+    q = [d[i] / (s[i] * s[i]) for i in range(n)]
+    scale = lcm(*(qi.denominator for qi in q))
+    w = [qi.numerator * (scale // qi.denominator) for qi in q]
+    cap = _MAX_FP_NODES
     found: list[Vec] = []
+    # level i: x[i] runs up to hi[i], levels <= i may spend rem[i + 1], and
+    # part[i + 1] = sum_{j>i} x_j basis[j]
     x = [0] * n
-
-    def descend(i: int, rem: Fraction) -> None:
-        if i < 0:
-            if rem == 0:
-                found.append(tuple(x))
-            return
-        c = sum(mu[j][i] * x[j] for j in range(i + 1, n)) if i < n - 1 else Fraction(0)
-        r = rem / d[i]
-        hi = _floor_c_plus_sqrt(-c, r)
-        lo = -_floor_c_plus_sqrt(c, r)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            descend(i - 1, rem - d[i] * (xi + c) ** 2)
-        x[i] = 0
-
-    descend(n - 1, Fraction(target))
+    hi = [0] * n
+    t = [0] * n
+    rem = [0] * n + [scale * target]
+    part = [None] * n + [(0,) * len(basis[0])]
+    nodes = 0
+    i = n - 1
+    enter = True
+    while i < n:
+        if enter:
+            ti = t[i] = sum(c * x[j] for j, c in cols[i])
+            if i == 0:
+                r2, k = divmod(rem[1], w[0])
+                r = isqrt(r2)
+                if not k and r * r == r2:
+                    free = any(x[1:])
+                    for y in (r, -r) if r else (0,):
+                        x0, k = divmod(y - ti, s[0])
+                        if not k and (x0 > 0 or free):
+                            nodes += 1
+                            v = tuple(a + x0 * b for a, b in zip(part[1], basis[0]))
+                            found.append(v)
+                            found.append(tuple(map(neg, v)))
+                    if nodes > cap:
+                        raise _node_overflow(nodes, n)
+                i = 1
+                enter = False
+                continue
+            r = isqrt(rem[i + 1] // w[i])
+            lo = -((r + ti) // s[i]) if any(x[i + 1 :]) else 0
+            hi[i] = (r - ti) // s[i]
+            if lo > hi[i]:
+                i += 1
+                enter = False
+                continue
+            x[i] = lo
+            part[i] = tuple(a + lo * b for a, b in zip(part[i + 1], basis[i]))
+        else:
+            x[i] += 1
+            if x[i] > hi[i]:
+                i += 1
+                continue
+            part[i] = tuple(map(add, part[i], basis[i]))
+        nodes += 1
+        if nodes > cap:
+            raise _node_overflow(nodes, n)
+        y = s[i] * x[i] + t[i]
+        rem[i] = rem[i + 1] - w[i] * y * y
+        i -= 1
+        enter = True
     return found
 
 
-def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:
-    """Complete list of vectors of self-intersection m in a definite lattice.
+def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
+    """Every vector sum_i x_i basis[i] with x^t gram x = m, unordered.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data (negating a negative definite form
-    only negates the pivots).  use_lll: None picks the default (reduce the
-    Gram matrix first when the rank is at least 10; below that the
-    reduction is not worth its cost); the reduced matrix is factored anew.
+    only negates the pivots).  basis[i] is the image of the i-th unit
+    vector.  With LLL (use_lll as in vectors_of_norm) the reduced matrix
+    T^t G T is factored anew and its unit vectors map to transpose(T) basis.
     """
-    if L.rank == 0:
-        return _make_result([], True)
-    d, mu = la.ldl(L.gram)
+    n = len(gram)
+    if n == 0:
+        return []
+    d, mu = la.ldl(gram)
     p, nneg, z = la.sign_counts(d)
     if z > 0 or (p > 0 and nneg > 0):
         raise NotDefinite(f"signature {(p, nneg, z)} is not definite")
@@ -132,39 +186,46 @@ def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> Enumerat
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
     if use_lll is None:
-        use_lll = L.rank >= 10
+        use_lll = n >= 10
     if use_lll:
-        work = L.gram if positive else tuple(tuple(-x for x in row) for row in L.gram)
+        work = gram if positive else tuple(tuple(-x for x in row) for row in gram)
         work, trans = la.lll_reduce_gram(work)
         d, mu = la.ldl(work)
-    else:
-        trans = la.identity(L.rank)
-        if not positive:
-            d = [-x for x in d]
-    sols = _fp_enumerate(d, mu, abs(m))
-    vecs = [la.mat_vec(trans, s) for s in sols]
-    return _make_result(vecs, True)
+        basis = la.mat_mul(la.transpose(trans), basis)
+    elif not positive:
+        d = [-x for x in d]
+    return _fp_enumerate(d, mu, abs(m), basis)
+
+
+def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:
+    """Complete list of vectors of self-intersection m in a definite lattice.
+
+    Raises NotDefinite, SignMismatch for a norm of the wrong sign, and
+    EnumerationOverflow when the search passes _MAX_FP_NODES nodes.
+    use_lll: None picks the default (reduce the Gram matrix first when the
+    rank is at least 10; below that the reduction is not worth its cost).
+    """
+    return _make_result(_definite_vectors(L.gram, m, la.identity(L.rank), use_lll), True)
 
 
 def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     """Vectors of norm m orthogonal to every vector in ortho.
 
     The vectors are enumerated inside the primitive orthogonal complement
-    of span(ortho) (which must be definite) and reported in ambient
-    coordinates.
+    of span(ortho) (which must be definite), written directly in ambient
+    coordinates by the enumeration.
     """
     ortho = [check_vector(L, o) for o in ortho]
     rows = [la.mat_vec(L.gram, o) for o in ortho]
-    comp_basis = la.kernel(rows, ncols=L.rank) if rows else tuple(la.identity(L.rank))
-    comp = SublatticeEmbedding(L, comp_basis)
+    basis = la.kernel(rows, ncols=L.rank) if rows else la.identity(L.rank)
+    gram = la.mat_mul(la.mat_mul(basis, L.gram), la.transpose(basis))
     try:
-        internal = vectors_of_norm(comp.induced_lattice(), m)
+        vecs = _definite_vectors(gram, m, basis, None)
     except NotDefinite as exc:
         raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:
         # wrong-sign norm in a definite complement: simply no solutions
-        return _make_result([], True)
-    vecs = [comp.to_ambient(v) for v in internal.vectors]
+        vecs = []
     return _make_result(vecs, True)
 
 

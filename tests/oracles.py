@@ -110,6 +110,21 @@ def brute_box_vectors(gram, target, bound):
     return hits
 
 
+def coordinate_bound(gram, target) -> int:
+    """A priori bound on max |x_i| over the x with x^T G x = target, G definite.
+
+    x_i = (G^{-1} e_i)^T G x, so by Cauchy-Schwarz in the form G,
+    x_i^2 <= target * (G^{-1})_ii (both factors have the sign of G).  The
+    inverse is taken by sympy; floor(sqrt(p/q)) = isqrt(p*q) // q exactly.
+    """
+    ginv = sp.Matrix([list(r) for r in gram]).inv()
+    bound = 0
+    for i in range(len(gram)):
+        v = abs(sp.Rational(target) * ginv[i, i])
+        bound = max(bound, math.isqrt(int(v.p) * int(v.q)) // int(v.q))
+    return bound
+
+
 def reduce_mod2z(value: Fraction) -> Fraction:
     """Canonical representative of a rational mod 2Z in [0, 2)."""
     return value - 2 * math.floor(value / 2)

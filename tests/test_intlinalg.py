@@ -267,18 +267,3 @@ def test_lll_preserves_lattice_and_reduces():
 def test_lll_rejects_indefinite():
     with pytest.raises(ValueError):
         la.lll_reduce_gram(((0, 1), (1, 0)))
-
-
-# --- exact square roots ---
-
-
-@given(st.integers(0, 10**6), st.integers(1, 10**4))
-def test_floor_sqrt_is_floor(num, den):
-    x = Fraction(num, den)
-    r = la.floor_sqrt(x)
-    assert r * r <= x < (r + 1) * (r + 1)
-
-
-def test_floor_sqrt_exact_squares():
-    for k in range(50):
-        assert la.floor_sqrt(Fraction(k * k)) == k

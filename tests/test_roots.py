@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
 import oracles
+from zlattice import intlinalg as la, roots
 from zlattice import (
     ComplementNotDefinite,
     EnumerationOverflow,
@@ -221,6 +223,69 @@ def test_exact_enumeration_equals_box_oracle():
             radius = max(max(abs(c) for c in v) for v in exact.vectors)
         boxed = bounded_vectors_of_norm(L, target, radius + 1)
         assert exact.vectors == boxed.vectors
+
+
+def _skewed_definite(rng, n, sign):
+    # A^t A + I, then a unimodular skew, so that the ldl multipliers have
+    # nontrivial denominators
+    a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
+         for i in range(n)]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(min(n - 1, 3)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in t:
+            row[i] += c * row[j]
+    return tuple(
+        tuple(sign * sum(t[k][i] * g[k][l] * t[l][j] for k in range(n) for l in range(n))
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_enumeration_equals_a_priori_box_oracle(sign):
+    # the box comes from G^{-1} (sympy), not from the enumerator's output
+    rng = random.Random(41 if sign > 0 else 42)
+    fractional = 0
+    for n in range(1, 7):
+        for _ in range(3):
+            gram = _skewed_definite(rng, n, sign)
+            L = make_lattice(gram)
+            # the norm of a basis vector, so the answer is never empty
+            target = min((gram[i][i] for i in range(n)), key=abs)
+            fractional += any(x.denominator > 1 for row in la.ldl(gram)[1] for x in row)
+            expect = canonical_order(oracles.brute_box_vectors(
+                gram, target, oracles.coordinate_bound(gram, target)))
+            for use_lll in (False, True):
+                assert vectors_of_norm(L, target, use_lll=use_lll).vectors == expect
+            ortho = tuple(rng.randint(-1, 1) for _ in range(n))
+            perp = [v for v in expect if inner_product(L, v, ortho) == 0]
+            assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
+    assert fractional >= 6
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    N = direct_sum(S, E8M)
+    ortho = ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8)
+    gc.collect()
+    gc.disable()
+    try:
+        vectors_of_norm(E8M, -2)
+        vectors_of_norm(E8M, -2, use_lll=True)
+        constrained_roots(N, ortho, -2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_node_cap_raises_overflow(monkeypatch):
+    # E8(-1) visits 416 nodes at norm -2 and 3048 at -4
+    monkeypatch.setattr(roots, "_MAX_FP_NODES", 1000)
+    assert vectors_of_norm(E8M, -2).count == 240
+    with pytest.raises(EnumerationOverflow, match="reached 1001 nodes"):
+        vectors_of_norm(E8M, -4)
 
 
 def test_every_vector_has_requested_norm():
