@@ -97,6 +97,7 @@ from .k3 import (
     F4Class,
     FIBER,
     PicardModel,
+    RECORDED_COVERING_DATA_311,
     RECORDED_SYMMETRY_GROUP_311,
     SECTION,
     f4_checks,
@@ -146,5 +147,5 @@ __all__ = [
     "model_degeneracy_scan", "model_from_json_dict", "F4Class",
     "f4_intersection", "FIBER", "SECTION", "CANONICAL", "BRANCH_CURVE",
     "CheckItem", "f4_checks", "s311_selfcheck",
-    "RECORDED_SYMMETRY_GROUP_311",
+    "RECORDED_SYMMETRY_GROUP_311", "RECORDED_COVERING_DATA_311",
 ]

@@ -31,6 +31,7 @@ from .involutions import (
     period_domain_summary,
 )
 from .k3 import (
+    RECORDED_COVERING_DATA_311,
     f4_checks,
     is_nondegenerate,
     model_degeneracy_scan,
@@ -243,13 +244,15 @@ def _text_da_scan(doc):
 
 def _exec_demo(args, _):
     checks = [asdict(item) for item in s311_selfcheck() + f4_checks()]
-    return {"checks": checks, "all_ok": all(c["ok"] for c in checks)}
+    return {"checks": checks, "all_ok": all(c["ok"] for c in checks),
+            "recorded_covering_data": RECORDED_COVERING_DATA_311}
 
 
 def _text_demo(doc):
     lines = [f"{c['name']}: {c['detail']}{'' if c['ok'] else ' [FAILED]'}"
              for c in doc["checks"]]
-    return lines + [f"all-ok: {_yesno(doc['all_ok'])}"]
+    return lines + [f"recorded covering data (not computed): {doc['recorded_covering_data']}",
+                    f"all-ok: {_yesno(doc['all_ok'])}"]
 
 
 def _build_parser() -> _Parser:

@@ -11,7 +11,7 @@ for norm -4 "glue partner" configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import intlinalg as la
 from .errors import (
@@ -273,60 +273,57 @@ class DegeneracyScanResult:
         return self.status == "degenerate"
 
 
+def _doubled_projector(s: SublatticeEmbedding) -> tuple[la.Mat, int]:
+    """(P, den) with 2 proj_S(v) = P v / den for every ambient vector v.
+
+    proj_S(v) = B^t G_S^{-1} B G v for the basis rows B of S, so P is
+    2 B^t G_S^{-1} B G scaled by the lcm den of its denominators; S must
+    be nondegenerate.  Then 2 proj_S(v) is integral exactly when den
+    divides every entry of P v.
+    """
+    n = s.ambient.rank
+    if s.rank == 0:
+        return ((0,) * n,) * n, 1
+    pair_rows = tuple(la.mat_vec(s.ambient.gram, b) for b in s.basis)
+    coeffs = la.mat_mul(la.rational_inverse(s.induced_gram()), pair_rows)
+    twice = [[2 * c for c in row] for row in la.mat_mul(s.matrix, coeffs)]
+    den = lcm(*(c.denominator for row in twice for c in row))
+    return tuple(tuple(int(c * den) for c in row) for row in twice), den
+
+
 def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
     """Search the box |coordinate| <= bound for a vector delta of square -2
     splitting as the half-sum of two norm -4 vectors, one in S and one in
     its orthogonal complement.
 
-    The projections use the rational inverse of S's induced Gram matrix, so
-    S must be nondegenerate.  The reported witness minimizes (coordinate
-    box, lexicographic), which makes the result stable when bound grows.
+    delta1 = 2 proj_S(delta) comes from the integer projector of
+    _doubled_projector, built once, so S must be nondegenerate; each
+    candidate costs one integer matrix-vector product and a divisibility
+    test, and delta2 = 2 delta - delta1.  The reported witness minimizes
+    (coordinate box, lexicographic), which makes the result stable when
+    bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
-    gs = s.induced_gram()
-    if s.rank and la.bareiss_det(gs) == 0:
+    if s.rank and la.bareiss_det(s.induced_gram()) == 0:
         raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    gs_inv = la.rational_inverse(gs) if s.rank else ()
-    pair_rows = tuple(la.mat_vec(L.gram, b) for b in s.basis)
+    proj, den = _doubled_projector(s)
     candidates = bounded_vectors_of_norm(L, -2, bound).vectors
     best = None
     for delta in candidates:
-        split = _split_projections(s, gs_inv, pair_rows, delta)
-        if split is None:
+        scaled = la.mat_vec(proj, delta)
+        if any(c % den for c in scaled):
             continue
-        d1, d2 = split
+        d1 = tuple(c // den for c in scaled)
+        d2 = tuple(2 * a - b for a, b in zip(delta, d1))
         if norm(L, d1) == -4 and norm(L, d2) == -4:
             if best is None or _scan_key(delta) < _scan_key(best[0]):
                 best = (delta, d1, d2)
     if best is None:
         return DegeneracyScanResult("no-witness-within-bound", None, None, None)
     return DegeneracyScanResult("degenerate", *best)
-
-
-def _split_projections(s, gs_inv, pair_rows, delta):
-    # delta1 = 2 proj_S(delta), delta2 = 2 delta - delta1; both must land
-    # in the lattice (integer coordinates) to count
-    if s.rank == 0:
-        return None
-    n = s.ambient.rank
-    rhs = tuple(
-        sum(row[i] * delta[i] for i in range(n)) for row in pair_rows
-    )
-    y = tuple(
-        sum(gs_inv[j][k] * rhs[k] for k in range(s.rank)) for j in range(s.rank)
-    )
-    d1 = []
-    for i in range(n):
-        c = 2 * sum(Fraction(s.basis[j][i]) * y[j] for j in range(s.rank))
-        if c.denominator != 1:
-            return None
-        d1.append(int(c))
-    d1 = tuple(d1)
-    d2 = tuple(2 * a - b for a, b in zip(delta, d1))
-    return d1, d2
 
 
 def involution_from_json_dict(data) -> tuple[IntegralInvolution, SublatticeEmbedding | None]:

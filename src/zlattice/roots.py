@@ -9,6 +9,9 @@ caller's basis: the lattice's own, the one before LLL, or the ambient
 coordinates of an orthogonal complement.  A search that passes
 _MAX_FP_NODES nodes raises EnumerationOverflow.  Indefinite lattices can
 only be scanned inside an explicit coordinate box, and the result says so.
+The box scan also runs on Python ints only: it walks the trailing
+coordinates with the same loop and completes each of them by looking up
+the first two in a table of their contributions to the norm.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt, lcm
-from operator import add, neg
-
-import numpy as np
+from operator import add, mul, neg
 
 from . import intlinalg as la
 from .errors import (
@@ -41,8 +42,9 @@ _MAX_BOX_CELLS = 200_000_000
 # norm -6 (1,050,240 vectors) stays below it; at norm -8 it does not.
 _MAX_FP_NODES = 10_000_000
 
-# Elbow room below 2^63 for every intermediate of the int64 norm formula.
-_INT64_SAFE = 2**62
+# Box scans hold at most this many head-table entries at once, whatever
+# the Gram entries and the bound.
+_MAX_HEAD_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -229,46 +231,78 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     return _make_result(vecs, True)
 
 
-def _box_scan_python(gram, m: int, bound: int) -> list[Vec]:
-    n = len(gram)
-    hits = []
-    for cand in product(range(-bound, bound + 1), repeat=n):
-        total = 0
-        for i in range(n):
-            ci = cand[i]
-            if ci:
-                row = gram[i]
-                total += ci * sum(row[j] * cand[j] for j in range(n))
-        if total == m:
-            hits.append(tuple(cand))
-    return hits
+def _box_scan(gram, m: int, bound: int) -> list[Vec]:
+    """Every x with max |x_i| <= bound and x^t gram x = m, unordered.
 
-
-def _box_scan_numpy(gram, m: int, bound: int) -> list[Vec]:
+    The first k = min(n, 2) coordinates are the head, the rest the tail;
+    k is lowered while a single head table would exceed _MAX_HEAD_CELLS
+    entries.  The tail x_{n-1}..x_k is walked with the loop of
+    _fp_enumerate, x_k innermost; each level keeps the tail norm and
+    p = gram x_tail, cut to the coordinates not yet fixed.  Since
+    x^t gram x = h(head) + 2 head.p + tail norm, the heads completing a
+    tail are the entries under m - tail norm in the table of
+    h(head) + 2 head.p over the head box, built the first time its key p
+    occurs.  At most _MAX_HEAD_CELLS table entries are held at once: a full
+    cache is emptied before the next table goes in.
+    """
     n = len(gram)
-    g = np.array(gram, dtype=np.int64)
-    side = 2 * bound + 1
-    tail_total = side ** (n - 1)
-    a00 = int(g[0, 0])
-    bvec = g[0, 1:]
-    gtail = g[1:, 1:]
+    side = range(-bound, bound + 1)
+    k = min(n, 2)
+    while len(side) ** k > _MAX_HEAD_CELLS:
+        k -= 1
+    quad = [
+        (head, sum(a * gram[i][j] * b for i, a in enumerate(head) for j, b in enumerate(head)))
+        for head in product(side, repeat=k)
+    ]
+    if k == n:
+        return [head for head, h in quad if h == m]
+    max_tables = _MAX_HEAD_CELLS // len(quad)
+    tables: dict[Vec, dict[int, list[Vec]]] = {}
+    cols = [tuple(gram[j][i] for j in range(i)) for i in range(n)]
+    # x_k, its share of the key, and its diagonal term
+    steps = [(xk, tuple(xk * c for c in cols[k]), gram[k][k] * xk * xk) for xk in side]
     hits: list[Vec] = []
-    chunk = max(1, 2_000_000 // n)
-    for start in range(0, tail_total, chunk):
-        stop = min(start + chunk, tail_total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n - 1), dtype=np.int64)
-        rem = idx
-        for j in range(n - 2, -1, -1):
-            digits[:, j] = rem % side
-            rem = rem // side
-        tail = digits - bound
-        t1 = tail @ bvec if n > 1 else np.zeros(stop - start, dtype=np.int64)
-        t2 = ((tail @ gtail) * tail).sum(axis=1) if n > 1 else np.zeros_like(t1)
-        for x0 in range(-bound, bound + 1):
-            vals = a00 * x0 * x0 + 2 * x0 * t1 + t2
-            for row in np.nonzero(vals == m)[0]:
-                hits.append((x0,) + tuple(int(c) for c in tail[row]))
+    # level i: x[i] runs up to bound; tail[i + 1] is the norm of x_{>i} and
+    # part[i + 1] the first i + 1 coordinates of gram x_{>i}
+    x = [0] * n
+    tail = [0] * (n + 1)
+    part = [None] * n + [(0,) * n]
+    i = n - 1
+    enter = True
+    while i < n:
+        if i == k:
+            up = part[k + 1]
+            rem = m - tail[k + 1]
+            twice = 2 * up[k]
+            for xk, share, sq in steps:
+                key = tuple(map(add, up, share))
+                table = tables.get(key)
+                if table is None:
+                    if len(tables) >= max_tables:
+                        tables.clear()
+                    table = tables[key] = {}
+                    for head, h in quad:
+                        table.setdefault(h + 2 * sum(map(mul, head, key)), []).append(head)
+                heads = table.get(rem - xk * twice - sq)
+                if heads:
+                    rest = (xk, *x[k + 1 :])
+                    hits.extend(head + rest for head in heads)
+            i += 1
+            enter = False
+            continue
+        if enter:
+            x[i] = -bound
+            part[i] = tuple(a - bound * c for a, c in zip(part[i + 1], cols[i]))
+        else:
+            x[i] += 1
+            if x[i] > bound:
+                i += 1
+                continue
+            part[i] = tuple(map(add, part[i], cols[i]))
+        xi = x[i]
+        tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)
+        i -= 1
+        enter = True
     return hits
 
 
@@ -282,8 +316,6 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     n = L.rank
-    if n == 0:
-        return _make_result([()] if m == 0 else [], False)
     side = 2 * bound + 1
     cells = side ** n
     if cells > _MAX_BOX_CELLS:
@@ -291,9 +323,4 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
             f"box of side {side} in rank {n} has {cells} cells "
             f"(limit {_MAX_BOX_CELLS}); lower the bound"
         )
-    max_entry = max(abs(x) for row in L.gram for x in row) or 1
-    if n * n * max_entry * bound * bound < _INT64_SAFE and abs(m) < _INT64_SAFE and n > 1:
-        hits = _box_scan_numpy(L.gram, m, bound)
-    else:
-        hits = _box_scan_python(L.gram, m, bound)
-    return _make_result(hits, False)
+    return _make_result(_box_scan(L.gram, m, bound), False)

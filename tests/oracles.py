@@ -110,6 +110,32 @@ def brute_box_vectors(gram, target, bound):
     return hits
 
 
+def fraction_split(gram, s_basis, delta):
+    """(delta1, delta2) with delta1 = 2 proj_S(delta) and delta2 = 2 delta -
+    delta1, or None when delta1 is not an integer vector.
+
+    proj_S(delta) = sum_j y_j b_j over the basis b_j of S, where G_S y =
+    (b_j . delta)_j; the inverse of G_S is taken by sympy and the rest is
+    per-entry Fraction arithmetic.
+    """
+    n, r = len(gram), len(s_basis)
+
+    def dot(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    ginv = sp.Matrix([[dot(b, c) for c in s_basis] for b in s_basis]).inv()
+    rhs = [dot(b, delta) for b in s_basis]
+    y = [sum(Fraction(int(ginv[j, k].p), int(ginv[j, k].q)) * rhs[k] for k in range(r))
+         for j in range(r)]
+    d1 = []
+    for i in range(n):
+        c = 2 * sum(Fraction(s_basis[j][i]) * y[j] for j in range(r))
+        if c.denominator != 1:
+            return None
+        d1.append(int(c))
+    return tuple(d1), tuple(2 * a - b for a, b in zip(delta, d1))
+
+
 def coordinate_bound(gram, target) -> int:
     """A priori bound on max |x_i| over the x with x^T G x = target, G definite.
 

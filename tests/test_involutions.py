@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from helpers import (
     DEEP_D1,
     DEEP_GRAM,
@@ -47,6 +48,7 @@ from zlattice import (
     standard_lattice,
 )
 from zlattice import intlinalg as la
+from zlattice.involutions import _doubled_projector
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -287,6 +289,50 @@ def test_da_scan_witness_stable_under_larger_bound():
     assert first.found
     for bound in (2, 3, 5):
         assert da_degeneracy_scan(L, Ssub, bound).delta == first.delta
+
+
+def test_integer_split_matches_fraction_split():
+    rng = random.Random(29)
+    accepted = rejected = 0
+    while accepted + rejected < 1200:
+        n = rng.randint(2, 5)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-5, 5)
+        L = make_lattice(tuple(map(tuple, g)))
+        basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+        if la.integer_rank(la.transpose(basis)) != len(basis):
+            continue
+        s = make_sublattice(L, basis)
+        if la.bareiss_det(s.induced_gram()) in (0, 1, -1, 2, -2):
+            continue
+        proj, den = _doubled_projector(s)
+        perp = la.kernel([la.mat_vec(L.gram, b) for b in basis], ncols=n)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                delta = tuple(rng.randint(-3, 3) for _ in range(n))
+            else:
+                # S plus its complement: the split is integral
+                parts = [rng.randint(-2, 2) for _ in basis + list(perp)]
+                delta = tuple(sum(c * v[i] for c, v in zip(parts, basis + list(perp)))
+                              for i in range(n))
+            scaled = la.mat_vec(proj, delta)
+            if any(c % den for c in scaled):
+                got = None
+                rejected += 1
+            else:
+                d1 = tuple(c // den for c in scaled)
+                got = d1, tuple(2 * a - b for a, b in zip(delta, d1))
+                accepted += 1
+            assert got == oracles.fraction_split(g, basis, delta), (g, basis, delta)
+    assert min(accepted, rejected) > 300
+    # the scan itself rejects delta = (0, 1, -1): 2 proj_S(delta) is not
+    # integral, although rounding it down gives two parts of norm -4
+    L = make_lattice(((-6, 3, 2), (3, -2, -2), (2, -2, -4)))
+    s = make_sublattice(L, [(-1, -1, 1)])
+    assert oracles.fraction_split(L.gram, s.basis, (0, 1, -1)) is None
+    assert da_degeneracy_scan(L, s, 1).status == "no-witness-within-bound"
 
 
 def test_da_scan_rejects_degenerate_sublattice():

@@ -168,15 +168,30 @@ def test_box_scan_e8_radius_three():
 
 def test_box_scan_matches_bruteforce_oracle():
     rng = random.Random(13)
-    for _ in range(25):
-        n = rng.randint(1, 3)
+    cases = []
+    for k in range(60):
+        n = rng.randint(1, 5)
+        top = 4 if k % 3 == 0 else 2 ** rng.randint(40, 62)
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                m[i][j] = m[j][i] = rng.randint(-4, 4)
+                m[i][j] = m[j][i] = rng.randint(-top, top)
+        if k % 2:
+            m[0][0] = 0
+        bound = rng.randint(1, 3 if n <= 3 else 2)
+        if top == 4:
+            target = rng.choice((-4, -2, 0, 2, 4))
+        else:
+            # the norm of a box vector, so that huge entries still give hits
+            v = [rng.randint(-bound, bound) for _ in range(n)]
+            target = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+        cases.append((m, target, bound))
+    # bounds whose head table would be too large: the head shrinks to one
+    # coordinate, then to none
+    cases.append(([[0, 3], [3, -2]], -2 * 129 * 129 + 6 * 5 * 129, 130))
+    cases.append(([[-2]], -2 * 32900 * 32900, 33000))
+    for m, target, bound in cases:
         L = make_lattice(tuple(tuple(r) for r in m))
-        target = rng.choice((-4, -2, 0, 2, 4))
-        bound = rng.randint(1, 3)
         got = bounded_vectors_of_norm(L, target, bound)
         expect = oracles.brute_box_vectors(m, target, bound)
         assert set(got.vectors) == set(expect)
