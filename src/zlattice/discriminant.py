@@ -6,13 +6,16 @@ invariant factors come from the Smith normal form P G Q = D, and the same
 transform gives its generators without a matrix inverse: column i of Q
 divided by d_i is the dual vector G^{-1} P^{-1} e_i.  Values of the
 discriminant quadratic form live in Q/2Z and are represented canonically
-in [0, 2).
+in [0, 2).  Pairings run on integers: g = a/den is dual exactly when den
+divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2) / den^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import intlinalg as la
 from .errors import (
@@ -66,19 +69,23 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     return DiscriminantGroup(tuple(factors), tuple(gens), L)
 
 
-def _check_dual(L: Lattice, g) -> QVec:
-    v = tuple(Fraction(x) for x in g)
+def _dual_pairing(L: Lattice, g) -> tuple[la.Vec, int, la.Vec]:
+    """(a, den, G a) with g = a / den for an integer vector a; raises
+    NotInDualLattice unless den divides every entry of G a."""
+    v = [Fraction(x) for x in g]
     if len(v) != L.rank:
         raise NotInDualLattice(
             f"vector length {len(v)} does not match rank {L.rank}"
         )
-    for i, row in enumerate(L.gram):
-        pairing = sum(Fraction(row[j]) * v[j] for j in range(L.rank))
-        if pairing.denominator != 1:
+    den = lcm(*(x.denominator for x in v))
+    a = tuple(x.numerator * (den // x.denominator) for x in v)
+    ga = la.mat_vec(L.gram, a)
+    for i, c in enumerate(ga):
+        if c % den:
             raise NotInDualLattice(
-                f"pairing with basis vector {i} is {pairing}, not an integer"
+                f"pairing with basis vector {i} is {Fraction(c, den)}, not an integer"
             )
-    return v
+    return a, den, ga
 
 
 def discriminant_form_value(L: Lattice, g) -> Fraction:
@@ -87,19 +94,16 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
     g is a rational coset representative; it must pair integrally with the
     lattice.  On an even lattice the value depends only on the coset of g.
     """
-    v = _check_dual(L, g)
-    gv = [sum(Fraction(row[j]) * v[j] for j in range(L.rank)) for row in L.gram]
-    val = sum(v[i] * gv[i] for i in range(L.rank))
-    return val - 2 * ((val / 2).__floor__())
+    a, den, ga = _dual_pairing(L, g)
+    sq = den * den
+    return Fraction(sum(map(mul, a, ga)) % (2 * sq), sq)
 
 
 def discriminant_bilinear_value(L: Lattice, g, h) -> Fraction:
     """b(g, h) = g.h mod Z, represented in [0, 1)."""
-    v = _check_dual(L, g)
-    w = _check_dual(L, h)
-    hw = [sum(Fraction(row[j]) * w[j] for j in range(L.rank)) for row in L.gram]
-    val = sum(v[i] * hw[i] for i in range(L.rank))
-    return val - val.__floor__()
+    a, da, _ = _dual_pairing(L, g)
+    _, db, gb = _dual_pairing(L, h)
+    return Fraction(sum(map(mul, a, gb)) % (da * db), da * db)
 
 
 def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
@@ -137,5 +141,6 @@ def delta_via_involution(L: Lattice, sigma) -> int:
     """
     if sigma.ambient.gram != L.gram:
         raise EmbeddingMismatch("involution acts on a different lattice")
-    gm = la.mat_mul(L.gram, sigma.matrix)
-    return 1 if any(gm[i][i] % 2 for i in range(L.rank)) else 0
+    # entry (i, i) of G sigma is row i of G against column i of sigma
+    cols = zip(*sigma.matrix)
+    return int(any(sum(map(mul, row, col)) % 2 for row, col in zip(L.gram, cols)))

@@ -14,6 +14,7 @@ search itself does no rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -37,13 +38,11 @@ def mat_mul(a, b) -> Mat:
     if not a:
         return ()
     bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m, v) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

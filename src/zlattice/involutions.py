@@ -3,14 +3,15 @@
 An integral involution is a Gram-preserving integer matrix squaring to the
 identity.  Its two eigenlattices are primitive, mutually orthogonal, and of
 full combined rank; the quotient of the lattice by their direct sum is an
-elementary 2-group.  On top of that sit the typed-restriction check, the
-rank/hyperbolicity bookkeeping for period domains, and two bounded searches
-for norm -4 "glue partner" configurations.
+elementary 2-group.  The involution value computes them once and every
+fact below reads them from it.  On top of that sit the typed-restriction
+check, the rank/hyperbolicity bookkeeping for period domains, and two
+bounded searches for norm -4 "glue partner" configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from . import intlinalg as la
@@ -44,10 +45,17 @@ from .roots import bounded_vectors_of_norm, vectors_of_norm
 
 @dataclass(frozen=True)
 class IntegralInvolution:
-    """A matrix psi with psi^2 = id and psi^t G psi = G, acting on columns."""
+    """A matrix psi with psi^2 = id and psi^t G psi = G, acting on columns.
+
+    fixed and anti, the integer kernels of psi -+ id, are built once here.
+    An integer kernel is saturated, so both are primitive; being derived,
+    they take no part in equality, hashing or repr.
+    """
 
     ambient: Lattice
     matrix: la.Mat
+    fixed: SublatticeEmbedding = field(init=False, repr=False, compare=False)
+    anti: SublatticeEmbedding = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient.rank
@@ -62,6 +70,14 @@ class IntegralInvolution:
         g = self.ambient.gram
         if la.mat_mul(la.mat_mul(la.transpose(m), g), m) != g:
             raise NotIsometry("matrix does not preserve the Gram matrix")
+        for name, sign in (("fixed", -1), ("anti", 1)):
+            shifted = tuple(
+                tuple(x + sign * (i == j) for j, x in enumerate(row))
+                for i, row in enumerate(m)
+            )
+            object.__setattr__(
+                self, name, SublatticeEmbedding(self.ambient, la.kernel(shifted, ncols=n))
+            )
 
     def __call__(self, x) -> Vec:
         return la.mat_vec(self.matrix, check_vector(self.ambient, x))
@@ -72,23 +88,9 @@ def make_involution(L: Lattice, m) -> IntegralInvolution:
 
 
 def eigenlattices(psi: IntegralInvolution) -> tuple[SublatticeEmbedding, SublatticeEmbedding]:
-    """(fixed, anti): the +1 and -1 eigenlattices, both primitive.
-
-    Integer kernels of psi -+ id are automatically saturated, so no
-    explicit saturation pass is needed.
-    """
-    n = psi.ambient.rank
-    m = psi.matrix
-    ident = la.identity(n)
-    minus = tuple(
-        tuple(m[i][j] - ident[i][j] for j in range(n)) for i in range(n)
-    )
-    plus = tuple(
-        tuple(m[i][j] + ident[i][j] for j in range(n)) for i in range(n)
-    )
-    fixed = SublatticeEmbedding(psi.ambient, la.kernel(minus, ncols=n))
-    anti = SublatticeEmbedding(psi.ambient, la.kernel(plus, ncols=n))
-    return fixed, anti
+    """(fixed, anti): the +1 and -1 eigenlattices, both primitive, as
+    stored on the involution when it was built."""
+    return psi.fixed, psi.anti
 
 
 def is_type(psi: IntegralInvolution, s: SublatticeEmbedding, theta: IntegralInvolution) -> bool:
@@ -117,17 +119,14 @@ def is_type(psi: IntegralInvolution, s: SublatticeEmbedding, theta: IntegralInvo
 def involution_rank_sum_check(psi: IntegralInvolution) -> bool:
     """Sanity wrapper: eigenlattice ranks sum to the full rank and twice any
     basis vector splits integrally into its fixed and anti parts."""
-    fixed, anti = eigenlattices(psi)
-    n = psi.ambient.rank
-    if fixed.rank + anti.rank != n:
+    fixed, anti = psi.fixed, psi.anti
+    if fixed.rank + anti.rank != psi.ambient.rank:
         return False
-    m = psi.matrix
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        img = la.mat_vec(m, e)
-        plus = tuple(a + b for a, b in zip(e, img))
-        minus = tuple(a - b for a, b in zip(e, img))
-        if fixed.from_ambient(plus) is None or anti.from_ambient(minus) is None:
+    # column j of psi is the image of e_j
+    for j, img in enumerate(zip(*psi.matrix)):
+        plus = tuple(c + (i == j) for i, c in enumerate(img))
+        minus = tuple((i == j) - c for i, c in enumerate(img))
+        if not fixed.contains(plus) or not anti.contains(minus):
             return False
     return True
 
@@ -150,6 +149,8 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
     part orthogonal to S.
 
     Requires psi to negate S pointwise (S inside the -1 eigenlattice).
+    anti meets S-perp in A k over the integer kernel k of B_S^t G A, A the
+    basis of anti: k is saturated and anti primitive, so the meet is too.
     """
     if s.ambient.gram != psi.ambient.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
@@ -158,14 +159,10 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
             raise SNotInAntiFixed(
                 f"basis vector {b} is not negated by the involution"
             )
-    n = psi.ambient.rank
-    fixed, _ = eigenlattices(psi)
-    plus = tuple(
-        tuple(psi.matrix[i][j] + int(i == j) for j in range(n)) for i in range(n)
-    )
-    pairing_rows = tuple(la.mat_vec(s.ambient.gram, b) for b in s.basis)
+    fixed, anti = psi.fixed, psi.anti
+    pairing = la.mat_mul(la.mat_mul(s.basis, s.ambient.gram), anti.matrix)
     anti_s = SublatticeEmbedding(
-        psi.ambient, la.kernel(plus + pairing_rows, ncols=n)
+        psi.ambient, tuple(map(anti.to_ambient, la.kernel(pairing, ncols=anti.rank)))
     )
     fixed_hyp = is_hyperbolic(fixed.induced_lattice())
     anti_hyp = is_hyperbolic(anti_s.induced_lattice())

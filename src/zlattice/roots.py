@@ -66,13 +66,11 @@ def canonical_order(vectors) -> tuple[Vec, ...]:
     it exactly.
     """
     uniq = set(map(tuple, vectors))
-    reps = sorted(v for v in uniq if any(v) and v[next(i for i, c in enumerate(v) if c)] > 0)
-    out = list(reps)
-    zero = next((v for v in uniq if not any(v)), None)
-    if zero is not None:
-        out.append(zero)
-    out.extend(tuple(-c for c in v) for v in reversed(reps))
-    return tuple(out)
+    zero = (0,) * len(next(iter(uniq), ()))
+    # a tuple exceeds zero exactly when its first nonzero coordinate is positive
+    reps = sorted(v for v in uniq if v > zero)
+    mid = [zero] if zero in uniq else []
+    return tuple(reps + mid + [tuple(-c for c in v) for v in reversed(reps)])
 
 
 def _make_result(vectors, complete: bool) -> EnumerationResult:

@@ -154,3 +154,40 @@ def coordinate_bound(gram, target) -> int:
 def reduce_mod2z(value: Fraction) -> Fraction:
     """Canonical representative of a rational mod 2Z in [0, 2)."""
     return value - 2 * math.floor(value / 2)
+
+
+def fraction_pairing(gram, g, h):
+    """The rational pairing g^T G h, or (i, value) for the first basis
+    vector i whose pairing with g (or else h) is not an integer.
+
+    Per-entry Fraction arithmetic on the representatives as given; the
+    package writes each vector over one common denominator and stays in
+    integers, so agreement is meaningful.
+    """
+    n = len(gram)
+    g = [Fraction(x) for x in g]
+    h = [Fraction(x) for x in h]
+    for v in (g, h):
+        for i, row in enumerate(gram):
+            pairing = sum(Fraction(row[j]) * v[j] for j in range(n))
+            if pairing.denominator != 1:
+                return i, pairing
+    return sum(g[i] * Fraction(gram[i][j]) * h[j] for i in range(n) for j in range(n))
+
+
+def sympy_anti_s(gram, matrix, s_basis):
+    """(rank, inertia) of the anti-invariant part orthogonal to S.
+
+    The rational nullspace of [psi + id; B_S^T G] is taken by sympy and its
+    Gram matrix goes to sympy_inertia; a rational change of basis keeps the
+    rank and the signature, so neither depends on saturating the basis.
+    """
+    n = len(gram)
+    g = sp.Matrix([list(r) for r in gram])
+    plus = sp.Matrix([list(r) for r in matrix]) + sp.eye(n)
+    rows = plus.col_join(sp.Matrix([list(b) for b in s_basis]) * g) if s_basis else plus
+    null = rows.nullspace()
+    if not null:
+        return 0, (0, 0, 0)
+    basis = sp.Matrix.hstack(*null)
+    return len(null), sympy_inertia((basis.T * g * basis).tolist())

@@ -8,6 +8,7 @@ import pytest
 from helpers import child_env
 
 import zlattice.cli as cli
+import zlattice.intlinalg as la
 from zlattice import standard_lattice
 from zlattice.cli import run
 
@@ -98,32 +99,6 @@ def test_discriminant_text(files, capsys):
     assert "order: 2" in out
     assert "invariant-factors: (2)" in out
     assert "q = 3/2" in out
-
-
-def test_roots_golden_count(files, capsys):
-    code, out, _ = invoke(capsys, "roots", files["e8"], "--norm", "-2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "count: 240"
-    assert lines[1] == "complete: yes"
-    assert len(lines) == 242
-
-
-def test_roots_with_bound(files, capsys):
-    code, out, _ = invoke(capsys, "roots", files["u"], "--norm", "-2",
-                          "--bound", "2")
-    assert code == 0
-    assert "complete: no" in out
-    assert "(1, -1)" in out
-
-
-def test_roots_with_ortho(files, capsys):
-    code, out, _ = invoke(capsys, "roots", files["s311"], "--norm", "-2",
-                          "--ortho", "0,0,1;1,1,0")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "count: 2"
-    assert "(0, 1, 0)" in lines and "(0, -1, 0)" in lines
 
 
 def test_k3_check_golden(files, capsys):
@@ -225,16 +200,27 @@ def test_text_is_rendered_from_the_json_document(files, capsys, name):
 
 def test_involution_computes_each_fact_once(files, capsys, monkeypatch):
     calls = collections.Counter()
+
+    def count(module, fname):
+        def counted(*a, _orig=getattr(module, fname), **kw):
+            calls[fname] += 1
+            return _orig(*a, **kw)
+        monkeypatch.setattr(module, fname, counted)
+
     for fname in ("eigenlattices", "involution_rank_sum_check", "is_hyperbolic"):
-        def counted(*a, _orig=getattr(cli, fname), _name=fname):
-            calls[_name] += 1
-            return _orig(*a)
-        monkeypatch.setattr(cli, fname, counted)
+        count(cli, fname)
+    # each eigenlattice is one kernel, built with the involution; the
+    # period domain adds one for the anti-invariant part orthogonal to S
+    count(la, "kernel")
     for flags in ((), ("--json",)):
         calls.clear()
         assert invoke(capsys, "involution", files["minus311"], *flags)[0] == 0
         assert calls == {"eigenlattices": 1, "involution_rank_sum_check": 1,
-                         "is_hyperbolic": 2}
+                         "is_hyperbolic": 2, "kernel": 3}
+        calls.clear()
+        assert invoke(capsys, "involution", files["swap"], *flags)[0] == 0
+        assert calls == {"eigenlattices": 1, "involution_rank_sum_check": 1,
+                         "is_hyperbolic": 2, "kernel": 2}
 
 
 # --- exit code 2: malformed files ---

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from zlattice import (
     discriminant_form_value,
     discriminant_group,
     eigenlattices,
+    inner_product,
     make_involution,
     make_lattice,
     standard_lattice,
@@ -141,6 +143,54 @@ def test_polarization_identity():
         done += 1
 
 
+def _representative(rng, n, dg):
+    # a coset representative that is not reduced: a random combination of
+    # the generators plus an integer vector with negative and large entries
+    v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    for g in dg.generators:
+        c = rng.randint(-3, 3)
+        v = [x + c * y for x, y in zip(v, g)]
+    return v
+
+
+def test_integer_pairings_match_fraction_oracle():
+    rng = random.Random(29)
+    lattices = dual = rejected = 0
+    while lattices < 60:
+        L = _rand_symmetric_lattice(rng, rng.randint(1, 4))
+        if determinant(L) == 0:
+            continue
+        lattices += 1
+        n = L.rank
+        dg = discriminant_group(L)
+        vectors = [_representative(rng, n, dg) for _ in range(4)]
+        # rationals that are mostly not dual, and a pure integer vector
+        vectors += [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6)))
+                     for _ in range(n)] for _ in range(3)]
+        vectors.append([rng.randint(-9, 9) for _ in range(n)])
+        for g in vectors:
+            for h in (g, rng.choice(vectors)):
+                expect = oracles.fraction_pairing(L.gram, g, h)
+                if isinstance(expect, tuple):
+                    i, pairing = expect
+                    msg = f"pairing with basis vector {i} is {pairing}, not an integer"
+                    with pytest.raises(NotInDualLattice) as err:
+                        if h is g:
+                            discriminant_form_value(L, g)
+                        else:
+                            discriminant_bilinear_value(L, g, h)
+                    assert str(err.value) == msg
+                    rejected += 1
+                elif h is g:
+                    assert discriminant_form_value(L, g) == oracles.reduce_mod2z(expect)
+                    dual += 1
+                else:
+                    b = discriminant_bilinear_value(L, g, h)
+                    assert b == oracles.reduce_mod2z(2 * expect) / 2
+                    dual += 1
+    assert dual > 200 and rejected > 100
+
+
 # --- 2-elementary invariants ---
 
 
@@ -188,6 +238,20 @@ def test_delta_via_involution_small_examples():
     swap = make_involution(U, ((0, 1), (1, 0)))
     assert delta_via_involution(U, ident) == 0
     assert delta_via_involution(U, swap) == 1
+    # random involutions, against the parity of z.sigma(z) over {0,1}^n,
+    # which covers every z since the parity depends on z mod 2 only
+    from helpers import random_involution
+
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(60):
+        psi = random_involution(rng)
+        L = psi.ambient
+        expect = int(any(inner_product(L, z, psi(z)) % 2
+                         for z in itertools.product((0, 1), repeat=L.rank)))
+        assert delta_via_involution(L, psi) == expect, psi.matrix
+        seen.add(expect)
+    assert seen == {0, 1}
 
 
 def test_delta_via_involution_agrees_with_intrinsic_on_unimodular_ambients():

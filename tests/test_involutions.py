@@ -66,6 +66,13 @@ def test_make_involution_examples():
     uu = direct_sum(U, U)
     swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
     assert make_involution(uu, swap)((1, 0, 0, 0)) == (0, 0, 1, 0)
+    # the stored eigen split is derived data: equality, hash and repr
+    # depend on (ambient, matrix) alone
+    a, b = make_involution(uu, swap), make_involution(uu, swap)
+    object.__setattr__(b, "fixed", b.anti)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "fixed" not in repr(a) and "anti" not in repr(a)
+    assert a != make_involution(uu, la.identity(4))
 
 
 def test_make_involution_rejections():
@@ -195,6 +202,22 @@ def test_period_domain_requires_s_in_anti_part():
     Sc = make_sublattice(lk3(), s_copy_basis())
     with pytest.raises(SNotInAntiFixed):
         period_domain_summary(sigma_s311_fixed(), Sc)
+
+
+def test_anti_s_matches_sympy_nullspace_oracle():
+    rng = random.Random(211)
+    seen = set()
+    for _ in range(60):
+        psi = random_involution(rng)
+        anti = psi.anti
+        s_basis = anti.basis[: rng.randint(0, anti.rank)]
+        summ = period_domain_summary(psi, make_sublattice(psi.ambient, s_basis))
+        rank, inertia = oracles.sympy_anti_s(psi.ambient.gram, psi.matrix, s_basis)
+        hyperbolic = rank >= 1 and inertia == (1, rank - 1, 0)
+        assert (summ.rank_anti_s, summ.anti_s_hyperbolic) == (rank, hyperbolic)
+        assert summ.rank_fixed == psi.fixed.rank
+        seen.add((rank > 0, hyperbolic))
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 # --- half-vector membership ---
