@@ -176,19 +176,21 @@ def _text_roots(doc):
 
 def _exec_involution(args, loaded):
     psi, s = loaded
+    if args.s_basis is not None:
+        s = make_sublattice(psi.ambient, args.s_basis)
+    pd = period_domain_summary(psi, s) if s is not None else None
     fixed, anti = eigenlattices(psi)
     doc = {
         "rank": psi.ambient.rank,
         "fixed_rank": fixed.rank,
-        "fixed_hyperbolic": is_hyperbolic(fixed.induced_lattice()),
+        "fixed_hyperbolic": (is_hyperbolic(fixed.induced_lattice()) if pd is None
+                             else pd.fixed_hyperbolic),
         "anti_rank": anti.rank,
         "anti_hyperbolic": is_hyperbolic(anti.induced_lattice()),
         "rank_sum_check": involution_rank_sum_check(psi),
     }
-    if args.s_basis is not None:
-        s = make_sublattice(psi.ambient, args.s_basis)
-    if s is not None:
-        doc["period_domain"] = asdict(period_domain_summary(psi, s))
+    if pd is not None:
+        doc["period_domain"] = asdict(pd)
     return doc
 
 

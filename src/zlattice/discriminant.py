@@ -54,7 +54,7 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     if determinant(L) == 0:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
     n = L.rank
-    d, _, _, q, _ = la.snf_with_transforms(L.gram) if n else ((), (), (), (), ())
+    d, q = la.snf_with_transforms(L.gram) if n else ((), ())
     factors = []
     gens = []
     for i in range(n):

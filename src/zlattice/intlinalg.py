@@ -1,14 +1,15 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Matrices are immutable tuples of tuples of Python ints (or Fractions where
-noted); nothing here ever touches floating point.  The routines this package
+Matrices are immutable tuples of tuples of Python ints; nothing here ever
+touches floating point, and every routine but rational_inverse (whose
+result has rational entries) runs on ints alone.  The routines this package
 leans on are a fraction-free Bareiss determinant, a column-style Hermite
-normal form with recorded transform, a Smith normal form with all four
-transforms, and one exact symmetric LDL^t elimination (ldl).  Its pivots
-give the inertia, and on a definite Gram matrix its multipliers are the
-Gram-Schmidt data that the Gram-only LLL and the Fincke-Pohst enumeration
-in roots both work from; roots scales them to integers once, so the
-search itself does no rational arithmetic.
+normal form with recorded transform, a Smith normal form with its column
+transform, and one fraction-free symmetric LDL^t elimination (ldl).  Its
+leading minors give the inertia, and on a definite Gram matrix they and
+its scaled multipliers are the integral Gram-Schmidt data that the
+Gram-only LLL and the Fincke-Pohst enumeration in roots both work from,
+so neither does any rational arithmetic.
 """
 
 from __future__ import annotations
@@ -189,54 +190,32 @@ def solve_int(m, v, ncols: int | None = None) -> Vec | None:
     return mat_vec(u, y)
 
 
-def snf_with_transforms(m) -> tuple[Mat, Mat, Mat, Mat, Mat]:
-    """Smith normal form with all transforms.
+def snf_with_transforms(m) -> tuple[Mat, Mat]:
+    """Smith normal form with its column transform.
 
-    Returns (D, P, Pinv, Q, Qinv) with P * M * Q = D, D diagonal with
-    nonnegative entries satisfying d1 | d2 | ... ; P, Q unimodular.
+    Returns (D, Q) with P * M * Q = D for some unimodular P that is not
+    kept, D diagonal with nonnegative entries satisfying d1 | d2 | ... ,
+    and Q unimodular.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     d = [list(map(int, row)) for row in m]
-    p = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    pinv = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    qinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        p[i], p[j] = p[j], p[i]
-        for r in pinv:
-            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, k):
-        # row i += k * row j ; keeps P*M*Q = D and P*Pinv = I
-        for mat in (d, p):
-            for c in range(len(mat[i])):
-                mat[i][c] += k * mat[j][c]
-        for r in pinv:
-            r[j] -= k * r[i]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        p[i] = [-x for x in p[i]]
-        for r in pinv:
-            r[i] = -r[i]
+        # row i += k * row j
+        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
 
     def col_swap(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-        qinv[i], qinv[j] = qinv[j], qinv[i]
+        for mat in (d, q):
+            for r in mat:
+                r[i], r[j] = r[j], r[i]
 
     def col_add(i, j, k):
         # col j += k * col i
         for mat in (d, q):
             for r in mat:
                 r[j] += k * r[i]
-        for c in range(nc):
-            qinv[i][c] -= k * qinv[j][c]
 
     t = 0
     while t < min(nr, nc):
@@ -251,7 +230,7 @@ def snf_with_transforms(m) -> tuple[Mat, Mat, Mat, Mat, Mat]:
         while True:
             i, j = best
             if i != t:
-                row_swap(t, i)
+                d[t], d[i] = d[i], d[t]
             if j != t:
                 col_swap(t, j)
             dirty = False
@@ -286,18 +265,9 @@ def snf_with_transforms(m) -> tuple[Mat, Mat, Mat, Mat, Mat]:
             row_add(t, offender[0], 1)
             best = (t, t)
         if d[t][t] < 0:
-            row_neg(t)
+            d[t] = [-x for x in d[t]]
         t += 1
-    return freeze(d), freeze(p), freeze(pinv), freeze(q), freeze(qinv)
-
-
-def invariant_factors(m) -> tuple[int, ...]:
-    """Diagonal of the Smith form, nontrivial factors only (entries > 1),
-    in divisibility order.  Zero entries (infinite factors) are kept last."""
-    d, *_ = snf_with_transforms(m)
-    n = min(len(d), len(d[0]) if d else 0)
-    diag = [d[i][i] for i in range(n)]
-    return tuple(x for x in diag if x != 1)
+    return freeze(d), freeze(q)
 
 
 def rational_inverse(m):
@@ -319,33 +289,39 @@ def rational_inverse(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+def ldl(gram) -> tuple[list[int], list[list[int]]]:
+    """Symmetric fraction-free (Bareiss) elimination of a symmetric integer
+    matrix.
 
+    Returns fresh lists (d, lam) of ints for the basis B the elimination
+    ended up using: d[i] is the leading principal minor of order i + 1 of
+    B^t G B, and lam is lower triangular with lam[i][i] = d[i] and
+    lam[i][j] = d[j] mu[i][j], where B^t G B = mu diag(p) mu^t with mu unit
+    lower triangular and pivots p[i] = d[i] / d[i - 1] (d[-1] = 1).  Step t
+    updates a_ij <- (d[t] a_ij - a_it a_jt) // d[t - 1] for i, j > t, and
+    every division is exact (Sylvester's identity): before step t, a_ij
+    (i, j >= t) is the minor of rows 0..t-1, i and columns 0..t-1, j, so
+    a_tt = d[t] and a_it = lam[i][t].
 
-def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact symmetric elimination of a symmetric integer matrix.
-
-    Returns fresh lists (d, mu): pivots d and unit lower-triangular
-    multipliers mu with B^t G B = mu diag(d) mu^t, where B is the basis the
-    elimination ended up using.  A zero pivot is repaired as in a rational
-    congruence reduction: a symmetric swap with a later basis vector of
-    nonzero square, or, when every remaining diagonal entry is zero,
-    b_j += b_i for a pair with b_i.b_j != 0; a block that is entirely zero
-    leaves zero pivots.  By Sylvester's law the signs of d are the inertia.
+    A zero pivot is repaired as in a rational congruence reduction: a
+    symmetric swap with a later basis vector of nonzero square, or, when
+    every remaining diagonal entry is zero, b_j += b_i for a pair with
+    b_i.b_j != 0.  Both act linearly on the bordered minors the matrix
+    holds.  A block that is entirely zero leaves zero minors.  By
+    Sylvester's law the signs of the pivots, read by sign_counts, are the
+    inertia.
 
     When every pivot has the same strict sign, G is definite, so no repair
     step ran (a definite form has no zero diagonal entry at any stage): B is
-    the given basis and mu is its Gram-Schmidt data, mu[i][j] =
-    b_i.b*_j / d[j] with d[j] = b*_j.b*_j.  Only the lower triangle is
-    kept current; a repair step first mirrors it into the upper one, which
-    is never read otherwise.
+    the given basis and (d, lam) are its integral Gram-Schmidt data (de
+    Weger): d[j] = d[j - 1] b*_j.b*_j and lam[i][j] = d[j - 1] b_i.b*_j.
+    Only the lower triangle is kept current; a repair step first mirrors it
+    into the upper one, which is never read otherwise.
     """
     n = len(gram)
-    a = [
-        [Fraction(x) for x in row[: i + 1]] + [0] * (n - i - 1)
-        for i, row in enumerate(gram)
-    ]
-    d: list[Fraction] = []
+    a = [list(map(int, row[: i + 1])) + [0] * (n - i - 1) for i, row in enumerate(gram)]
+    d: list[int] = []
+    prev = 1
     t = 0
     while t < n:
         piv = t if a[t][t] else next((i for i in range(t + 1, n) if a[i][i]), None)
@@ -359,7 +335,7 @@ def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
                     None,
                 )
                 if pair is None:
-                    d.extend([_ZERO] * (n - t))
+                    d.extend([0] * (n - t))
                     break
                 i, j = pair
                 # b_j += b_i; columns left of t hold the multipliers of b_j
@@ -375,21 +351,21 @@ def ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
         d.append(p)
         col = [a[i][t] for i in range(t + 1, n)]
         for i, ci in enumerate(col, t + 1):
-            if ci:
-                f = a[i][t] = ci / p
-                row = a[i]
-                for j, cj in enumerate(col[: i - t], t + 1):
-                    if cj:
-                        row[j] -= f * cj
+            row = a[i]
+            row[t + 1 : i + 1] = [(p * x - ci * cj) // prev
+                                  for x, cj in zip(row[t + 1 : i + 1], col)]
+        prev = p
         t += 1
-    mu = [row[:i] + [_ONE] + [_ZERO] * (n - i - 1) for i, row in enumerate(a)]
-    return d, mu
+    lam = [row[: i + 1] + [0] * (n - i - 1) for i, row in enumerate(a)]
+    return d, lam
 
 
 def sign_counts(d) -> tuple[int, int, int]:
-    """(positive, negative, zero) entries of a pivot list."""
-    pos = sum(1 for x in d if x.numerator > 0)
-    neg = sum(1 for x in d if x.numerator < 0)
+    """(positive, negative, zero) pivots d[i] / d[i - 1] of an ldl minor
+    list: the signs of d[i] * d[i - 1], with d[-1] = 1."""
+    signs = [x * y for x, y in zip(d, [1, *d])]
+    pos = sum(1 for x in signs if x > 0)
+    neg = sum(1 for x in signs if x < 0)
     return pos, neg, len(d) - pos - neg
 
 
@@ -399,22 +375,22 @@ def inertia(gram) -> tuple[int, int, int]:
     return sign_counts(ldl(gram)[0])
 
 
-# Lovasz constant of the LLL exchange condition.
-_LLL_DELTA = Fraction(3, 4)
-
-
 def lll_reduce_gram(gram) -> tuple[Mat, Mat]:
     """LLL-reduce a positive definite Gram matrix without vector coordinates.
 
     Returns (G', T) with G' = T^t G T and T unimodular; raises ValueError
-    when an ldl pivot of G is not positive.  Size reduction updates the
-    Gram-Schmidt data in place; only a swap refactors.
+    when an ldl minor of G is not positive.  Runs on the integral
+    Gram-Schmidt data of ldl (Cohen, Alg. 2.6.7) with delta = 3/4: the
+    multiplier mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) //
+    (2 d[j]), and the Lovasz test B_k >= (3/4 - mu^2) B_(k-1) on the
+    pivots B reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >= 3 d[k-1]^2.  Size
+    reduction updates lam in place; only a swap refactors.
     """
     n = len(gram)
     a = [list(map(int, row)) for row in gram]
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    b, mu = ldl(a)
-    if any(x <= 0 for x in b):
+    d, lam = ldl(a)
+    if any(x <= 0 for x in d):
         raise ValueError("gram matrix is not positive definite")
 
     def reduce_pair(k, j, qq):
@@ -428,14 +404,14 @@ def lll_reduce_gram(gram) -> tuple[Mat, Mat]:
 
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = int((mu[k][j] + Fraction(1, 2)).__floor__())
+            q = (2 * lk[j] + d[j]) // (2 * d[j])
             if q:
                 reduce_pair(k, j, q)
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if b[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * b[k - 1]:
+                # lam[j][j] = d[j]: the last term takes q d[j] off lam[k][j]
+                lk[: j + 1] = [x - q * y for x, y in zip(lk, lam[j][: j + 1])]
+        if 4 * (d[k] * (d[k - 2] if k > 1 else 1) + lk[k - 1] ** 2) >= 3 * d[k - 1] ** 2:
             k += 1
         else:
             a[k], a[k - 1] = a[k - 1], a[k]
@@ -443,6 +419,6 @@ def lll_reduce_gram(gram) -> tuple[Mat, Mat]:
                 row[k], row[k - 1] = row[k - 1], row[k]
             for r in t:
                 r[k], r[k - 1] = r[k - 1], r[k]
-            b, mu = ldl(a)
+            d, lam = ldl(a)
             k = max(k - 1, 1)
     return freeze(a), freeze(t)

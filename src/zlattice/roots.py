@@ -1,11 +1,12 @@
 """Enumeration of lattice vectors with a prescribed self-intersection.
 
 Definite lattices get a complete answer from Fincke-Pohst enumeration over
-the exact LDL^t factorization of the Gram matrix (intlinalg.ldl), the same
-single factorization that decides definiteness.  The factorization is
-scaled to integers once, so the search runs on Python ints only (each
-coordinate bounded with isqrt), and it writes every vector directly in the
-caller's basis: the lattice's own, the one before LLL, or the ambient
+the fraction-free LDL^t factorization of the Gram matrix (intlinalg.ldl),
+the same single factorization that decides definiteness.  The search reads
+its integer column scales and weights straight from the leading minors and
+scaled multipliers of that factorization, so it runs on Python ints only
+(each coordinate bounded with isqrt), and it writes every vector directly
+in the caller's basis: the lattice's own, the one before LLL, or the ambient
 coordinates of an orthogonal complement.  A search that passes
 _MAX_FP_NODES nodes raises EnumerationOverflow.  Indefinite lattices can
 only be scanned inside an explicit coordinate box, and the result says so.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, neg
 
 from . import intlinalg as la
@@ -85,28 +86,34 @@ def _node_overflow(nodes: int, n: int) -> EnumerationOverflow:
     )
 
 
-def _fp_enumerate(d, mu, target: int, basis) -> list[Vec]:
+def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     """All v = sum_i x_i basis[i] over integer x with x^t G x = target,
-    where G = mu diag(d) mu^t is positive definite (every d[i] > 0) and
-    target > 0.
+    where (d, lam) = ldl(G) for a definite G (no d[i] is zero and every
+    d[i - 1] d[i] has G's sign) and target is positive (the absolute norm).
 
-    x^t G x = sum_i d[i] (x_i + sum_{j>i} mu[j][i] x_j)^2.  Scaling column
-    i of mu by the lcm s_i of its denominators makes y_i = s_i x_i + t_i,
-    t_i = sum_{j>i} m[j][i] x_j, an integer; scaling the form by the lcm
-    `scale` of the denominators of d[i] / s_i^2 gives integer weights w_i
-    with sum_i w_i y_i^2 = scale * target.  The coordinates are bounded
-    one at a time from the last one down, |y_i| <= isqrt(rem // w_i), and
-    the first one is solved for.  Only x whose last nonzero coordinate is
+    With mu[j][i] = lam[j][i] / d[i] and pivots p_i = d[i] / d[i - 1],
+    |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
+    g_i = +-gcd(d[i], lam[i+1..][i]), s_i = |d[i] / g_i| is the lcm of the
+    denominators of column i of mu, so y_i = s_i x_i + t_i,
+    t_i = sum_{j>i} (lam[j][i] / g_i) x_j, is an integer.  Its weight is
+    |p_i| / s_i^2 = g_i^2 / |d[i - 1] d[i]|; scaling by the lcm `scale` of
+    the weights' denominators gives integer weights w_i with
+    sum_i w_i y_i^2 = scale * target.  The coordinates are bounded one at
+    a time from the last one down, |y_i| <= isqrt(rem // w_i), and the
+    first one is solved for.  Only x whose last nonzero coordinate is
     positive are visited; -v is emitted next to each v.  Every coordinate
     value fixed, a solved first one included, counts as a node; past
     _MAX_FP_NODES the search raises EnumerationOverflow.
     """
     n = len(d)
-    s = [lcm(*(mu[j][i].denominator for j in range(i + 1, n))) for i in range(n)]
-    cols = [[(j, int(mu[j][i] * s[i])) for j in range(i + 1, n) if mu[j][i]] for i in range(n)]
-    q = [d[i] / (s[i] * s[i]) for i in range(n)]
-    scale = lcm(*(qi.denominator for qi in q))
-    w = [qi.numerator * (scale // qi.denominator) for qi in q]
+    # g[i] carries the sign of d[i], so s[i] > 0
+    g = [gcd(d[i], *(lam[j][i] for j in range(i + 1, n))) * (1 if d[i] > 0 else -1)
+         for i in range(n)]
+    s = [di // gi for di, gi in zip(d, g)]
+    cols = [[(j, lam[j][i] // g[i]) for j in range(i + 1, n) if lam[j][i]] for i in range(n)]
+    den = [abs(a * b) for a, b in zip([1, *d], d)]
+    scale = lcm(*(b // gcd(gi * gi, b) for gi, b in zip(g, den)))
+    w = [gi * gi * scale // b for gi, b in zip(g, den)]
     cap = _MAX_FP_NODES
     found: list[Vec] = []
     # level i: x[i] runs up to hi[i], levels <= i may spend rem[i + 1], and
@@ -168,15 +175,16 @@ def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
     """Every vector sum_i x_i basis[i] with x^t gram x = m, unordered.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
-    verdict, and the Fincke-Pohst data (negating a negative definite form
-    only negates the pivots).  basis[i] is the image of the i-th unit
-    vector.  With LLL (use_lll as in vectors_of_norm) the reduced matrix
-    T^t G T is factored anew and its unit vectors map to transpose(T) basis.
+    verdict, and the Fincke-Pohst data, which serves a negative definite
+    form as it is.  basis[i] is the image of the i-th unit vector.  With
+    LLL (use_lll as in vectors_of_norm) the reduced matrix T^t G T of the
+    positive form is factored anew and its unit vectors map to
+    transpose(T) basis.
     """
     n = len(gram)
     if n == 0:
         return []
-    d, mu = la.ldl(gram)
+    d, lam = la.ldl(gram)
     p, nneg, z = la.sign_counts(d)
     if z > 0 or (p > 0 and nneg > 0):
         raise NotDefinite(f"signature {(p, nneg, z)} is not definite")
@@ -190,11 +198,9 @@ def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
     if use_lll:
         work = gram if positive else tuple(tuple(-x for x in row) for row in gram)
         work, trans = la.lll_reduce_gram(work)
-        d, mu = la.ldl(work)
+        d, lam = la.ldl(work)
         basis = la.mat_mul(la.transpose(trans), basis)
-    elif not positive:
-        d = [-x for x in d]
-    return _fp_enumerate(d, mu, abs(m), basis)
+    return _fp_enumerate(d, lam, abs(m), basis)
 
 
 def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:

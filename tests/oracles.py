@@ -71,23 +71,66 @@ def sympy_invariant_factors(m):
     return tuple(f for f in factors if f > 1)
 
 
-def inverse_gram_generators(gram, diag, pinv):
-    """Discriminant-group generators by the inverse-Gram route.
+def fraction_gram_schmidt(gram):
+    """(b, mu): Gram-Schmidt squares b[j] = b*_j.b*_j and unit lower
+    triangular multipliers mu[i][j] = b_i.b*_j / b[j] of a positive definite
+    Gram matrix, by right-looking elimination in Fractions.
 
-    For each Smith factor d_i > 1 of P G Q = D (diag lists the d_i), the
-    generator is G^{-1} times column i of P^{-1}, with the inverse taken
-    by sympy, reduced mod Z^n into [0, 1).
+    The rational LDL^t that intlinalg.ldl computes fraction-free; on a
+    positive definite form no pivot is zero, so no repair step is needed.
     """
     n = len(gram)
-    ginv = sp.Matrix([list(r) for r in gram]).inv()
-    gens = []
-    for i, di in enumerate(diag):
-        if di == 1:
-            continue
-        dual = ginv * sp.Matrix([pinv[r][i] for r in range(n)])
-        fracs = (Fraction(int(x.p), int(x.q)) for x in dual)
-        gens.append(tuple(f - math.floor(f) for f in fracs))
-    return tuple(gens)
+    a = [[Fraction(x) for x in row] for row in gram]
+    b = []
+    for t in range(n):
+        p = a[t][t]
+        b.append(p)
+        col = [a[i][t] for i in range(t + 1, n)]
+        for i, ci in enumerate(col, t + 1):
+            a[i][t] = ci / p
+            for j, cj in enumerate(col[: i - t], t + 1):
+                a[i][j] -= ci * cj / p
+    mu = [a[i][:i] + [Fraction(1)] + [Fraction(0)] * (n - i - 1) for i in range(n)]
+    return b, mu
+
+
+def fraction_lll(gram):
+    """(G', T) of LLL with delta = 3/4 on a positive definite Gram matrix,
+    the multipliers and the exchange test in Fractions.
+
+    The same decisions as intlinalg.lll_reduce_gram, taken on rationals:
+    mu rounds half up, and b_k >= (3/4 - mu^2) b_(k-1) keeps the pair.
+    Size reduction updates mu in place; a swap refactors.
+    """
+    n = len(gram)
+    a = [list(row) for row in gram]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    b, mu = fraction_gram_schmidt(a)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            if q:
+                for i in range(n):
+                    a[k][i] -= q * a[j][i]
+                for i in range(n):
+                    a[i][k] -= q * a[i][j]
+                for r in t:
+                    r[k] -= q * r[j]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]:
+            k += 1
+        else:
+            a[k], a[k - 1] = a[k - 1], a[k]
+            for row in a:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            for r in t:
+                r[k], r[k - 1] = r[k - 1], r[k]
+            b, mu = fraction_gram_schmidt(a)
+            k = max(k - 1, 1)
+    return tuple(map(tuple, a)), tuple(map(tuple, t))
 
 
 def brute_box_vectors(gram, target, bound):

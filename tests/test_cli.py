@@ -81,56 +81,6 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# --- happy paths ---
-
-
-def test_invariants_not_two_elementary(files, capsys):
-    code, out, _ = invoke(capsys, "invariants", files["u"])
-    assert code == 0
-    assert "two-elementary: (r,a,delta) = (2,0,0)" in out
-    code, out, _ = invoke(capsys, "invariants", files["degen"])
-    assert code == 0
-    assert "two-elementary: NOT-2-ELEMENTARY" in out
-
-
-def test_discriminant_text(files, capsys):
-    code, out, _ = invoke(capsys, "discriminant", files["s311"])
-    assert code == 0
-    assert "order: 2" in out
-    assert "invariant-factors: (2)" in out
-    assert "q = 3/2" in out
-
-
-def test_k3_check_golden(files, capsys):
-    code, out, _ = invoke(capsys, "k3-check", files["model"])
-    assert code == 0
-    assert out.strip() == "NONDEGENERATE; witnesses: +f, -f"
-
-
-def test_da_scan_no_witness(files, capsys):
-    code, out, _ = invoke(capsys, "da-scan", files["model"], "--bound", "5")
-    assert code == 0
-    assert out.strip() == "NO-WITNESS-WITHIN-BOUND"
-
-
-def test_da_scan_degenerate(files, capsys):
-    code, out, _ = invoke(capsys, "da-scan", files["n4model"], "--bound", "2",
-                          "--s-basis", "1,-1,0,0;0,1,0,0;0,0,2,-1")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "DEGENERATE"
-    assert lines[1] == "delta: (0, 0, 1, -1)"
-    assert lines[2] == "delta1: (0, 0, 2, -1)"
-    assert lines[3] == "delta2: (0, 0, 0, -1)"
-
-
-def test_demo_golden(files, capsys):
-    code, out, _ = invoke(capsys, "demo", "s311")
-    assert code == 0
-    assert "(r,a,delta) = (3,1,1)" in out
-    assert out.splitlines()[-1] == "all-ok: yes"
-
-
 # --- byte-level goldens: full stdout and exit code, text and --json ---
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
@@ -207,20 +157,23 @@ def test_involution_computes_each_fact_once(files, capsys, monkeypatch):
             return _orig(*a, **kw)
         monkeypatch.setattr(module, fname, counted)
 
-    for fname in ("eigenlattices", "involution_rank_sum_check", "is_hyperbolic"):
+    for fname in ("eigenlattices", "involution_rank_sum_check"):
         count(cli, fname)
     # each eigenlattice is one kernel, built with the involution; the
     # period domain adds one for the anti-invariant part orthogonal to S
     count(la, "kernel")
+    # one signature per lattice whose hyperbolicity is reported: fixed and
+    # anti, plus anti-s when there is an S
+    count(la, "ldl")
     for flags in ((), ("--json",)):
         calls.clear()
         assert invoke(capsys, "involution", files["minus311"], *flags)[0] == 0
         assert calls == {"eigenlattices": 1, "involution_rank_sum_check": 1,
-                         "is_hyperbolic": 2, "kernel": 3}
+                         "kernel": 3, "ldl": 3}
         calls.clear()
         assert invoke(capsys, "involution", files["swap"], *flags)[0] == 0
         assert calls == {"eigenlattices": 1, "involution_rank_sum_check": 1,
-                         "is_hyperbolic": 2, "kernel": 2}
+                         "kernel": 2, "ldl": 2}
 
 
 # --- exit code 2: malformed files ---

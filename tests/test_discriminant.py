@@ -74,14 +74,19 @@ def test_discriminant_group_generators_have_right_order():
             continue
         dg = discriminant_group(L)
         for f, g in zip(dg.invariant_factors, dg.generators):
+            # g lies in the dual lattice: G g is integral
+            assert all(sum(x * c for x, c in zip(row, g)).denominator == 1 for row in L.gram)
             scaled = tuple(f * c for c in g)
             assert all(x.denominator == 1 for x in scaled)
             # no smaller multiple lands in the lattice
             for k in range(1, f):
                 assert any((k * c).denominator != 1 for c in g)
-        d, _, pinv, _, _ = la.snf_with_transforms(L.gram)
-        diag = [d[i][i] for i in range(L.rank)]
-        assert dg.generators == oracles.inverse_gram_generators(L.gram, diag, pinv)
+        # the cyclic factors are independent: no nonzero combination with
+        # 0 <= c_i < d_i lands in Z^n (brute force over the whole group)
+        for cs in itertools.product(*map(range, dg.invariant_factors)):
+            if any(cs):
+                v = [sum(c * g[r] for c, g in zip(cs, dg.generators)) for r in range(L.rank)]
+                assert any(x.denominator != 1 for x in v)
         done += 1
 
 

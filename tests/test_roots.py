@@ -1,5 +1,6 @@
 import gc
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -270,7 +271,8 @@ def test_enumeration_equals_a_priori_box_oracle(sign):
             L = make_lattice(gram)
             # the norm of a basis vector, so the answer is never empty
             target = min((gram[i][i] for i in range(n)), key=abs)
-            fractional += any(x.denominator > 1 for row in la.ldl(gram)[1] for x in row)
+            d, lam = la.ldl(gram)
+            fractional += any(lam[j][i] % d[i] for i in range(n) for j in range(i + 1, n))
             expect = canonical_order(oracles.brute_box_vectors(
                 gram, target, oracles.coordinate_bound(gram, target)))
             for use_lll in (False, True):
@@ -279,6 +281,31 @@ def test_enumeration_equals_a_priori_box_oracle(sign):
             perp = [v for v in expect if inner_product(L, v, ortho) == 0]
             assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
     assert fractional >= 6
+
+
+def test_definite_path_builds_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kw):
+        made.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and made
+    made.clear()
+    rng = random.Random(7)
+    pos = _skewed_definite(rng, 6, 1)
+    la.inertia(pos)
+    la.lll_reduce_gram(pos)
+    for sign in (1, -1):
+        gram = _skewed_definite(rng, 6, sign)
+        L = make_lattice(gram)
+        for use_lll in (False, True):
+            assert vectors_of_norm(L, gram[0][0], use_lll=use_lll).count > 0
+    N = direct_sum(S, E8M)
+    assert constrained_roots(N, ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2).count == 242
+    assert made == []
 
 
 def test_enumeration_leaves_no_reference_cycles():
