@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sweep marked models over the family S311 + <d> and report the
-double-point criterion verdict, the witness count, and the bounded
-degeneracy scan result for each member.
+double-point criterion verdict, the witness count, and the degeneracy
+scan status for each member.
 
 The d = -2 member is the one with extra roots orthogonal to u (criterion
-false); every even d <= -4 keeps the minimal witness pair and the scan
-finds no half-integral degeneracy class in the plain direct sum.
+false); every even d <= -4 keeps the minimal witness pair.  The scan
+answers "no-witness" for every member: the marked S311 has no glue class
+that could carry a degeneracy witness, so no box is searched.
 """
 
 from __future__ import annotations

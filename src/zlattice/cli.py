@@ -240,7 +240,7 @@ def _exec_da_scan(args, model):
 
 def _text_da_scan(doc):
     if doc["status"] != "degenerate":
-        return ["NO-WITNESS-WITHIN-BOUND"]
+        return [doc["status"].upper()]
     return ["DEGENERATE"] + [f"{k}: {_fmt_vec(doc[k])}" for k in ("delta", "delta1", "delta2")]
 
 
@@ -296,7 +296,8 @@ def _build_parser() -> _Parser:
     add("k3-check", "decide double-point nondegeneracy for a Picard model file",
         model_from_json_dict, _exec_k3_check, _text_k3_check)
 
-    p = add("da-scan", "bounded search for a degeneracy witness in a Picard model file",
+    p = add("da-scan", "search for a degeneracy witness in a Picard model file: an exact "
+                       "answer when the glue obstruction applies, box-bounded otherwise",
             model_from_json_dict, _exec_da_scan, _text_da_scan)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="max |coordinate| of scanned vectors")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from . import intlinalg as la
 from .errors import (
@@ -104,6 +104,39 @@ def discriminant_bilinear_value(L: Lattice, g, h) -> Fraction:
     a, da, _ = _dual_pairing(L, g)
     _, db, gb = _dual_pairing(L, h)
     return Fraction(sum(map(mul, a, gb)) % (da * db), da * db)
+
+
+def _two_torsion_takes_one(L: Lattice) -> bool:
+    """Does some class a of L*/L with 2a = 0 have q(a) = 1 in Q/2Z?
+
+    L must be even and nondegenerate.  The 2-torsion is spanned by
+    h_i = v_i / 2 with v_i = d_i g_i for the even invariant factors d_i,
+    and q(v/2) = v.v / 4 for every integer vector v with v/2 dual.  q mod
+    1 is additive there (2b(x, y) is an integer), so its kernel V0 has the
+    basis {h_i : q(h_i) in Z} and h_i + h_j for one fixed j with q(h_j)
+    not in Z.  On V0, q mod 2 is an F_2 quadratic form with polar form
+    2b; it takes the value 1 iff it does on a basis vector or its polar
+    form does on a basis pair, i.e. iff the Gram matrix of the doubled
+    basis has a diagonal entry 4 mod 8 or an off-diagonal entry 2 mod 4.
+    That is O(k^2) pairings instead of 2^k classes.
+    """
+    dg = discriminant_group(L)
+    basis, half = [], []
+    for d, g in zip(dg.invariant_factors, dg.generators):
+        if d % 2 == 0:
+            v = tuple(int(x * d) for x in g)
+            if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
+                half.append(v)  # q(v/2) is 1/2 or 3/2
+            else:
+                basis.append(v)
+    basis += [tuple(map(add, v, half[0])) for v in half[1:]]
+    images = [la.mat_vec(L.gram, v) for v in basis]
+    for i, v in enumerate(basis):
+        if sum(map(mul, v, images[i])) % 8 == 4:
+            return True
+        if any(sum(map(mul, v, w)) % 4 == 2 for w in images[:i]):
+            return True
+    return False
 
 
 def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:

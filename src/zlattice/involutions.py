@@ -6,7 +6,9 @@ full combined rank; the quotient of the lattice by their direct sum is an
 elementary 2-group.  The involution value computes them once and every
 fact below reads them from it.  On top of that sit the typed-restriction
 check, the rank/hyperbolicity bookkeeping for period domains, and two
-bounded searches for norm -4 "glue partner" configurations.
+searches for norm -4 "glue partner" configurations.  Both decide an exact
+obstruction first and search a coordinate box only when it passes; the
+degeneracy scan reads its obstruction off the discriminant forms.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from . import intlinalg as la
+from .discriminant import _two_torsion_takes_one
 from .errors import (
     DegenerateSublattice,
     DimensionMismatch,
@@ -34,11 +37,14 @@ from .lattices import (
     Vec,
     _as_int,
     check_vector,
+    determinant,
+    is_even,
     is_hyperbolic,
     lattice_from_json_dict,
     make_sublattice,
     norm,
     orthogonal_complement,
+    saturate,
 )
 from .roots import bounded_vectors_of_norm, vectors_of_norm
 
@@ -254,10 +260,16 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
 class DegeneracyScanResult:
     """Outcome of the double-point degeneracy scan.
 
-    status is "degenerate" or "no-witness-within-bound".  On a find, delta
-    is the norm -2 vector and delta1, delta2 its doubled projections to the
-    marked sublattice and its complement, each of norm -4, with
-    delta = (delta1 + delta2) / 2.  All coordinates are ambient.
+    status is one of:
+      "degenerate": a witness was found; delta is the norm -2 vector and
+        delta1, delta2 its doubled projections to the marked sublattice
+        and its complement, each of norm -4, with
+        delta = (delta1 + delta2) / 2;
+      "no-witness": no witness exists anywhere, decided exactly from the
+        discriminant forms (the glue obstruction of da_degeneracy_scan);
+      "no-witness-within-bound": the obstruction does not apply and the
+        coordinate box held no witness; larger boxes may.
+    All coordinates are ambient.
     """
 
     status: str
@@ -288,24 +300,28 @@ def _doubled_projector(s: SublatticeEmbedding) -> tuple[la.Mat, int]:
     return tuple(tuple(int(c * den) for c in row) for row in twice), den
 
 
-def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
-    """Search the box |coordinate| <= bound for a vector delta of square -2
-    splitting as the half-sum of two norm -4 vectors, one in S and one in
-    its orthogonal complement.
+def _glue_obstructed(s: SublatticeEmbedding) -> bool:
+    """Is a degeneracy witness over the nondegenerate S ruled out exactly?
 
-    delta1 = 2 proj_S(delta) comes from the integer projector of
-    _doubled_projector, built once, so S must be nondegenerate; each
-    candidate costs one integer matrix-vector product and a divisibility
-    test, and delta2 = 2 delta - delta1.  The reported witness minimizes
-    (coordinate box, lexicographic), which makes the result stable when
-    bound grows.
+    A witness delta has delta1 = 2 proj_S(delta) in the saturation S' of
+    S, and delta1/2 pairs integrally with S', so a = delta1/2 mod S' is a
+    class of A_{S'} with 2a = 0 and q(a) = -1 = 1 in Q/2Z.  Likewise
+    delta2/2 gives such a class of A_{S-perp}.  When either group has none,
+    there is no witness.  q is defined mod 2Z only on an even lattice, so
+    an odd side, and a degenerate S-perp, rule nothing out.
     """
-    if s.ambient.gram != L.gram:
-        raise EmbeddingMismatch("sublattice is embedded in a different lattice")
-    if s.rank and la.bareiss_det(s.induced_gram()) == 0:
-        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
+    sat = saturate(s).induced_lattice()
+    if is_even(sat) and not _two_torsion_takes_one(sat):
+        return True
+    perp = orthogonal_complement(s).induced_lattice()
+    if not is_even(perp) or determinant(perp) == 0:
+        return False
+    return not _two_torsion_takes_one(perp)
+
+
+def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
+    """The coordinate-box search of da_degeneracy_scan, without the glue
+    obstruction in front: "degenerate" or "no-witness-within-bound"."""
     proj, den = _doubled_projector(s)
     candidates = bounded_vectors_of_norm(L, -2, bound).vectors
     best = None
@@ -321,6 +337,32 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     if best is None:
         return DegeneracyScanResult("no-witness-within-bound", None, None, None)
     return DegeneracyScanResult("degenerate", *best)
+
+
+def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
+    """Decide, or search the box |coordinate| <= bound for, a vector delta
+    of square -2 splitting as the half-sum of two norm -4 vectors, one in
+    S and one in its orthogonal complement.
+
+    The glue obstruction (_glue_obstructed) is decided first, from the
+    discriminant forms of the saturation of S and of its complement; when
+    it holds the answer is an exact "no-witness" and no box is built.
+    Otherwise the box is searched: delta1 = 2 proj_S(delta) comes from the
+    integer projector of _doubled_projector, built once, so S must be
+    nondegenerate; each candidate costs one integer matrix-vector product
+    and a divisibility test, and delta2 = 2 delta - delta1.  The reported
+    witness minimizes (coordinate box, lexicographic), which makes the
+    result stable when bound grows.
+    """
+    if s.ambient.gram != L.gram:
+        raise EmbeddingMismatch("sublattice is embedded in a different lattice")
+    if s.rank and la.bareiss_det(s.induced_gram()) == 0:
+        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
+    if _glue_obstructed(s):
+        return DegeneracyScanResult("no-witness", None, None, None)
+    return _box_search(L, s, bound)
 
 
 def involution_from_json_dict(data) -> tuple[IntegralInvolution, SublatticeEmbedding | None]:

@@ -120,10 +120,12 @@ def is_nondegenerate(model: PicardModel) -> tuple[bool, tuple[Vec, ...]]:
 def model_degeneracy_scan(model: PicardModel, bound: int) -> DegeneracyScanResult:
     """Degeneracy scan over the marked rank-3 sublattice of the model.
 
-    For any valid model this reports no witness: a witness would need a
-    vector x in the marked sublattice with x/2 in its dual and x.x = -4,
-    and the discriminant form of the marked lattice takes the value 3/2 on
-    its nontrivial coset, never -1.  The scan stays the honest check.
+    For any valid model this answers "no-witness", exactly and without a
+    box: a witness would need a vector x in the marked sublattice with x/2
+    in its dual and x.x = -4, and the discriminant form of the marked
+    lattice takes the value 3/2 on its nontrivial coset, never -1.
+    da_degeneracy_scan decides that glue obstruction before any search,
+    so bound is only validated.
     """
     return da_degeneracy_scan(model.lattice, model.marked_sublattice(), bound)
 

@@ -61,6 +61,15 @@ def sympy_inertia(m):
     return (pos, neg, zero)
 
 
+def sympy_smith_diagonal(m):
+    """All min(rows, cols) diagonal entries of the Smith form, made
+    nonnegative, zeros and ones included, so a wrong rank shows."""
+    if len(m) == 0 or len(m[0]) == 0:
+        return ()
+    diag = smith_normal_form(sp.Matrix([list(r) for r in m]), domain=sp.ZZ)
+    return tuple(abs(int(diag[i, i])) for i in range(min(diag.shape)))
+
+
 def sympy_invariant_factors(m):
     """Nontrivial invariant factors (> 1) of an integer matrix, sorted."""
     if len(m) == 0:

@@ -191,14 +191,14 @@ def test_criterion_09_delta_route_agreement():
 
 def test_criterion_10_degeneracy_scan():
     res1 = model_degeneracy_scan(s311_model(), 10)
-    assert res1.status == "no-witness-within-bound"
+    assert res1.status == "no-witness" and res1.delta is None
     L = n4_model().lattice
     res2 = da_degeneracy_scan(L, n4_sprime(), 10)
     assert res2.status == "degenerate"
     assert norm(L, res2.delta) == -2
     assert norm(L, res2.delta1) == -4
     assert norm(L, res2.delta2) == -4
-    _report(10, "scan: no witness over S311 at bound 10; overlattice witness "
+    _report(10, "scan: no witness over S311 (glue obstruction); overlattice witness "
                 "has norms (-2,-4,-4)")
 
 

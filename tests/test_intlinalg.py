@@ -148,10 +148,18 @@ def test_solve_int_roundtrip_and_unsolvable():
 
 def test_snf_transforms_and_divisibility():
     rng = random.Random(41)
-    for _ in range(100):
+    for trial in range(140):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols, -8, 8)
+        if trial >= 100:
+            # rank-deficient: a product through an inner dimension below
+            # min(rows, cols), so D must end in zeros
+            inner = rng.randint(0, min(rows, cols) - 1)
+            a = rand_matrix(rng, rows, inner, -3, 3)
+            b = rand_matrix(rng, inner, cols, -3, 3)
+            m = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols))
+                      for i in range(rows))
         d, q = la.snf_with_transforms(m)
         assert abs(la.bareiss_det(q)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
@@ -181,9 +189,8 @@ def test_snf_transforms_and_divisibility():
         minors = [oracles.sympy_det(tuple(tuple(quotients[c][i] for c in range(r)) for i in sub))
                   for sub in itertools.combinations(range(rows), r)]
         assert math.gcd(*minors) == 1
-        # the zeros of D are pinned by the columns above (the nonzero
-        # quotient columns are independent); the oracle lists factors > 1
-        assert tuple(x for x in diag if x > 1) == oracles.sympy_invariant_factors(m)
+        # the full diagonal, zeros and ones included, so a wrong rank shows
+        assert tuple(diag) == oracles.sympy_smith_diagonal(m)
 
 
 # --- rational inverse ---

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from helpers import (
     sigma_s311_fixed,
 )
 from zlattice import (
+    DegeneracyScanResult,
     DegenerateSublattice,
     EmbeddingMismatch,
     NotInSublattice,
@@ -48,7 +50,7 @@ from zlattice import (
     standard_lattice,
 )
 from zlattice import intlinalg as la
-from zlattice.involutions import _doubled_projector
+from zlattice.involutions import _box_search, _doubled_projector
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -286,7 +288,7 @@ def test_da_scan_minimal_model_never_finds_witness():
     marked = model.marked_sublattice()
     for bound in (1, 5, 10):
         res = da_degeneracy_scan(model.lattice, marked, bound)
-        assert res.status == "no-witness-within-bound"
+        assert res.status == "no-witness"
         assert res.delta is None
 
 
@@ -350,12 +352,102 @@ def test_integer_split_matches_fraction_split():
                 accepted += 1
             assert got == oracles.fraction_split(g, basis, delta), (g, basis, delta)
     assert min(accepted, rejected) > 300
-    # the scan itself rejects delta = (0, 1, -1): 2 proj_S(delta) is not
-    # integral, although rounding it down gives two parts of norm -4
+    # the box itself rejects delta = (0, 1, -1): 2 proj_S(delta) is not
+    # integral, although rounding it down gives two parts of norm -4.  S =
+    # <-6> has the single 2-torsion value q = 1/2, so the scan answers from
+    # the glue obstruction and the box runs only on the box-only path
     L = make_lattice(((-6, 3, 2), (3, -2, -2), (2, -2, -4)))
     s = make_sublattice(L, [(-1, -1, 1)])
     assert oracles.fraction_split(L.gram, s.basis, (0, 1, -1)) is None
-    assert da_degeneracy_scan(L, s, 1).status == "no-witness-within-bound"
+    assert _box_search(L, s, 1).status == "no-witness-within-bound"
+    assert da_degeneracy_scan(L, s, 1).status == "no-witness"
+
+
+def _random_even_case(rng):
+    """A random even nondegenerate N of rank 2-5 and a nondegenerate S of
+    smaller rank, non-primitive about a third of the time; None on a miss."""
+    n = rng.randint(2, 5)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * rng.randint(-3, 1)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint(-2, 2)
+    if la.bareiss_det(g) == 0:
+        return None
+    basis = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+    if la.integer_rank(la.transpose(basis)) != len(basis):
+        return None
+    if rng.random() < 0.3:
+        basis[0] = tuple(2 * c for c in basis[0])
+    L = make_lattice(tuple(map(tuple, g)))
+    s = make_sublattice(L, basis)
+    if la.bareiss_det(s.induced_gram()) == 0:
+        return None
+    return L, s
+
+
+def test_glue_obstruction_never_hides_a_box_witness():
+    rng = random.Random(37)
+    cases = found = obstructed = non_primitive = 0
+    while cases < 500:
+        case = _random_even_case(rng)
+        if case is None:
+            continue
+        L, s = case
+        cases += 1
+        non_primitive += not same_sublattice(saturate(s), s)
+        got = da_degeneracy_scan(L, s, 2)
+        box = _box_search(L, s, 2)
+        found += box.found
+        if got.status == "no-witness":
+            obstructed += 1
+            assert not box.found, (L.gram, s.basis, box)
+        else:
+            assert got == box
+    assert found >= 10 and obstructed >= 100 and non_primitive >= 50
+
+
+def test_glue_obstruction_pinned_cases():
+    # non-primitive S = U + Z 2w on N4, w = (0, 0, 2, -1): the unsaturated
+    # A_S has no class with q = 1, yet the witness is there; only the
+    # saturation U + Z w shows the glue
+    L = n4_model().lattice
+    s = make_sublattice(L, ((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 4, -2)))
+    res = da_degeneracy_scan(L, s, 3)
+    assert res == da_degeneracy_scan(L, n4_sprime(), 3)
+    assert (res.status, res.delta, res.delta1, res.delta2) == \
+        ("degenerate", (0, 0, 1, -1), (0, 0, 2, -1), (0, 0, 0, -1))
+    # S = U(2): both basis classes have q = 0, and only the polar term
+    # 2b = 1 gives their sum q = 1; N glues U(2) + <-4> along it
+    L = make_lattice(((-2, 1, -2), (1, 0, 0), (-2, 0, -4)))
+    s = make_sublattice(L, ((2, 1, -1), (0, 1, 0)))
+    assert s.induced_gram() == ((0, 2), (2, 0))
+    assert da_degeneracy_scan(L, s, 2) == DegeneracyScanResult(
+        "degenerate", (1, 0, -1), (2, 0, -1), (0, 0, -1))
+    # an odd S has no discriminant form mod 2Z: <-1> + <-1> split along
+    # its two lines has a witness although A_S is trivial
+    L = make_lattice(((-1, 0), (0, -1)))
+    res = da_degeneracy_scan(L, make_sublattice(L, ((1, 0),)), 1)
+    assert (res.status, res.delta) == ("degenerate", (1, -1))
+
+
+@pytest.mark.parametrize("k", [4, 16])
+def test_glue_obstruction_on_both_sides(k):
+    # N = <-4> + <-8>^k: over S = <-8>^k every 2-torsion class has q = 0;
+    # over S = <-4> the class e0/2 has q = 1 and the complement <-8>^k
+    # rules the witness out.  A 2^k class walk or a 3^(k+1)-cell box would
+    # not answer k = 16 in time.
+    n = k + 1
+    L = make_lattice(tuple(tuple((-4 if i == 0 else -8) * (i == j) for j in range(n))
+                           for i in range(n)))
+    unit = la.identity(n)
+    for basis in (unit[1:], unit[:1]):
+        s = make_sublattice(L, basis)
+        start = time.perf_counter()
+        assert da_degeneracy_scan(L, s, 1).status == "no-witness"
+        assert time.perf_counter() - start < 1.0
+        if k == 4:
+            assert _box_search(L, s, 2).status == "no-witness-within-bound"
 
 
 def test_da_scan_rejects_degenerate_sublattice():

@@ -30,6 +30,7 @@ from zlattice import (
     vectors_of_norm,
 )
 from zlattice import intlinalg as la
+from zlattice import involutions
 from zlattice.errors import InvalidInputFile
 
 S = standard_lattice("S311")
@@ -141,7 +142,25 @@ def test_verdict_invariant_under_unimodular_basis_change():
 def test_model_scan_no_witness_cases():
     for m in (s311_model(), s311_plus(-4), n4_model()):
         res = model_degeneracy_scan(m, 6)
-        assert res.status == "no-witness-within-bound"
+        assert res.status == "no-witness"
+        assert res.delta is None
+
+
+def test_model_scan_reaches_rank_20_without_a_box(monkeypatch):
+    # the marked S311 alone rules the witness out, so no box is built:
+    # a box at bound 1 would hold 3^19 or 3^20 cells
+    def no_box(*args):
+        raise AssertionError("box search reached")
+
+    monkeypatch.setattr(involutions, "bounded_vectors_of_norm", no_box)
+    e8 = standard_lattice("E8(-1)")
+    for extra in ((e8, e8), (e8, e8, standard_lattice("A1(-1)"))):
+        N = S
+        for piece in extra:
+            N = direct_sum(N, piece)
+        pad = (0,) * (N.rank - 3)
+        m = make_picard_model(N, (0, 0, 1) + pad, (1, 0, 0) + pad, (0, 1, 0) + pad)
+        assert model_degeneracy_scan(m, 1).status == "no-witness"
 
 
 # --- numerology of the branch curve ---

@@ -31,3 +31,4 @@ def test_family_scan_small_sweep():
     assert rows["S311"][0] == "NONDEGENERATE"
     assert rows["S311+<-2>"][0] == "DEGENERATE-POSS"
     assert rows["S311+<-4>"][0] == "NONDEGENERATE"
+    assert rows["S311"][2] == rows["S311+<-4>"][2] == "no-witness"
