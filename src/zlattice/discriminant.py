@@ -51,10 +51,14 @@ class DiscriminantGroup:
 
 
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
-    if determinant(L) == 0:
+    det = determinant(L)
+    if det == 0:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
+    if abs(det) == 1:
+        # |L*/L| = |det|: a unimodular lattice has the trivial group
+        return DiscriminantGroup((), (), L)
     n = L.rank
-    d, q = la.snf_with_transforms(L.gram) if n else ((), ())
+    d, q = la.snf_with_transforms(L.gram)
     factors = []
     gens = []
     for i in range(n):

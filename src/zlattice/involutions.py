@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
+from operator import mul
 
 from . import intlinalg as la
 from .discriminant import _two_torsion_takes_one
@@ -206,15 +207,19 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     The coset obstruction (d1 must lie in 2L + S-perp) is decided exactly;
     if it passes, candidates are enumerated completely when the complement
     is definite, otherwise inside the coordinate box |internal coord| <=
-    bound, and a fruitless bounded search answers "unknown".
+    bound, and a fruitless bounded search answers "unknown".  Candidates
+    are tried in _scan_key order of their internal coordinates and the
+    first that glues is the witness, its sign normalized in ambient
+    coordinates.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
     d1 = check_vector(L, d1)
     if s.from_ambient(d1) is None:
         raise NotInSublattice("d1 does not lie in the marked sublattice")
-    if norm(L, d1) != -4:
-        raise WrongNorm(f"d1 has square {norm(L, d1)}, expected -4")
+    d1_norm = norm(L, d1)
+    if d1_norm != -4:
+        raise WrongNorm(f"d1 has square {d1_norm}, expected -4")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     comp = orthogonal_complement(s)
@@ -240,19 +245,14 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     except NotDefinite:
         cands = bounded_vectors_of_norm(inner, -4, bound).vectors
         exhaustive = False
-    hits = []
-    for c in cands:
-        amb = comp.to_ambient(c)
-        if all((a + b) % 2 == 0 for a, b in zip(d1, amb)):
-            hits.append((c, amb))
-    if hits:
-        # the hit set is negation-closed ((d1 - delta2)/2 = (d1 + delta2)/2
-        # - delta2), so normalize the reported sign in ambient coordinates
-        _, witness = min(hits, key=lambda pair: _scan_key(pair[0]))
-        first = next((c for c in witness if c), 0)
-        if first < 0:
-            witness = tuple(-c for c in witness)
-        return MembershipResult("yes", witness)
+    for c in sorted(cands, key=_scan_key):
+        witness = comp.to_ambient(c)
+        if all((a + b) % 2 == 0 for a, b in zip(d1, witness)):
+            # the hit set is negation-closed ((d1 - delta2)/2 = (d1 +
+            # delta2)/2 - delta2), so the reported sign is normalized
+            if next((x for x in witness if x), 0) < 0:
+                witness = tuple(-x for x in witness)
+            return MembershipResult("yes", witness)
     return MembershipResult("no" if exhaustive else "unknown", None)
 
 
@@ -321,22 +321,24 @@ def _glue_obstructed(s: SublatticeEmbedding) -> bool:
 
 def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
     """The coordinate-box search of da_degeneracy_scan, without the glue
-    obstruction in front: "degenerate" or "no-witness-within-bound"."""
+    obstruction in front: "degenerate" or "no-witness-within-bound".
+
+    Candidates are tried in _scan_key order and the first that splits is
+    the witness.  With d1 = 2 proj_S(delta), delta.d1 = 2 proj_S(delta)^2
+    = d1^2/2, and d2 = 2 delta - d1 has d2^2 = 4 delta^2 - d1^2 = -8 -
+    d1^2; so d1^2 = d2^2 = -4 exactly when delta.d1 = -2.
+    """
     proj, den = _doubled_projector(s)
     candidates = bounded_vectors_of_norm(L, -2, bound).vectors
-    best = None
-    for delta in candidates:
+    for delta in sorted(candidates, key=_scan_key):
         scaled = la.mat_vec(proj, delta)
         if any(c % den for c in scaled):
             continue
         d1 = tuple(c // den for c in scaled)
-        d2 = tuple(2 * a - b for a, b in zip(delta, d1))
-        if norm(L, d1) == -4 and norm(L, d2) == -4:
-            if best is None or _scan_key(delta) < _scan_key(best[0]):
-                best = (delta, d1, d2)
-    if best is None:
-        return DegeneracyScanResult("no-witness-within-bound", None, None, None)
-    return DegeneracyScanResult("degenerate", *best)
+        if sum(map(mul, la.mat_vec(L.gram, delta), d1)) == -2:
+            d2 = tuple(2 * a - b for a, b in zip(delta, d1))
+            return DegeneracyScanResult("degenerate", delta, d1, d2)
+    return DegeneracyScanResult("no-witness-within-bound", None, None, None)
 
 
 def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
@@ -349,10 +351,12 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     it holds the answer is an exact "no-witness" and no box is built.
     Otherwise the box is searched: delta1 = 2 proj_S(delta) comes from the
     integer projector of _doubled_projector, built once, so S must be
-    nondegenerate; each candidate costs one integer matrix-vector product
-    and a divisibility test, and delta2 = 2 delta - delta1.  The reported
-    witness minimizes (coordinate box, lexicographic), which makes the
-    result stable when bound grows.
+    nondegenerate.  Each candidate costs one integer matrix-vector product
+    and a divisibility test for delta1, then one integer pairing: delta1
+    and delta2 = 2 delta - delta1 both have square -4 exactly when
+    delta.delta1 = -2.  Candidates are tried in _scan_key order, so the
+    witness is the first hit and minimizes (coordinate box, sign,
+    lexicographic), which makes the result stable when bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")

@@ -10,6 +10,7 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import intlinalg as la
 from .errors import (
@@ -108,11 +109,9 @@ class SublatticeEmbedding:
             raise DimensionMismatch(
                 f"expected {self.rank} internal coordinates, got {len(coords)}"
             )
-        n = self.ambient.rank
-        return tuple(
-            sum(self.basis[j][i] * coords[j] for j in range(self.rank))
-            for i in range(n)
-        )
+        if not self.basis:
+            return (0,) * self.ambient.rank
+        return la.mat_vec(self.matrix, coords)
 
     def from_ambient(self, v) -> Vec | None:
         """Internal coordinates of an ambient vector, or None if not a member."""
@@ -193,27 +192,32 @@ def orthogonal_complement(k: SublatticeEmbedding) -> SublatticeEmbedding:
     return SublatticeEmbedding(L, basis)
 
 
+def _hnf_pivots(k: SublatticeEmbedding) -> tuple[int, ...]:
+    """Pivots of the column HNF of the rank x n basis matrix.
+
+    Its nonzero block is lower triangular with these pivots on the
+    diagonal, and column operations keep the gcd of the maximal minors,
+    so their product is that gcd: the index [sat(K) : K].
+    """
+    h, _ = la.hnf_with_transform(k.basis, k.ambient.rank)
+    return tuple(h[i][i] for i in range(k.rank))
+
+
 def saturate(k: SublatticeEmbedding) -> SublatticeEmbedding:
     """Smallest primitive sublattice containing K.
 
     Primitivity here is saturation: sat(K) = (K tensor Q) intersected with
-    the ambient lattice.  When K is already primitive it is returned
-    unchanged.
+    the ambient lattice.  When every HNF pivot of K's basis is 1, K is
+    already primitive and is returned unchanged; otherwise the basis is the
+    double integer kernel below.
     """
-    if k.rank == 0:
+    if all(p == 1 for p in _hnf_pivots(k)):
         return k
     n = k.ambient.rank
     # double integer kernel with the standard dot product: the kernel of
     # (kernel of B^t)^t is the saturation of the column span of B
-    b_rows = k.basis  # rows of B^t
-    left = la.kernel(b_rows, ncols=n)
-    if not left:
-        sat_basis = tuple(la.identity(n))
-    else:
-        sat_basis = la.kernel(left, ncols=n)
-    if sublattice_index_from_bases(sat_basis, k.basis) == 1:
-        return k
-    return SublatticeEmbedding(k.ambient, sat_basis)
+    left = la.kernel(k.basis, ncols=n)
+    return SublatticeEmbedding(k.ambient, la.kernel(left, ncols=n))
 
 
 def sublattice_index_from_bases(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> int:
@@ -233,8 +237,9 @@ def sublattice_index_from_bases(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) 
 
 
 def saturation_index(k: SublatticeEmbedding) -> int:
-    """Index [sat(K) : K], a finite positive integer."""
-    return sublattice_index_from_bases(saturate(k).basis, k.basis)
+    """Index [sat(K) : K], a finite positive integer: the product of the
+    HNF pivots of K's basis."""
+    return prod(_hnf_pivots(k))
 
 
 def same_sublattice(a: SublatticeEmbedding, b: SublatticeEmbedding) -> bool:

@@ -7,6 +7,7 @@ expansion, brute-force coordinate boxes) so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -78,6 +79,20 @@ def sympy_invariant_factors(m):
     diag = smith_normal_form(mat, domain=sp.ZZ)
     factors = [abs(int(diag[i, i])) for i in range(min(diag.shape))]
     return tuple(f for f in factors if f > 1)
+
+
+def sympy_maximal_minor_gcd(rows):
+    """gcd of all k x k minors of a k x n integer matrix of rank k, each
+    minor a sympy determinant; for the basis rows of a sublattice K this is
+    the index [sat(K) : K]."""
+    k = len(rows)
+    if k == 0:
+        return 1
+    mat = sp.Matrix([list(r) for r in rows])
+    g = 0
+    for cols in itertools.combinations(range(mat.cols), k):
+        g = math.gcd(g, int(mat.extract(list(range(k)), list(cols)).det()))
+    return g
 
 
 def fraction_gram_schmidt(gram):
@@ -162,6 +177,19 @@ def brute_box_vectors(gram, target, bound):
     return hits
 
 
+@functools.lru_cache(maxsize=8)
+def _sympy_gram_inverse(gram, s_basis):
+    """G_S^{-1} as Fractions, inverted by sympy; cached because a box
+    oracle splits many vectors over the same S."""
+    n = len(gram)
+
+    def dot(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    inv = sp.Matrix([[dot(b, c) for c in s_basis] for b in s_basis]).inv()
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in inv.tolist())
+
+
 def fraction_split(gram, s_basis, delta):
     """(delta1, delta2) with delta1 = 2 proj_S(delta) and delta2 = 2 delta -
     delta1, or None when delta1 is not an integer vector.
@@ -175,10 +203,9 @@ def fraction_split(gram, s_basis, delta):
     def dot(u, v):
         return sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
 
-    ginv = sp.Matrix([[dot(b, c) for c in s_basis] for b in s_basis]).inv()
+    ginv = _sympy_gram_inverse(tuple(map(tuple, gram)), tuple(map(tuple, s_basis)))
     rhs = [dot(b, delta) for b in s_basis]
-    y = [sum(Fraction(int(ginv[j, k].p), int(ginv[j, k].q)) * rhs[k] for k in range(r))
-         for j in range(r)]
+    y = [sum(ginv[j][k] * rhs[k] for k in range(r)) for j in range(r)]
     d1 = []
     for i in range(n):
         c = 2 * sum(Fraction(s_basis[j][i]) * y[j] for j in range(r))

@@ -50,6 +50,19 @@ def test_discriminant_group_examples():
     assert discriminant_group(S).invariant_factors == (2,)
 
 
+def test_unimodular_discriminant_group_needs_no_smith_form(monkeypatch):
+    def refuse(m):
+        raise RuntimeError("Smith form computed")
+
+    monkeypatch.setattr(la, "snf_with_transforms", refuse)
+    for L in (E8M, U, standard_lattice("LK3"), make_lattice(())):
+        dg = discriminant_group(L)
+        assert (dg.invariant_factors, dg.generators, dg.order) == ((), (), 1)
+    # |det| = 2 is not trivial and still goes through the Smith form
+    with pytest.raises(RuntimeError, match="Smith form computed"):
+        discriminant_group(A1M)
+
+
 def test_discriminant_group_order_equals_det():
     rng = random.Random(7)
     done = 0

@@ -44,13 +44,15 @@ from zlattice import (
     make_lattice,
     make_sublattice,
     norm,
+    orthogonal_complement,
     period_domain_summary,
     same_sublattice,
     saturate,
+    signature,
     standard_lattice,
 )
 from zlattice import intlinalg as la
-from zlattice.involutions import _box_search, _doubled_projector
+from zlattice.involutions import MembershipResult, _box_search, _doubled_projector, _scan_key
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -363,17 +365,24 @@ def test_integer_split_matches_fraction_split():
     assert da_degeneracy_scan(L, s, 1).status == "no-witness"
 
 
-def _random_even_case(rng):
-    """A random even nondegenerate N of rank 2-5 and a nondegenerate S of
-    smaller rank, non-primitive about a third of the time; None on a miss."""
+def _random_even_gram(rng):
+    """A random even nondegenerate Gram matrix of rank 2-5, or None."""
     n = rng.randint(2, 5)
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = 2 * rng.randint(-3, 1)
         for j in range(i + 1, n):
             g[i][j] = g[j][i] = rng.randint(-2, 2)
-    if la.bareiss_det(g) == 0:
+    return g if la.bareiss_det(g) else None
+
+
+def _random_even_case(rng):
+    """A random even nondegenerate N of rank 2-5 and a nondegenerate S of
+    smaller rank, non-primitive about a third of the time; None on a miss."""
+    g = _random_even_gram(rng)
+    if g is None:
         return None
+    n = len(g)
     basis = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
     if la.integer_rank(la.transpose(basis)) != len(basis):
         return None
@@ -429,6 +438,103 @@ def test_glue_obstruction_pinned_cases():
     L = make_lattice(((-1, 0), (0, -1)))
     res = da_degeneracy_scan(L, make_sublattice(L, ((1, 0),)), 1)
     assert (res.status, res.delta) == ("degenerate", (1, -1))
+
+
+def _plain_norm(gram, v):
+    return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def _planted_case(rng):
+    """A random even N with two orthogonal roots r1, r2, and S = Z(r1 + r2)
+    plus, half the time, a vector orthogonal to r1 - r2; delta = r1 splits
+    as ((r1 + r2) + (r1 - r2))/2.  Returns (N, S, r1 + r2) or None."""
+    g = _random_even_gram(rng)
+    if g is None:
+        return None
+    n = len(g)
+    roots = oracles.brute_box_vectors(g, -2, 1)
+    pairs = [(a, b) for a in roots for b in roots
+             if a < b and _plain_norm(g, tuple(x + y for x, y in zip(a, b))) == -4]
+    if not pairs:
+        return None
+    r1, r2 = rng.choice(pairs)
+    d1 = tuple(a + b for a, b in zip(r1, r2))
+    basis = [d1]
+    perp = la.kernel([la.mat_vec(g, tuple(a - b for a, b in zip(r1, r2)))], ncols=n)
+    if rng.random() < 0.5:
+        extra = tuple(sum(rng.randint(-1, 1) * v[i] for v in perp) for i in range(n))
+        if la.integer_rank(la.transpose(basis + [extra])) == 2:
+            basis.append(extra)
+    L = make_lattice(tuple(map(tuple, g)))
+    s = make_sublattice(L, basis)
+    if la.bareiss_det(s.induced_gram()) == 0:
+        return None
+    return L, s, d1
+
+
+def test_box_search_is_the_key_minimal_split():
+    # every splitting candidate of the brute box, split by Fractions and
+    # judged by plain-dot norms; the witness is the _scan_key minimum
+    rng = random.Random(47)
+    cases = found = several = 0
+    while cases < 300:
+        case = _planted_case(rng) if cases % 2 else _random_even_case(rng)
+        if case is None:
+            continue
+        L, s = case[:2]
+        cases += 1
+        bound = rng.randint(1, 2)
+        hits = []
+        for delta in oracles.brute_box_vectors(L.gram, -2, bound):
+            split = oracles.fraction_split(L.gram, s.basis, delta)
+            if split and all(_plain_norm(L.gram, d) == -4 for d in split):
+                hits.append((delta, *split))
+        got = _box_search(L, s, bound)
+        if not hits:
+            assert got.status == "no-witness-within-bound", (L.gram, s.basis, bound)
+            continue
+        found += 1
+        several += len(hits) > 2  # hits come in +- pairs
+        best = min(hits, key=lambda h: _scan_key(h[0]))
+        assert got == DegeneracyScanResult("degenerate", *best), (L.gram, s.basis, bound)
+    assert found >= 50 and several >= 20
+
+
+def test_delta4_bounded_witness_is_the_key_minimal_glue():
+    # on an indefinite complement the search is bounded; its witness is
+    # the _scan_key minimum over the brute box of the complement's Gram
+    rng = random.Random(53)
+    cases = found = several = 0
+    while cases < 300:
+        case = _planted_case(rng)
+        if case is None:
+            continue
+        L, s, d1 = case
+        comp = orthogonal_complement(s)
+        p, q, _ = signature(comp.induced_lattice())
+        if not (p and q):
+            continue
+        cases += 1
+        bound = rng.randint(1, 2)
+        hits = []
+        for c in oracles.brute_box_vectors(comp.induced_gram(), -4, bound):
+            amb = [0] * L.rank
+            for j, b in enumerate(comp.basis):
+                for i in range(L.rank):
+                    amb[i] += c[j] * b[i]
+            if all((a + b) % 2 == 0 for a, b in zip(d1, amb)):
+                hits.append((c, tuple(amb)))
+        got = delta4_membership(L, s, d1, bound)
+        if not hits:
+            assert got.status in ("no", "unknown") and got.witness is None
+            continue
+        found += 1
+        several += len(hits) > 2
+        witness = min(hits, key=lambda h: _scan_key(h[0]))[1]
+        if next(x for x in witness if x) < 0:
+            witness = tuple(-x for x in witness)
+        assert got == MembershipResult("yes", witness), (L.gram, s.basis, d1, bound)
+    assert found >= 50 and several >= 20
 
 
 @pytest.mark.parametrize("k", [4, 16])

@@ -200,6 +200,29 @@ def test_sublattice_embedding_basics():
     assert u.to_ambient((0, 1)) == (1, 1, 0)
 
 
+def test_to_ambient_matches_double_loop():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        L = make_lattice(la.identity(n))
+        basis = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        if basis and la.integer_rank(la.transpose(basis)) != len(basis):
+            continue
+        k = make_sublattice(L, basis)
+        coords = tuple(rng.randint(-9, 9) for _ in basis)
+        naive = [0] * n
+        for j, b in enumerate(basis):
+            for i in range(n):
+                naive[i] += coords[j] * b[i]
+        assert k.to_ambient(coords) == tuple(naive)
+    empty = make_sublattice(S, ())
+    assert empty.to_ambient(()) == (0, 0, 0)
+    with pytest.raises(DimensionMismatch, match="expected 2 internal coordinates, got 3"):
+        make_sublattice(S, U_BASIS).to_ambient((1, 0, 0))
+    with pytest.raises(DimensionMismatch, match="expected 0 internal coordinates, got 1"):
+        empty.to_ambient((1,))
+
+
 def test_sublattice_rejects_dependent_basis():
     with pytest.raises(RankDeficient):
         make_sublattice(U, ((1, 0), (2, 0)))
@@ -252,10 +275,43 @@ def test_saturate_examples():
     assert same_sublattice(saturate(two_e), make_sublattice(U, ((1, 0),)))
     sk = make_sublattice(S, ((1, 1, 0), (0, 0, 2)))
     assert same_sublattice(saturate(sk), make_sublattice(S, ((1, 1, 0), (0, 0, 1))))
+    assert saturation_index(sk) == 2  # the first HNF pivot is 1, the second 2
     u = make_sublattice(S, U_BASIS)
-    assert same_sublattice(saturate(u), u)
+    assert saturate(u) is u
     assert saturation_index(u) == 1
     assert saturation_index(two_e) == 2
+
+
+def test_saturate_keeps_primitive_and_matches_minor_gcd():
+    rng = random.Random(43)
+    primitive = non_primitive = late_pivot = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        L = make_lattice(la.identity(n))
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        if basis and la.integer_rank(la.transpose(basis)) != len(basis):
+            continue
+        if basis and rng.random() < 0.3:
+            j = rng.randrange(len(basis))
+            basis[j] = tuple(2 * c for c in basis[j])
+        k = make_sublattice(L, basis)
+        index = oracles.sympy_maximal_minor_gcd(basis)
+        assert saturation_index(k) == index, basis
+        sat = saturate(k)
+        if index == 1:
+            primitive += 1
+            assert sat is k
+            continue
+        non_primitive += 1
+        # the double integer kernel, as saturate has always built it
+        left = la.kernel(k.basis, ncols=n)
+        assert sat.basis == (la.kernel(left, ncols=n) if left else la.identity(n))
+        assert sublattice_index_from_bases(sat.basis, k.basis) == index
+        first_row_gcd = 0
+        for c in basis[0]:
+            first_row_gcd = la.xgcd(first_row_gcd, c)[0]
+        late_pivot += first_row_gcd == 1
+    assert primitive >= 50 and non_primitive >= 50 and late_pivot >= 10
 
 
 def test_sublattice_index():
