@@ -2,9 +2,11 @@
 
 Matrices are immutable tuples of tuples of Python ints; nothing here ever
 touches floating point, and every routine but rational_inverse (whose
-result has rational entries) runs on ints alone.  The routines this package
-leans on are a fraction-free Bareiss determinant, a column-style Hermite
-normal form with recorded transform, a Smith normal form with its column
+result has rational entries) runs on ints alone.  No code in the package
+calls rational_inverse: the tests keep it as a rational reference, and the
+perfbench span tracer reads it by name.  The routines this package leans
+on are a fraction-free Bareiss determinant, a column-style Hermite normal
+form with recorded transform, a Smith normal form with its column
 transform, and one fraction-free symmetric LDL^t elimination (ldl).  Its
 leading minors give the inertia, and on a definite Gram matrix they and
 its scaled multipliers are the integral Gram-Schmidt data that the

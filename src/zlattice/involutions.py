@@ -14,7 +14,6 @@ degeneracy scan reads its obstruction off the discriminant forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 from operator import mul
 
 from . import intlinalg as la
@@ -54,44 +53,40 @@ from .roots import bounded_vectors_of_norm, vectors_of_norm
 class IntegralInvolution:
     """A matrix psi with psi^2 = id and psi^t G psi = G, acting on columns.
 
-    fixed and anti, the integer kernels of psi -+ id, are built once here.
-    An integer kernel is saturated, so both are primitive; being derived,
-    they take no part in equality, hashing or repr.
+    A plain frozen record, built by make_involution, which checks the
+    matrix and computes fixed and anti, the integer kernels of psi -+ id,
+    once.  An integer kernel is saturated, so both are primitive; being
+    derived, they take no part in equality, hashing or repr.
     """
 
     ambient: Lattice
     matrix: la.Mat
-    fixed: SublatticeEmbedding = field(init=False, repr=False, compare=False)
-    anti: SublatticeEmbedding = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.ambient.rank
-        m = tuple(tuple(_as_int(x) for x in row) for row in self.matrix)
-        if len(m) != n or any(len(row) != n for row in m):
-            raise DimensionMismatch(
-                f"matrix is not {n} x {n}"
-            )
-        object.__setattr__(self, "matrix", m)
-        if la.mat_mul(m, m) != la.identity(n):
-            raise NotInvolution("matrix squared is not the identity")
-        g = self.ambient.gram
-        if la.mat_mul(la.mat_mul(la.transpose(m), g), m) != g:
-            raise NotIsometry("matrix does not preserve the Gram matrix")
-        for name, sign in (("fixed", -1), ("anti", 1)):
-            shifted = tuple(
-                tuple(x + sign * (i == j) for j, x in enumerate(row))
-                for i, row in enumerate(m)
-            )
-            object.__setattr__(
-                self, name, SublatticeEmbedding(self.ambient, la.kernel(shifted, ncols=n))
-            )
+    fixed: SublatticeEmbedding = field(repr=False, compare=False)
+    anti: SublatticeEmbedding = field(repr=False, compare=False)
 
     def __call__(self, x) -> Vec:
         return la.mat_vec(self.matrix, check_vector(self.ambient, x))
 
 
 def make_involution(L: Lattice, m) -> IntegralInvolution:
-    return IntegralInvolution(L, tuple(tuple(row) for row in m))
+    """Check outside input: an integer isometry of L squaring to the identity."""
+    n = L.rank
+    m = tuple(tuple(_as_int(x) for x in row) for row in m)
+    if len(m) != n or any(len(row) != n for row in m):
+        raise DimensionMismatch(f"matrix is not {n} x {n}")
+    if la.mat_mul(m, m) != la.identity(n):
+        raise NotInvolution("matrix squared is not the identity")
+    g = L.gram
+    if la.mat_mul(la.mat_mul(la.transpose(m), g), m) != g:
+        raise NotIsometry("matrix does not preserve the Gram matrix")
+    eigen = []  # fixed, then anti
+    for sign in (-1, 1):
+        shifted = tuple(
+            tuple(x + sign * (i == j) for j, x in enumerate(row))
+            for i, row in enumerate(m)
+        )
+        eigen.append(SublatticeEmbedding(L, la.kernel(shifted, ncols=n)))
+    return IntegralInvolution(L, m, *eigen)
 
 
 def eigenlattices(psi: IntegralInvolution) -> tuple[SublatticeEmbedding, SublatticeEmbedding]:
@@ -285,19 +280,22 @@ class DegeneracyScanResult:
 def _doubled_projector(s: SublatticeEmbedding) -> tuple[la.Mat, int]:
     """(P, den) with 2 proj_S(v) = P v / den for every ambient vector v.
 
-    proj_S(v) = B^t G_S^{-1} B G v for the basis rows B of S, so P is
-    2 B^t G_S^{-1} B G scaled by the lcm den of its denominators; S must
-    be nondegenerate.  Then 2 proj_S(v) is integral exactly when den
-    divides every entry of P v.
+    proj_S(v) = B^t G_S^{-1} B G v for the basis rows B of S; S must be
+    nondegenerate.  With den = |det G_S|, adj = den G_S^{-1} is an integer
+    matrix whose column i is the one integer solution of G_S x = den e_i,
+    so P = 2 B^t adj B G is integral.  Then 2 proj_S(v) is integral
+    exactly when den divides every entry of P v.
     """
-    n = s.ambient.rank
-    if s.rank == 0:
+    n, k = s.ambient.rank, s.rank
+    if k == 0:
         return ((0,) * n,) * n, 1
+    gs = s.induced_gram()
+    den = abs(la.bareiss_det(gs))
+    # adj is symmetric, so its columns serve as its rows
+    adj = tuple(la.solve_int(gs, tuple(den * (i == j) for j in range(k))) for i in range(k))
     pair_rows = tuple(la.mat_vec(s.ambient.gram, b) for b in s.basis)
-    coeffs = la.mat_mul(la.rational_inverse(s.induced_gram()), pair_rows)
-    twice = [[2 * c for c in row] for row in la.mat_mul(s.matrix, coeffs)]
-    den = lcm(*(c.denominator for row in twice for c in row))
-    return tuple(tuple(int(c * den) for c in row) for row in twice), den
+    p = la.mat_mul(s.matrix, la.mat_mul(adj, pair_rows))
+    return tuple(tuple(2 * c for c in row) for row in p), den
 
 
 def _glue_obstructed(s: SublatticeEmbedding) -> bool:

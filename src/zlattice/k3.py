@@ -36,7 +36,6 @@ from .lattices import (
     inner_product,
     is_even,
     lattice_from_json_dict,
-    make_sublattice,
     orthogonal_complement,
     signature,
     standard_lattice,
@@ -60,47 +59,46 @@ RECORDED_COVERING_DATA_311 = "branch class meets e once and f twice upstairs"
 
 @dataclass(frozen=True)
 class PicardModel:
-    """Even hyperbolic lattice of rank <= 20 with marked vectors e, f, a0."""
+    """Even hyperbolic lattice of rank <= 20 with marked vectors e, f, a0.
+
+    A plain frozen record, checked by make_picard_model.  The marked Gram
+    has det 2 and u's det -1, so both sublattices below are independent.
+    """
 
     lattice: Lattice
     a0: Vec
     e: Vec
     f: Vec
 
-    def __post_init__(self):
-        L = self.lattice
-        for fieldname in ("a0", "e", "f"):
-            object.__setattr__(
-                self, fieldname, check_vector(L, getattr(self, fieldname))
-            )
-        if not is_even(L):
-            odd = next(i for i in range(L.rank) if L.gram[i][i] % 2)
-            raise NotEven(f"diagonal entry gram[{odd}][{odd}] is odd")
-        sig = signature(L)
-        if sig != (1, L.rank - 1, 0):
-            raise NotHyperbolic(f"signature {sig} is not (1, {L.rank - 1}, 0)")
-        marked = (self.e, self.f, self.a0)
-        for i in range(3):
-            for j in range(3):
-                got = inner_product(L, marked[i], marked[j])
-                if got != MARKED_GRAM[i][j]:
-                    names = ("e", "f", "a0")
-                    raise WrongGramOnMarkedVectors(
-                        f"{names[i]}.{names[j]} = {got}, expected {MARKED_GRAM[i][j]}"
-                    )
-        if L.rank > 20:
-            raise RankExceeds20(f"rank {L.rank} exceeds 20")
-
     def marked_sublattice(self) -> SublatticeEmbedding:
-        return make_sublattice(self.lattice, [self.e, self.f, self.a0])
+        return SublatticeEmbedding(self.lattice, (self.e, self.f, self.a0))
 
     def u_sublattice(self) -> SublatticeEmbedding:
         epf = tuple(a + b for a, b in zip(self.e, self.f))
-        return make_sublattice(self.lattice, [self.a0, epf])
+        return SublatticeEmbedding(self.lattice, (self.a0, epf))
 
 
 def make_picard_model(N: Lattice, a0, e, f) -> PicardModel:
-    return PicardModel(N, tuple(a0), tuple(e), tuple(f))
+    """Check outside input: N even, hyperbolic, rank <= 20; (e, f, a0) on MARKED_GRAM."""
+    a0, e, f = (check_vector(N, v) for v in (a0, e, f))
+    if not is_even(N):
+        odd = next(i for i in range(N.rank) if N.gram[i][i] % 2)
+        raise NotEven(f"diagonal entry gram[{odd}][{odd}] is odd")
+    sig = signature(N)
+    if sig != (1, N.rank - 1, 0):
+        raise NotHyperbolic(f"signature {sig} is not (1, {N.rank - 1}, 0)")
+    marked = (e, f, a0)
+    for i in range(3):
+        for j in range(3):
+            got = inner_product(N, marked[i], marked[j])
+            if got != MARKED_GRAM[i][j]:
+                names = ("e", "f", "a0")
+                raise WrongGramOnMarkedVectors(
+                    f"{names[i]}.{names[j]} = {got}, expected {MARKED_GRAM[i][j]}"
+                )
+    if N.rank > 20:
+        raise RankExceeds20(f"rank {N.rank} exceeds 20")
+    return PicardModel(N, a0, e, f)
 
 
 def is_nondegenerate(model: PicardModel) -> tuple[bool, tuple[Vec, ...]]:

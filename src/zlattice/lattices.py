@@ -5,6 +5,11 @@ vectors are coordinate tuples relative to the lattice's fixed basis.  There
 is no global coordinate registry: a sublattice always carries its ambient
 lattice explicitly, and its basis vectors are written in ambient
 coordinates.
+
+Lattice and SublatticeEmbedding are plain frozen records: make_lattice,
+make_sublattice, standard_lattice and lattice_from_json_dict check outside
+input, and every lattice and embedding derived here (induced lattices,
+direct sums, complements, saturations) is valid by construction.
 """
 
 from __future__ import annotations
@@ -55,20 +60,6 @@ class Lattice:
     gram: Mat
     name: str | None = None
 
-    def __post_init__(self):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in self.gram)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise NotSquare(f"row {i} has length {len(row)}, expected {n}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise NotSymmetric(
-                        f"gram[{i}][{j}] = {rows[i][j]} but gram[{j}][{i}] = {rows[j][i]}"
-                    )
-        object.__setattr__(self, "gram", rows)
-
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -80,12 +71,6 @@ class SublatticeEmbedding:
 
     ambient: Lattice
     basis: tuple[Vec, ...]
-
-    def __post_init__(self):
-        vecs = tuple(check_vector(self.ambient, v) for v in self.basis)
-        object.__setattr__(self, "basis", vecs)
-        if vecs and la.integer_rank(self.matrix) != len(vecs):
-            raise RankDeficient("basis vectors are linearly dependent")
 
     @property
     def rank(self) -> int:
@@ -125,11 +110,27 @@ class SublatticeEmbedding:
 
 
 def make_lattice(gram, name: str | None = None) -> Lattice:
-    return Lattice(tuple(tuple(row) for row in gram), name)
+    """Check outside input: a square, symmetric integer Gram matrix."""
+    rows = tuple(tuple(_as_int(x) for x in row) for row in gram)
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NotSquare(f"row {i} has length {len(row)}, expected {n}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise NotSymmetric(
+                    f"gram[{i}][{j}] = {rows[i][j]} but gram[{j}][{i}] = {rows[j][i]}"
+                )
+    return Lattice(rows, name)
 
 
 def make_sublattice(ambient: Lattice, basis) -> SublatticeEmbedding:
-    return SublatticeEmbedding(ambient, tuple(tuple(v) for v in basis))
+    """Check outside input: independent integer vectors of the ambient rank."""
+    vecs = tuple(check_vector(ambient, v) for v in basis)
+    if vecs and la.integer_rank(la.transpose(vecs)) != len(vecs):
+        raise RankDeficient("basis vectors are linearly dependent")
+    return SublatticeEmbedding(ambient, vecs)
 
 
 def inner_product(L: Lattice, x, y) -> int:

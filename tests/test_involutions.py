@@ -43,6 +43,7 @@ from zlattice import (
     make_involution,
     make_lattice,
     make_sublattice,
+    model_degeneracy_scan,
     norm,
     orthogonal_complement,
     period_domain_summary,
@@ -77,6 +78,36 @@ def test_make_involution_examples():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert "fixed" not in repr(a) and "anti" not in repr(a)
     assert a != make_involution(uu, la.identity(4))
+
+
+def test_derived_values_are_not_checked_again(monkeypatch):
+    # make_* check outside input once; what the library derives from a
+    # checked value is valid by construction and never re-proves its
+    # independence with integer_rank
+    uu = direct_sum(U, U)
+    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    sk = make_sublattice(S, ((1, 1, 0), (0, 0, 2)))  # not primitive
+    sc = make_sublattice(lk3(), s_copy_basis())
+    psi_s, model = psi_split(), n4_model()
+
+    def derive():
+        psi = make_involution(uu, swap)
+        return (psi, psi.fixed.basis, psi.anti.basis,
+                orthogonal_complement(sk).basis, saturate(sk).basis,
+                period_domain_summary(psi_s, sc), model_degeneracy_scan(model, 2))
+
+    expected = derive()
+
+    class Rechecked(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Rechecked
+
+    monkeypatch.setattr(la, "integer_rank", refuse)
+    assert derive() == expected
+    with pytest.raises(Rechecked):
+        make_sublattice(S, ((1, 0, 0),))
 
 
 def test_make_involution_rejections():

@@ -17,6 +17,7 @@ from zlattice import (
     determinant,
     direct_sum,
     inner_product,
+    is_definite,
     is_even,
     is_hyperbolic,
     lattice_from_json_dict,
@@ -115,6 +116,30 @@ def test_signature_matches_sympy_on_random_symmetric():
                 m[i][j] = m[j][i] = rng.randint(-6, 6)
         L = make_lattice(tuple(tuple(r) for r in m))
         assert signature(L) == oracles.sympy_inertia(m)
+
+
+def test_is_definite_examples_and_sympy():
+    for L in (E8M, standard_lattice("A1(-1)"), make_lattice(((2,),))):
+        assert is_definite(L)
+    for L in (U, make_lattice(((0,),)), standard_lattice("PicY")):
+        assert not is_definite(L)
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            # +-A^t A: definite unless A is singular
+            sign = rng.choice((-1, 1))
+            m = [[sign * sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            m = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        p, q, z = oracles.sympy_inertia(m)
+        got = is_definite(make_lattice(m))
+        assert got == (z == 0 and (p == 0 or q == 0))
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def _random_unimodular(rng, n, steps=8):
