@@ -157,25 +157,16 @@ def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
     The basis is primitive: it spans the full kernel sublattice, since it
     comes from the unimodular transform of a Hermite reduction.
     """
-    nc = len(m[0]) if m else ncols
-    if nc is None:
-        raise ValueError("ncols required for a matrix with no rows")
-    if not m:
-        return tuple(identity(nc))
     h, u = hnf_with_transform(m, ncols)
+    nc = len(u)
     rank = sum(1 for c in range(nc) if any(row[c] for row in h))
     return tuple(tuple(u[r][c] for r in range(nc)) for c in range(rank, nc))
 
 
 def solve_int(m, v, ncols: int | None = None) -> Vec | None:
     """One integer solution x of M x = v, or None if none exists."""
-    nc = len(m[0]) if m else ncols
-    if nc is None:
-        raise ValueError("ncols required for a matrix with no rows")
-    if not m:
-        return tuple([0] * nc)
     h, u = hnf_with_transform(m, ncols)
-    nr = len(m)
+    nr, nc = len(m), len(u)
     # pivot row of column c is its topmost nonzero entry
     y = [0] * nc
     col = 0

@@ -46,7 +46,7 @@ from .lattices import (
     orthogonal_complement,
     saturate,
 )
-from .roots import bounded_vectors_of_norm, vectors_of_norm
+from .roots import _check_bound, bounded_vectors_of_norm, vectors_of_norm
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,8 @@ class MembershipResult:
 def _scan_key(v: Vec):
     # minimal coordinate box first, then the sign convention of
     # canonical_order (positive first nonzero preferred), then lexicographic;
-    # a witness minimal for this order stays minimal when the box grows
+    # a witness minimal for this order stays minimal when the box grows, and
+    # is a representative when the witness set is negation-closed
     first = next((c for c in v if c), 0)
     return (max(map(abs, v), default=0), 0 if first > 0 else 1, v)
 
@@ -202,9 +203,11 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     The coset obstruction (d1 must lie in 2L + S-perp) is decided exactly;
     if it passes, candidates are enumerated completely when the complement
     is definite, otherwise inside the coordinate box |internal coord| <=
-    bound, and a fruitless bounded search answers "unknown".  Candidates
-    are tried in _scan_key order of their internal coordinates and the
-    first that glues is the witness, its sign normalized in ambient
+    bound, and a fruitless bounded search answers "unknown".  The hits
+    are negation-closed ((d1 - delta2)/2 = (d1 + delta2)/2 - delta2), so
+    only the representatives, the first half of the canonical candidate
+    list, are tried: in _scan_key order of their internal coordinates, and
+    the first that glues is the witness, its sign normalized in ambient
     coordinates.
     """
     if s.ambient.gram != L.gram:
@@ -215,8 +218,7 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     d1_norm = norm(L, d1)
     if d1_norm != -4:
         raise WrongNorm(f"d1 has square {d1_norm}, expected -4")
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
+    _check_bound(bound)
     comp = orthogonal_complement(s)
     n = L.rank
     # coset test: d1 = 2u + c with u in L, c in the complement
@@ -229,26 +231,20 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     )
     if la.solve_int(stacked, d1) is None:
         return MembershipResult("no", None)
-    if comp.rank == 0:
-        return MembershipResult("no", None)
     inner = comp.induced_lattice()
     try:
-        cands = vectors_of_norm(inner, -4).vectors
-        exhaustive = True
+        found = vectors_of_norm(inner, -4)
     except SignMismatch:
         return MembershipResult("no", None)
     except NotDefinite:
-        cands = bounded_vectors_of_norm(inner, -4, bound).vectors
-        exhaustive = False
-    for c in sorted(cands, key=_scan_key):
+        found = bounded_vectors_of_norm(inner, -4, bound)
+    for c in sorted(found.vectors[: found.count // 2], key=_scan_key):
         witness = comp.to_ambient(c)
         if all((a + b) % 2 == 0 for a, b in zip(d1, witness)):
-            # the hit set is negation-closed ((d1 - delta2)/2 = (d1 +
-            # delta2)/2 - delta2), so the reported sign is normalized
             if next((x for x in witness if x), 0) < 0:
                 witness = tuple(-x for x in witness)
             return MembershipResult("yes", witness)
-    return MembershipResult("no" if exhaustive else "unknown", None)
+    return MembershipResult("no" if found.complete else "unknown", None)
 
 
 @dataclass(frozen=True)
@@ -321,14 +317,16 @@ def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracySca
     """The coordinate-box search of da_degeneracy_scan, without the glue
     obstruction in front: "degenerate" or "no-witness-within-bound".
 
-    Candidates are tried in _scan_key order and the first that splits is
-    the witness.  With d1 = 2 proj_S(delta), delta.d1 = 2 proj_S(delta)^2
-    = d1^2/2, and d2 = 2 delta - d1 has d2^2 = 4 delta^2 - d1^2 = -8 -
-    d1^2; so d1^2 = d2^2 = -4 exactly when delta.d1 = -2.
+    Witnesses are negation-closed (-delta splits as -d1, -d2), so only the
+    representatives, the first half of the canonical list (no zero vector
+    at norm -2), are tried in _scan_key order; the first that splits is the
+    witness.  With d1 = 2 proj_S(delta), delta.d1 = 2 proj_S(delta)^2 =
+    d1^2/2, and d2 = 2 delta - d1 has d2^2 = 4 delta^2 - d1^2 = -8 - d1^2;
+    so d1^2 = d2^2 = -4 exactly when delta.d1 = -2.
     """
     proj, den = _doubled_projector(s)
-    candidates = bounded_vectors_of_norm(L, -2, bound).vectors
-    for delta in sorted(candidates, key=_scan_key):
+    found = bounded_vectors_of_norm(L, -2, bound)
+    for delta in sorted(found.vectors[: found.count // 2], key=_scan_key):
         scaled = la.mat_vec(proj, delta)
         if any(c % den for c in scaled):
             continue
@@ -352,16 +350,16 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     nondegenerate.  Each candidate costs one integer matrix-vector product
     and a divisibility test for delta1, then one integer pairing: delta1
     and delta2 = 2 delta - delta1 both have square -4 exactly when
-    delta.delta1 = -2.  Candidates are tried in _scan_key order, so the
-    witness is the first hit and minimizes (coordinate box, sign,
-    lexicographic), which makes the result stable when bound grows.
+    delta.delta1 = -2.  Only representatives (first nonzero coordinate
+    positive) are tried, in _scan_key order, so the witness is the first
+    hit and minimizes (coordinate box, sign, lexicographic) over all
+    witnesses, which makes the result stable when bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
     if s.rank and la.bareiss_det(s.induced_gram()) == 0:
         raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
+    _check_bound(bound)
     if _glue_obstructed(s):
         return DegeneracyScanResult("no-witness", None, None, None)
     return _box_search(L, s, bound)

@@ -185,12 +185,7 @@ def orthogonal_complement(k: SublatticeEmbedding) -> SublatticeEmbedding:
     matrix, hence saturated.
     """
     L = k.ambient
-    if k.rank == 0:
-        basis = tuple(la.identity(L.rank))
-    else:
-        pairing = la.mat_mul(la.transpose(k.matrix), L.gram)
-        basis = la.kernel(pairing, ncols=L.rank)
-    return SublatticeEmbedding(L, basis)
+    return SublatticeEmbedding(L, la.kernel(la.mat_mul(k.basis, L.gram), ncols=L.rank))
 
 
 def _hnf_pivots(k: SublatticeEmbedding) -> tuple[int, ...]:

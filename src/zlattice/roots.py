@@ -12,7 +12,10 @@ _MAX_FP_NODES nodes raises EnumerationOverflow.  Indefinite lattices can
 only be scanned inside an explicit coordinate box, and the result says so.
 The box scan also runs on Python ints only: it walks the trailing
 coordinates with the same loop and completes each of them by looking up
-the first two in a table of their contributions to the norm.
+the first two in a table of their contributions to the norm.  Both
+searches emit one member of each +-v pair, and canonical_order alone writes
+the negatives, after the representatives; a negation-closed witness set
+has its first hit among those, so the witness searches try only them.
 """
 
 from __future__ import annotations
@@ -58,20 +61,21 @@ class EnumerationResult:
 
 
 def canonical_order(vectors) -> tuple[Vec, ...]:
-    """Deterministic order for a negation-closed vector set.
+    """Deterministic order for the negation closure of a vector set, which
+    may hold one or both members of each +-v pair, repeated or not.
 
     Representatives (first nonzero coordinate positive) in ascending
     lexicographic order, then the zero vector if present, then the negated
-    representatives in descending order.  Each representative precedes its
-    negative, and reversing the list then negating every entry reproduces
-    it exactly.
+    representatives in descending order; only here are negatives written.
+    Reversing the list then negating every entry reproduces it exactly.
     """
-    uniq = set(map(tuple, vectors))
-    zero = (0,) * len(next(iter(uniq), ()))
+    vs = list(map(tuple, vectors))
+    zero = (0,) * len(vs[0]) if vs else ()
     # a tuple exceeds zero exactly when its first nonzero coordinate is positive
-    reps = sorted(v for v in uniq if v > zero)
-    mid = [zero] if zero in uniq else []
-    return tuple(reps + mid + [tuple(-c for c in v) for v in reversed(reps)])
+    reps = {v if v >= zero else tuple(map(neg, v)) for v in vs}
+    mid = [zero] if zero in reps else []
+    reps = sorted(reps - {zero})
+    return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
 
 
 def _make_result(vectors, complete: bool) -> EnumerationResult:
@@ -101,9 +105,10 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     sum_i w_i y_i^2 = scale * target.  The coordinates are bounded one at
     a time from the last one down, |y_i| <= isqrt(rem // w_i), and the
     first one is solved for.  Only x whose last nonzero coordinate is
-    positive are visited; -v is emitted next to each v.  Every coordinate
-    value fixed, a solved first one included, counts as a node; past
-    _MAX_FP_NODES the search raises EnumerationOverflow.
+    positive are visited, so one v per +-v pair is emitted (canonical_order
+    writes the negatives).  Every coordinate value fixed, a solved first one
+    included, counts as a node; past _MAX_FP_NODES the search raises
+    EnumerationOverflow.
     """
     n = len(d)
     # g[i] carries the sign of d[i], so s[i] > 0
@@ -138,9 +143,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                         x0, k = divmod(y - ti, s[0])
                         if not k and (x0 > 0 or free):
                             nodes += 1
-                            v = tuple(a + x0 * b for a, b in zip(part[1], basis[0]))
-                            found.append(v)
-                            found.append(tuple(map(neg, v)))
+                            found.append(tuple(a + x0 * b for a, b in zip(part[1], basis[0])))
                     if nodes > cap:
                         raise _node_overflow(nodes, n)
                 i = 1
@@ -172,7 +175,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
 
 
 def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
-    """Every vector sum_i x_i basis[i] with x^t gram x = m, unordered.
+    """One of each +-pair of v = sum_i x_i basis[i], x^t gram x = m, unordered.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data, which serves a negative definite
@@ -223,7 +226,7 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     """
     ortho = [check_vector(L, o) for o in ortho]
     rows = [la.mat_vec(L.gram, o) for o in ortho]
-    basis = la.kernel(rows, ncols=L.rank) if rows else la.identity(L.rank)
+    basis = la.kernel(rows, ncols=L.rank)
     gram = la.mat_mul(la.mat_mul(basis, L.gram), la.transpose(basis))
     try:
         vecs = _definite_vectors(gram, m, basis, None)
@@ -235,8 +238,15 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     return _make_result(vecs, True)
 
 
+def _check_bound(bound) -> None:
+    """Reject a box bound that is not an int >= 1 (a bool is not one)."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise ValueError("bound must be a positive integer")
+
+
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
-    """Every x with max |x_i| <= bound and x^t gram x = m, unordered.
+    """Every x >= zero (one of each +-pair) with max |x_i| <= bound and
+    x^t gram x = m, unordered; canonical_order writes the negatives.
 
     The first k = min(n, 2) coordinates are the head, the rest the tail;
     k is lowered while a single head table would exceed _MAX_HEAD_CELLS
@@ -247,16 +257,19 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     tail are the entries under m - tail norm in the table of
     h(head) + 2 head.p over the head box, built the first time its key p
     occurs.  At most _MAX_HEAD_CELLS table entries are held at once: a full
-    cache is emptied before the next table goes in.
+    cache is emptied before the next table goes in.  Only heads >= zero
+    enter the tables, and a zero head completes only a tail >= zero.
     """
     n = len(gram)
     side = range(-bound, bound + 1)
     k = min(n, 2)
     while len(side) ** k > _MAX_HEAD_CELLS:
         k -= 1
+    zero = (0,) * n
     quad = [
         (head, sum(a * gram[i][j] * b for i, a in enumerate(head) for j, b in enumerate(head)))
         for head in product(side, repeat=k)
+        if head >= zero[:k]
     ]
     if k == n:
         return [head for head, h in quad if h == m]
@@ -290,7 +303,7 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
                 heads = table.get(rem - xk * twice - sq)
                 if heads:
                     rest = (xk, *x[k + 1 :])
-                    hits.extend(head + rest for head in heads)
+                    hits.extend(v for v in (head + rest for head in heads) if v >= zero)
             i += 1
             enter = False
             continue
@@ -317,8 +330,7 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
     box-limited (complete=False).  Raises EnumerationOverflow rather than
     attempting a scan with an astronomical cell count.
     """
-    if bound < 1:
-        raise ValueError("bound must be a positive integer")
+    _check_bound(bound)
     n = L.rank
     side = 2 * bound + 1
     cells = side ** n

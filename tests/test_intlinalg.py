@@ -125,6 +125,10 @@ def test_kernel_is_saturated():
     # a scaled relation must come back primitive
     ker2 = la.kernel(((4, -2),))
     assert ker2 == ((1, 2),)
+    # no rows: everything is in the kernel, and the width must be given
+    assert la.kernel((), ncols=2) == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="ncols required"):
+        la.kernel(())
 
 
 def test_solve_int_roundtrip_and_unsolvable():
@@ -141,6 +145,8 @@ def test_solve_int_roundtrip_and_unsolvable():
     assert la.solve_int(((2,),), (1,)) is None
     assert la.solve_int(((2, 4), (0, 0)), (1, 3)) is None
     assert la.solve_int((), (), ncols=2) == (0, 0)
+    with pytest.raises(ValueError, match="ncols required"):
+        la.solve_int((), ())
 
 
 # --- SNF ---

@@ -265,6 +265,9 @@ def test_delta4_no_room_when_s_is_everything():
     assert norm(L, d1) == -4
     res = delta4_membership(L, full, d1, 5)
     assert res.status == "no"
+    # d1 in 2L passes the coset test; the rank-0 complement holds nothing
+    one = make_lattice(((-1,),))
+    assert delta4_membership(one, make_sublattice(one, ((1,),)), (2,), 1).status == "no"
 
 
 def test_delta4_glue_class_absent_in_plain_sum():
@@ -306,8 +309,9 @@ def test_delta4_validation():
         delta4_membership(L, Ssub, (4, -2), 3)  # in S, but norm -16
     with pytest.raises(NotInSublattice):
         delta4_membership(L, Ssub, (0, 2), 3)
-    with pytest.raises(ValueError):
-        delta4_membership(L, Ssub, OVER44_D1, 0)
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            delta4_membership(L, Ssub, OVER44_D1, bad)
     other = make_sublattice(make_lattice(PLAIN44_GRAM), ((1, 0),))
     with pytest.raises(EmbeddingMismatch):
         delta4_membership(L, other, (1, 0), 3)
@@ -591,6 +595,16 @@ def test_da_scan_rejects_degenerate_sublattice():
     iso = make_sublattice(U, ((1, 0),))
     with pytest.raises(DegenerateSublattice):
         da_degeneracy_scan(U, iso, 2)
+
+
+def test_da_scan_bound_validation():
+    # checked before the glue obstruction, which would answer "no-witness"
+    model = __import__("helpers").s311_model()
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            model_degeneracy_scan(model, bad)
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            da_degeneracy_scan(n4_model().lattice, n4_sprime(), bad)
 
 
 # --- file format ---

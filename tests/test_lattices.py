@@ -271,6 +271,9 @@ def test_orthogonal_complement_examples():
     assert cf.rank == 2
     assert determinant(cf.induced_lattice()) == -1
 
+    # the complement of the zero sublattice is everything
+    assert orthogonal_complement(make_sublattice(S, ())).basis == la.identity(3)
+
 
 def test_orthogonal_complement_properties():
     rng = random.Random(43)

@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction
+from operator import neg
 
 import pytest
 
@@ -110,6 +111,19 @@ def test_canonical_order_function_is_idempotent():
     assert canonical_order(vs) == vs
 
 
+def test_canonical_order_writes_the_negatives():
+    # any one member of each pair, in any order, gives the full list
+    vs = vectors_of_norm(E8M, -2).vectors
+    rng = random.Random(5)
+    half = [v if rng.random() < 0.5 else tuple(map(neg, v)) for v in vs[: len(vs) // 2]]
+    rng.shuffle(half)
+    assert any(next(c for c in v if c) < 0 for v in half)
+    assert canonical_order(half) == vs
+    assert canonical_order(half + list(vs)) == vs
+    assert canonical_order([(0, 0), (0, -1)]) == ((0, 1), (0, 0), (0, -1))
+    assert canonical_order([]) == ()
+
+
 # --- constrained enumeration ---
 
 
@@ -197,11 +211,16 @@ def test_box_scan_matches_bruteforce_oracle():
         expect = oracles.brute_box_vectors(m, target, bound)
         assert set(got.vectors) == set(expect)
         assert got.count == len(expect)
+        # the scan itself emits each +- pair once, and the zero vector
+        zero = (0,) * len(m)
+        assert sorted(roots._box_scan(L.gram, target, bound)) == [v for v in expect if v >= zero]
+    assert any(target == 0 for _, target, _ in cases)
 
 
 def test_box_scan_bound_validation():
-    with pytest.raises(ValueError):
-        bounded_vectors_of_norm(U, -2, 0)
+    for bad in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="bound must be a positive integer"):
+            bounded_vectors_of_norm(U, -2, bad)
 
 
 def test_box_scan_overflow_guard():
@@ -277,6 +296,10 @@ def test_enumeration_equals_a_priori_box_oracle(sign):
                 gram, target, oracles.coordinate_bound(gram, target)))
             for use_lll in (False, True):
                 assert vectors_of_norm(L, target, use_lll=use_lll).vectors == expect
+                # the search emits one member of each pair
+                raw = roots._definite_vectors(gram, target, la.identity(n), use_lll)
+                assert len(set(raw)) == len(raw) == len(expect) // 2
+                assert not set(raw) & {tuple(map(neg, v)) for v in raw}
             ortho = tuple(rng.randint(-1, 1) for _ in range(n))
             perp = [v for v in expect if inner_product(L, v, ortho) == 0]
             assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
