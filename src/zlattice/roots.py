@@ -5,11 +5,17 @@ the fraction-free LDL^t factorization of the Gram matrix (intlinalg.ldl),
 the same single factorization that decides definiteness.  The search reads
 its integer column scales and weights straight from the leading minors and
 scaled multipliers of that factorization, so it runs on Python ints only
-(each coordinate bounded with isqrt), and it writes every vector directly
-in the caller's basis: the lattice's own, the one before LLL, or the ambient
-coordinates of an orthogonal complement.  A search that passes
-_MAX_FP_NODES nodes raises EnumerationOverflow.  Indefinite lattices can
-only be scanned inside an explicit coordinate box, and the result says so.
+(each coordinate bounded with isqrt).  The last two levels run as one loop
+over x_1 that solves for x_0.  Without LLL a vector of the lattice is its
+coefficient vector, written as it is found; after LLL, or in the ambient
+coordinates of an orthogonal complement, the search keeps partial sums of
+the basis vectors and writes every vector directly in the caller's basis.
+Each coordinate value fixed at a level above the first and each emitted
+solution counts as a node, and a search that passes _MAX_FP_NODES nodes
+raises EnumerationOverflow.  A norm that is not an int, or a box bound that
+is not a positive one, is refused before any search.  Indefinite lattices
+can only be scanned inside an explicit coordinate box, and the result says
+so.
 The box scan also runs on Python ints only: it walks the trailing
 coordinates with the same loop and completes each of them by looking up
 the first two in a table of their contributions to the norm.  Both
@@ -94,6 +100,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     """All v = sum_i x_i basis[i] over integer x with x^t G x = target,
     where (d, lam) = ldl(G) for a definite G (no d[i] is zero and every
     d[i - 1] d[i] has G's sign) and target is positive (the absolute norm).
+    basis None stands for the identity: v is x itself.
 
     With mu[j][i] = lam[j][i] / d[i] and pivots p_i = d[i] / d[i - 1],
     |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
@@ -103,11 +110,17 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     |p_i| / s_i^2 = g_i^2 / |d[i - 1] d[i]|; scaling by the lcm `scale` of
     the weights' denominators gives integer weights w_i with
     sum_i w_i y_i^2 = scale * target.  The coordinates are bounded one at
-    a time from the last one down, |y_i| <= isqrt(rem // w_i), and the
-    first one is solved for.  Only x whose last nonzero coordinate is
-    positive are visited, so one v per +-v pair is emitted (canonical_order
-    writes the negatives).  Every coordinate value fixed, a solved first one
-    included, counts as a node; past _MAX_FP_NODES the search raises
+    a time from the last one down, |y_i| <= isqrt(rem // w_i).  Levels 1
+    and 0 share one loop: on entering level 1, t_1, the range of x_1 and
+    the part of t_0 fixed by x_2.. are computed once; each x_1 then adds
+    c01 x_1 (c01 = lam[1][0] / g_0) to that part and solves w_0 y_0^2 = rem
+    for x_0.  Rank 1 solves for x_0 alone.  Only x whose last nonzero
+    coordinate is positive are visited, so one v per +-v pair is emitted
+    (canonical_order writes the negatives).  In the identity basis v is
+    written from x directly; otherwise the levels >= 2 keep the partial
+    sums part[i] = sum_{j>=i} x_j basis[j] and v = part[2] + x_1 basis[1] +
+    x_0 basis[0].  Every coordinate value fixed at a level >= 1 and every
+    emitted x_0 counts as a node; past _MAX_FP_NODES the search raises
     EnumerationOverflow.
     """
     n = len(d)
@@ -121,49 +134,81 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     w = [gi * gi * scale // b for gi, b in zip(g, den)]
     cap = _MAX_FP_NODES
     found: list[Vec] = []
-    # level i: x[i] runs up to hi[i], levels <= i may spend rem[i + 1], and
-    # part[i + 1] = sum_{j>i} x_j basis[j]
+    if n == 1:
+        # x_0 > 0 and w_0 (s_0 x_0)^2 = scale * target
+        r = isqrt(scale * target // w[0])
+        if w[0] * r * r == scale * target and not r % s[0]:
+            x0 = r // s[0]
+            found.append((x0,) if basis is None else tuple(x0 * b for b in basis[0]))
+        if len(found) > cap:
+            raise _node_overflow(len(found), n)
+        return found
+    s0, s1, w0, w1 = s[0], s[1], w[0], w[1]
+    c01 = lam[1][0] // g[0]
+    cols0 = [(j, c) for j, c in cols[0] if j > 1]
+    # level i >= 2: x[i] runs up to hi[i], levels <= i may spend rem[i + 1],
+    # and with a basis part[i + 1] = sum_{j>i} x_j basis[j]
     x = [0] * n
     hi = [0] * n
     t = [0] * n
     rem = [0] * n + [scale * target]
-    part = [None] * n + [(0,) * len(basis[0])]
+    part = None if basis is None else [None] * n + [(0,) * len(basis[0])]
     nodes = 0
     i = n - 1
     enter = True
     while i < n:
         if enter:
             ti = t[i] = sum(c * x[j] for j, c in cols[i])
-            if i == 0:
-                r2, k = divmod(rem[1], w[0])
-                r = isqrt(r2)
-                if not k and r * r == r2:
-                    free = any(x[1:])
-                    for y in (r, -r) if r else (0,):
-                        x0, k = divmod(y - ti, s[0])
-                        if not k and (x0 > 0 or free):
-                            nodes += 1
-                            found.append(tuple(a + x0 * b for a, b in zip(part[1], basis[0])))
+            r = isqrt(rem[i + 1] // w[i])
+            free = any(x[i + 1 :])
+            lo = -((r + ti) // s[i]) if free else 0
+            hi[i] = (r - ti) // s[i]
+            if i == 1:
+                # x_1 runs and x_0 is solved for; v is (x_0, x_1, *xs) or
+                # xs + x_1 basis[1] + x_0 basis[0]
+                base0 = sum(c * x[j] for j, c in cols0)
+                rem2 = rem[2]
+                xs = tuple(x[2:]) if part is None else part[2]
+                for x1 in range(lo, hi[1] + 1):
+                    nodes += 1
                     if nodes > cap:
                         raise _node_overflow(nodes, n)
-                i = 1
+                    y = s1 * x1 + ti
+                    r2, k = divmod(rem2 - w1 * y * y, w0)
+                    if k:
+                        continue
+                    r = isqrt(r2)
+                    if r * r != r2:
+                        continue
+                    t0 = base0 + c01 * x1
+                    for y in (r, -r) if r else (0,):
+                        x0, k = divmod(y - t0, s0)
+                        if not k and (x0 > 0 or x1 or free):
+                            nodes += 1
+                            if part is None:
+                                found.append((x0, x1, *xs))
+                            else:
+                                found.append(tuple(
+                                    a + x1 * b + x0 * c for a, b, c in zip(xs, basis[1], basis[0])))
+                    if nodes > cap:
+                        raise _node_overflow(nodes, n)
+                i = 2
                 enter = False
                 continue
-            r = isqrt(rem[i + 1] // w[i])
-            lo = -((r + ti) // s[i]) if any(x[i + 1 :]) else 0
-            hi[i] = (r - ti) // s[i]
             if lo > hi[i]:
                 i += 1
                 enter = False
                 continue
             x[i] = lo
-            part[i] = tuple(a + lo * b for a, b in zip(part[i + 1], basis[i]))
+            if part is not None:
+                part[i] = tuple(a + lo * b for a, b in zip(part[i + 1], basis[i]))
         else:
             x[i] += 1
             if x[i] > hi[i]:
                 i += 1
                 continue
-            part[i] = tuple(map(add, part[i], basis[i]))
+            if part is not None:
+                part[i] = tuple(map(add, part[i], basis[i]))
         nodes += 1
         if nodes > cap:
             raise _node_overflow(nodes, n)
@@ -179,7 +224,8 @@ def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data, which serves a negative definite
-    form as it is.  basis[i] is the image of the i-th unit vector.  With
+    form as it is.  basis[i] is the image of the i-th unit vector; basis
+    None is the identity, and the search then writes each x as it is.  With
     LLL (use_lll as in vectors_of_norm) the reduced matrix T^t G T of the
     positive form is factored anew and its unit vectors map to
     transpose(T) basis.
@@ -202,8 +248,21 @@ def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
         work = gram if positive else tuple(tuple(-x for x in row) for row in gram)
         work, trans = la.lll_reduce_gram(work)
         d, lam = la.ldl(work)
-        basis = la.mat_mul(la.transpose(trans), basis)
+        trans = la.transpose(trans)
+        basis = trans if basis is None else la.mat_mul(trans, basis)
     return _fp_enumerate(d, lam, abs(m), basis)
+
+
+def _check_norm(m) -> None:
+    """Reject a norm that is not an int (a bool is not one)."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError("norm must be an integer")
+
+
+def _check_bound(bound) -> None:
+    """Reject a box bound that is not an int >= 1 (a bool is not one)."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+        raise ValueError("bound must be a positive integer")
 
 
 def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:
@@ -214,7 +273,8 @@ def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> Enumerat
     use_lll: None picks the default (reduce the Gram matrix first when the
     rank is at least 10; below that the reduction is not worth its cost).
     """
-    return _make_result(_definite_vectors(L.gram, m, la.identity(L.rank), use_lll), True)
+    _check_norm(m)
+    return _make_result(_definite_vectors(L.gram, m, None, use_lll), True)
 
 
 def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
@@ -224,6 +284,7 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     of span(ortho) (which must be definite), written directly in ambient
     coordinates by the enumeration.
     """
+    _check_norm(m)
     ortho = [check_vector(L, o) for o in ortho]
     rows = [la.mat_vec(L.gram, o) for o in ortho]
     basis = la.kernel(rows, ncols=L.rank)
@@ -236,12 +297,6 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
         # wrong-sign norm in a definite complement: simply no solutions
         vecs = []
     return _make_result(vecs, True)
-
-
-def _check_bound(bound) -> None:
-    """Reject a box bound that is not an int >= 1 (a bool is not one)."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-        raise ValueError("bound must be a positive integer")
 
 
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
@@ -330,6 +385,7 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
     box-limited (complete=False).  Raises EnumerationOverflow rather than
     attempting a scan with an astronomical cell count.
     """
+    _check_norm(m)
     _check_bound(bound)
     n = L.rank
     side = 2 * bound + 1

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from zlattice import intlinalg as la, roots
 from zlattice import (
+    E8_CARTAN,
     ComplementNotDefinite,
     EnumerationOverflow,
     NotDefinite,
@@ -223,6 +224,16 @@ def test_box_scan_bound_validation():
             bounded_vectors_of_norm(U, -2, bad)
 
 
+def test_norm_validation():
+    # refused before any search, rather than failing inside it or answering
+    for bad in (-2.0, True, "x"):
+        for call in (lambda: vectors_of_norm(E8M, bad),
+                     lambda: constrained_roots(E8M, [], bad),
+                     lambda: bounded_vectors_of_norm(E8M, bad, 1)):
+            with pytest.raises(ValueError, match="norm must be an integer"):
+                call()
+
+
 def test_box_scan_overflow_guard():
     with pytest.raises(EnumerationOverflow):
         bounded_vectors_of_norm(E8M, -2, 10**4)
@@ -288,21 +299,27 @@ def test_enumeration_equals_a_priori_box_oracle(sign):
         for _ in range(3):
             gram = _skewed_definite(rng, n, sign)
             L = make_lattice(gram)
-            # the norm of a basis vector, so the answer is never empty
-            target = min((gram[i][i] for i in range(n)), key=abs)
             d, lam = la.ldl(gram)
             fractional += any(lam[j][i] % d[i] for i in range(n) for j in range(i + 1, n))
-            expect = canonical_order(oracles.brute_box_vectors(
-                gram, target, oracles.coordinate_bound(gram, target)))
-            for use_lll in (False, True):
-                assert vectors_of_norm(L, target, use_lll=use_lll).vectors == expect
-                # the search emits one member of each pair
-                raw = roots._definite_vectors(gram, target, la.identity(n), use_lll)
-                assert len(set(raw)) == len(raw) == len(expect) // 2
-                assert not set(raw) & {tuple(map(neg, v)) for v in raw}
             ortho = tuple(rng.randint(-1, 1) for _ in range(n))
-            perp = [v for v in expect if inner_product(L, v, ortho) == 0]
-            assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
+            # the norm of a basis vector, so the answer is never empty, and
+            # twice it, which gives level 1 more x_1 values and the x_0
+            # equation more pairs of roots
+            least = min((gram[i][i] for i in range(n)), key=abs)
+            for target in (least, 2 * least):
+                expect = canonical_order(oracles.brute_box_vectors(
+                    gram, target, oracles.coordinate_bound(gram, target)))
+                for use_lll in (False, True):
+                    assert vectors_of_norm(L, target, use_lll=use_lll).vectors == expect
+                    # the search emits one member of each pair, the same
+                    # list whether it writes x itself or maps it through
+                    # the identity basis
+                    raw = roots._definite_vectors(gram, target, None, use_lll)
+                    assert len(set(raw)) == len(raw) == len(expect) // 2
+                    assert not set(raw) & {tuple(map(neg, v)) for v in raw}
+                    assert roots._definite_vectors(gram, target, la.identity(n), use_lll) == raw
+                perp = [v for v in expect if inner_product(L, v, ortho) == 0]
+                assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
     assert fractional >= 6
 
 
@@ -346,11 +363,22 @@ def test_enumeration_leaves_no_reference_cycles():
 
 
 def test_node_cap_raises_overflow(monkeypatch):
-    # E8(-1) visits 416 nodes at norm -2 and 3048 at -4
+    # every x_i fixed at a level >= 1 and every emitted x_0 is one node:
+    # E8(-1) in the dual basis visits 416 nodes at norm -2 and 3048 at -4,
+    # in the simple-root basis (the negated Cartan matrix) 378 and 2695
     monkeypatch.setattr(roots, "_MAX_FP_NODES", 1000)
     assert vectors_of_norm(E8M, -2).count == 240
     with pytest.raises(EnumerationOverflow, match="reached 1001 nodes"):
         vectors_of_norm(E8M, -4)
+    roots_basis = make_lattice(tuple(tuple(-c for c in row) for row in E8_CARTAN))
+    for L, m, count, nodes in ((E8M, -2, 240, 416), (E8M, -4, 2160, 3048),
+                               (roots_basis, -2, 240, 378), (roots_basis, -4, 2160, 2695)):
+        monkeypatch.setattr(roots, "_MAX_FP_NODES", nodes)
+        assert vectors_of_norm(L, m).count == count
+        monkeypatch.setattr(roots, "_MAX_FP_NODES", nodes - 1)
+        with pytest.raises(EnumerationOverflow,
+                           match=rf"reached {nodes} nodes in rank 8 \(limit {nodes - 1}\)"):
+            vectors_of_norm(L, m)
 
 
 def test_every_vector_has_requested_norm():
