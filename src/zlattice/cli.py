@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 success; 2 malformed or invalid input file; 3 a precondition
-of the requested operation failed; 4 unknown verb or bad flags.  All
+failed or the result is too long to print; 4 unknown verb or bad flags.  All
 diagnostics go to stderr with the prefix "error:".
 
 Each verb has one executor, which computes every fact once and returns one
@@ -106,6 +106,8 @@ def _load_json_file(path: str):
         raise InvalidInputFile(f"{path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputFile(f"{path}: not valid JSON ({exc})") from None
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise InvalidInputFile(f"{path}: {exc}") from None
     except RecursionError:
         raise InvalidInputFile(f"{path}: JSON nested too deeply") from None
 
@@ -328,10 +330,12 @@ def run(argv=None) -> int:
         doc = args.execute(args, loaded)
     except LatticeError as exc:
         return _error(exc, 3)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(args.render(doc)))
+    try:
+        out = (json.dumps(doc, indent=2, sort_keys=True) if args.json
+               else "\n".join(args.render(doc)))
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        return _error(f"result too large to print: {exc}", 3)
+    print(out)
     return 0
 
 

@@ -9,9 +9,9 @@ on are a fraction-free Bareiss determinant, a column-style Hermite normal
 form with recorded transform, a Smith normal form with its column
 transform, and one fraction-free symmetric LDL^t elimination (ldl).  Its
 leading minors give the inertia, and on a definite Gram matrix they and
-its scaled multipliers are the integral Gram-Schmidt data that the
-Gram-only LLL and the Fincke-Pohst enumeration in roots both work from,
-so neither does any rational arithmetic.
+its scaled multipliers are the integral Gram-Schmidt data.  The Gram-only
+LLL factors once, keeps them current in place of a Gram matrix and returns
+them for the Fincke-Pohst search in roots; neither uses rationals.
 """
 
 from __future__ import annotations
@@ -368,50 +368,47 @@ def inertia(gram) -> tuple[int, int, int]:
     return sign_counts(ldl(gram)[0])
 
 
-def lll_reduce_gram(gram) -> tuple[Mat, Mat]:
+def lll_reduce_gram(gram) -> tuple[Mat, list[int], list[list[int]]]:
     """LLL-reduce a positive definite Gram matrix without vector coordinates.
 
-    Returns (G', T) with G' = T^t G T and T unimodular; raises ValueError
-    when an ldl minor of G is not positive.  Runs on the integral
-    Gram-Schmidt data of ldl (Cohen, Alg. 2.6.7) with delta = 3/4: the
-    multiplier mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) //
-    (2 d[j]), and the Lovasz test B_k >= (3/4 - mu^2) B_(k-1) on the
-    pivots B reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >= 3 d[k-1]^2.  Size
-    reduction updates lam in place; only a swap refactors.
+    Returns (T, d, lam): T unimodular and (d, lam) = ldl(T^t G T); raises
+    ValueError when an ldl minor of G is not positive.  After that one ldl
+    of G, the reduction (Cohen, Alg. 2.6.7, delta = 3/4) updates only T and
+    (d, lam): mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) //
+    (2 d[j]), the Lovasz test reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >=
+    3 d[k-1]^2 (d[-1] = 1), size reduction changes row k of lam, and a swap
+    of b_(k-1) and b_k updates their rows and columns by exact divisions.
     """
     n = len(gram)
-    a = [list(map(int, row)) for row in gram]
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = ldl(a)
+    d, lam = ldl(gram)
     if any(x <= 0 for x in d):
         raise ValueError("gram matrix is not positive definite")
-
-    def reduce_pair(k, j, qq):
-        # b_k -= qq * b_j
-        for i in range(n):
-            a[k][i] -= qq * a[j][i]
-        for i in range(n):
-            a[i][k] -= qq * a[i][j]
-        for r in t:
-            r[k] -= qq * r[j]
-
     k = 1
     while k < n:
         lk = lam[k]
         for j in range(k - 1, -1, -1):
             q = (2 * lk[j] + d[j]) // (2 * d[j])
             if q:
-                reduce_pair(k, j, q)
-                # lam[j][j] = d[j]: the last term takes q d[j] off lam[k][j]
+                # b_k -= q b_j; lam[j][j] = d[j] takes q d[j] off lam[k][j]
+                for r in t:
+                    r[k] -= q * r[j]
                 lk[: j + 1] = [x - q * y for x, y in zip(lk, lam[j][: j + 1])]
-        if 4 * (d[k] * (d[k - 2] if k > 1 else 1) + lk[k - 1] ** 2) >= 3 * d[k - 1] ** 2:
+        prev = d[k - 2] if k > 1 else 1
+        off = lk[k - 1]
+        if 4 * (d[k] * prev + off * off) >= 3 * d[k - 1] ** 2:
             k += 1
-        else:
-            a[k], a[k - 1] = a[k - 1], a[k]
-            for row in a:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            for r in t:
-                r[k], r[k - 1] = r[k - 1], r[k]
-            d, lam = ldl(a)
-            k = max(k - 1, 1)
-    return freeze(a), freeze(t)
+            continue
+        # swap b_(k-1) and b_k; lam[k][k-1] and d[k] stay as they are
+        for r in t:
+            r[k], r[k - 1] = r[k - 1], r[k]
+        above = lam[k - 1]
+        lk[: k - 1], above[: k - 1] = above[: k - 1], lk[: k - 1]
+        b = (prev * d[k] + off * off) // d[k - 1]
+        for row in lam[k + 1 :]:
+            s = row[k]
+            row[k] = (d[k] * row[k - 1] - off * s) // d[k - 1]
+            row[k - 1] = (b * s + off * row[k]) // d[k]
+        d[k - 1] = above[k - 1] = b
+        k = max(k - 1, 1)
+    return freeze(t), d, lam

@@ -52,6 +52,9 @@ _MAX_BOX_CELLS = 200_000_000
 # norm -6 (1,050,240 vectors) stays below it; at norm -8 it does not.
 _MAX_FP_NODES = 10_000_000
 
+# Definite searches LLL-reduce from this rank on; below, it is not worth its cost.
+_LLL_MIN_RANK = 10
+
 # Box scans hold at most this many head-table entries at once, whatever
 # the Gram entries and the bound.
 _MAX_HEAD_CELLS = 1 << 16
@@ -219,16 +222,16 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     return found
 
 
-def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
+def _definite_vectors(gram, m: int, basis) -> list[Vec]:
     """One of each +-pair of v = sum_i x_i basis[i], x^t gram x = m, unordered.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data, which serves a negative definite
     form as it is.  basis[i] is the image of the i-th unit vector; basis
-    None is the identity, and the search then writes each x as it is.  With
-    LLL (use_lll as in vectors_of_norm) the reduced matrix T^t G T of the
-    positive form is factored anew and its unit vectors map to
-    transpose(T) basis.
+    None is the identity, and the search then writes each x as it is.  From
+    rank _LLL_MIN_RANK on, the search runs instead on the (d, lam) that
+    lll_reduce_gram returns for the positive form (after a second ldl, its
+    only one), and the reduced unit vectors map to transpose(T) basis.
     """
     n = len(gram)
     if n == 0:
@@ -242,14 +245,10 @@ def _definite_vectors(gram, m: int, basis, use_lll: bool | None) -> list[Vec]:
         raise SignMismatch(
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
-    if use_lll is None:
-        use_lll = n >= 10
-    if use_lll:
+    if n >= _LLL_MIN_RANK:
         work = gram if positive else tuple(tuple(-x for x in row) for row in gram)
-        work, trans = la.lll_reduce_gram(work)
-        d, lam = la.ldl(work)
-        trans = la.transpose(trans)
-        basis = trans if basis is None else la.mat_mul(trans, basis)
+        trans, d, lam = la.lll_reduce_gram(work)
+        basis = la.transpose(trans) if basis is None else la.mat_mul(la.transpose(trans), basis)
     return _fp_enumerate(d, lam, abs(m), basis)
 
 
@@ -265,16 +264,15 @@ def _check_bound(bound) -> None:
         raise ValueError("bound must be a positive integer")
 
 
-def vectors_of_norm(L: Lattice, m: int, use_lll: bool | None = None) -> EnumerationResult:
+def vectors_of_norm(L: Lattice, m: int) -> EnumerationResult:
     """Complete list of vectors of self-intersection m in a definite lattice.
 
     Raises NotDefinite, SignMismatch for a norm of the wrong sign, and
-    EnumerationOverflow when the search passes _MAX_FP_NODES nodes.
-    use_lll: None picks the default (reduce the Gram matrix first when the
-    rank is at least 10; below that the reduction is not worth its cost).
+    EnumerationOverflow when the search passes _MAX_FP_NODES nodes.  From
+    rank _LLL_MIN_RANK on the Gram matrix is LLL-reduced first.
     """
     _check_norm(m)
-    return _make_result(_definite_vectors(L.gram, m, None, use_lll), True)
+    return _make_result(_definite_vectors(L.gram, m, None), True)
 
 
 def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
@@ -290,7 +288,7 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     basis = la.kernel(rows, ncols=L.rank)
     gram = la.mat_mul(la.mat_mul(basis, L.gram), la.transpose(basis))
     try:
-        vecs = _definite_vectors(gram, m, basis, None)
+        vecs = _definite_vectors(gram, m, basis)
     except NotDefinite as exc:
         raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:

@@ -206,6 +206,25 @@ def test_exit3_paths(files, capsys):
     assert code == 3 and err.startswith("error:")
 
 
+def test_integers_past_the_digit_limit(tmp_path, capsys):
+    # Python refuses int <-> str conversions past this many digits; an input
+    # past it is an invalid file, and a result past it fails as exit 3
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int <-> str conversion is unlimited in this interpreter")
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text('{"gram": [[' + "2" * (limit + 700) + "]]}")
+    # entries of k + 1 <= limit digits, determinant of 3 k + 1 > limit
+    b = 2 * 10 ** (limit // 3 + 66)
+    unprintable = tmp_path / "unprintable.json"
+    unprintable.write_text(json.dumps({"gram": [[b, 0, 0], [0, b, 0], [0, 0, b]]}))
+    for flags in ((), ("--json",)):
+        for path, expect in ((unreadable, 2), (unprintable, 3)):
+            code, out, err = invoke(capsys, "invariants", str(path), *flags)
+            assert (code, out) == (expect, ""), (path, flags)
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 # --- exit code 4: usage errors ---
 
 

@@ -5,6 +5,7 @@ heaviest randomized cross-checking: naive cofactor determinants, sympy
 Smith forms, and exact eigenvalue counts.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -296,16 +297,30 @@ def test_ldl_reconstructs_definite_and_signs_match_inertia():
 # --- LLL on Gram matrices ---
 
 
+def _lll_checked(g):
+    # LLL returns T and (d, lam) but not T^t G T: form it here, compare
+    # (T^t G T, T) with the Fraction reference and (d, lam) with a fresh ldl
+    t, d, lam = la.lll_reduce_gram(g)
+    g2 = la.mat_mul(la.mat_mul(la.transpose(t), g), t)
+    assert (g2, t) == oracles.fraction_lll(g)
+    assert (d, lam) == la.ldl(g2)
+    return g2, t
+
+
 def test_lll_preserves_lattice_and_reduces():
     rng = random.Random(97)
     for _ in range(40):
         n = rng.randint(1, 6)
         g = _random_posdef_gram(rng, n)
-        g2, t = la.lll_reduce_gram(g)
+        g2, t = _lll_checked(g)
         assert abs(la.bareiss_det(t)) == 1
-        assert la.mat_mul(la.mat_mul(la.transpose(t), g), t) == g2
         assert la.bareiss_det(g2) == la.bareiss_det(g)
         assert la.inertia(g2) == (n, 0, 0)
+        # size-reduced and Lovasz-reduced with delta = 3/4, in Fractions
+        b, mu = oracles.fraction_gram_schmidt(g2)
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i))
+        assert all(b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+                   for k in range(1, n))
 
 
 def _skew(rng, g, ops):
@@ -332,8 +347,28 @@ def test_lll_matches_fraction_reference():
             g = e8
         else:
             g = _random_posdef_gram(rng, n)
-        g = _skew(rng, g, rng.randint(0, 3 * len(g)))
-        assert la.lll_reduce_gram(g) == oracles.fraction_lll(g)
+        _lll_checked(_skew(rng, g, rng.randint(0, 3 * len(g))))
+
+
+def test_lll_factors_once(monkeypatch):
+    # the Fraction reference factors once more after every swap, so its
+    # factorizations count the swaps; LLL itself factors G once
+    calls = collections.Counter()
+
+    def count(module, fname):
+        def counted(*a, _orig=getattr(module, fname)):
+            calls[fname] += 1
+            return _orig(*a)
+        monkeypatch.setattr(module, fname, counted)
+
+    count(oracles, "fraction_gram_schmidt")
+    count(la, "ldl")
+    e8 = tuple(tuple(-x for x in row) for row in standard_lattice("E8(-1)").gram)
+    g = _skew(random.Random(100), e8, 30)
+    oracles.fraction_lll(g)
+    assert calls["fraction_gram_schmidt"] - 1 >= 20
+    la.lll_reduce_gram(g)
+    assert calls["ldl"] == 1
 
 
 def test_lll_rejects_indefinite():

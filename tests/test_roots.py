@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 from fractions import Fraction
@@ -80,10 +81,35 @@ def test_positive_definite_side():
     assert vectors_of_norm(L, 2).count == 6
 
 
-def test_lll_path_matches_plain():
-    res_plain = vectors_of_norm(E8M, -2, use_lll=False)
-    res_lll = vectors_of_norm(E8M, -2, use_lll=True)
+def _use_lll(monkeypatch, lll):
+    # definite searches take the LLL path from rank _LLL_MIN_RANK on: from
+    # rank 1 on, or from a rank that no lattice here reaches
+    monkeypatch.setattr(roots, "_LLL_MIN_RANK", 1 if lll else 1 << 30)
+
+
+def test_lll_path_matches_plain(monkeypatch):
+    _use_lll(monkeypatch, False)
+    res_plain = vectors_of_norm(E8M, -2)
+    _use_lll(monkeypatch, True)
+    res_lll = vectors_of_norm(E8M, -2)
     assert res_plain.vectors == res_lll.vectors
+
+
+def test_rank_rule_picks_lll_and_hands_on_its_factorization(monkeypatch):
+    # below rank 10 one ldl and no LLL; from it on, LLL once, and the search
+    # runs on LLL's own factorization, after the one that decides the sign
+    calls = collections.Counter()
+    for fname in ("ldl", "lll_reduce_gram"):
+        def counted(*a, _orig=getattr(la, fname), _name=fname):
+            calls[_name] += 1
+            return _orig(*a)
+        monkeypatch.setattr(la, fname, counted)
+    assert roots._LLL_MIN_RANK == 10
+    assert vectors_of_norm(E8M, -2).count == 240
+    assert calls == {"ldl": 1}
+    calls.clear()
+    assert vectors_of_norm(direct_sum(E8M, E8M), -2).count == 480
+    assert calls == {"ldl": 2, "lll_reduce_gram": 1}
 
 
 # --- canonical order ---
@@ -291,7 +317,7 @@ def _skewed_definite(rng, n, sign):
 
 
 @pytest.mark.parametrize("sign", (1, -1))
-def test_enumeration_equals_a_priori_box_oracle(sign):
+def test_enumeration_equals_a_priori_box_oracle(sign, monkeypatch):
     # the box comes from G^{-1} (sympy), not from the enumerator's output
     rng = random.Random(41 if sign > 0 else 42)
     fractional = 0
@@ -309,15 +335,17 @@ def test_enumeration_equals_a_priori_box_oracle(sign):
             for target in (least, 2 * least):
                 expect = canonical_order(oracles.brute_box_vectors(
                     gram, target, oracles.coordinate_bound(gram, target)))
-                for use_lll in (False, True):
-                    assert vectors_of_norm(L, target, use_lll=use_lll).vectors == expect
+                for lll in (False, True):
+                    _use_lll(monkeypatch, lll)
+                    assert vectors_of_norm(L, target).vectors == expect
                     # the search emits one member of each pair, the same
                     # list whether it writes x itself or maps it through
                     # the identity basis
-                    raw = roots._definite_vectors(gram, target, None, use_lll)
+                    raw = roots._definite_vectors(gram, target, None)
                     assert len(set(raw)) == len(raw) == len(expect) // 2
                     assert not set(raw) & {tuple(map(neg, v)) for v in raw}
-                    assert roots._definite_vectors(gram, target, la.identity(n), use_lll) == raw
+                    assert roots._definite_vectors(gram, target, la.identity(n)) == raw
+                monkeypatch.undo()
                 perp = [v for v in expect if inner_product(L, v, ortho) == 0]
                 assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
     assert fractional >= 6
@@ -338,24 +366,27 @@ def test_definite_path_builds_no_fraction(monkeypatch):
     pos = _skewed_definite(rng, 6, 1)
     la.inertia(pos)
     la.lll_reduce_gram(pos)
+    N = direct_sum(S, E8M)
+    assert constrained_roots(N, ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2).count == 242
     for sign in (1, -1):
         gram = _skewed_definite(rng, 6, sign)
         L = make_lattice(gram)
-        for use_lll in (False, True):
-            assert vectors_of_norm(L, gram[0][0], use_lll=use_lll).count > 0
-    N = direct_sum(S, E8M)
-    assert constrained_roots(N, ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2).count == 242
+        for lll in (False, True):
+            _use_lll(monkeypatch, lll)
+            assert vectors_of_norm(L, gram[0][0]).count > 0
     assert made == []
 
 
-def test_enumeration_leaves_no_reference_cycles():
+def test_enumeration_leaves_no_reference_cycles(monkeypatch):
     N = direct_sum(S, E8M)
     ortho = ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8)
     gc.collect()
     gc.disable()
     try:
         vectors_of_norm(E8M, -2)
-        vectors_of_norm(E8M, -2, use_lll=True)
+        _use_lll(monkeypatch, True)
+        vectors_of_norm(E8M, -2)
+        monkeypatch.undo()
         constrained_roots(N, ortho, -2)
         assert gc.collect() == 0
     finally:
