@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .discriminant import (
     discriminant_form_value,
@@ -168,7 +167,7 @@ def _exec_roots(args, L):
         result = constrained_roots(L, args.ortho, args.norm)
     else:
         result = vectors_of_norm(L, args.norm)
-    return {"count": result.count, "complete": result.complete, "vectors": result.vectors}
+    return result._asdict()
 
 
 def _text_roots(doc):
@@ -192,7 +191,7 @@ def _exec_involution(args, loaded):
         "rank_sum_check": involution_rank_sum_check(psi),
     }
     if pd is not None:
-        doc["period_domain"] = asdict(pd)
+        doc["period_domain"] = pd._asdict()
     return doc
 
 
@@ -237,7 +236,7 @@ def _exec_da_scan(args, model):
         result = da_degeneracy_scan(model.lattice, s, args.bound)
     else:
         result = model_degeneracy_scan(model, args.bound)
-    return asdict(result)
+    return result._asdict()
 
 
 def _text_da_scan(doc):
@@ -247,7 +246,7 @@ def _text_da_scan(doc):
 
 
 def _exec_demo(args, _):
-    checks = [asdict(item) for item in s311_selfcheck() + f4_checks()]
+    checks = [item._asdict() for item in s311_selfcheck() + f4_checks()]
     return {"checks": checks, "all_ok": all(c["ok"] for c in checks),
             "recorded_covering_data": RECORDED_COVERING_DATA_311}
 

@@ -12,10 +12,10 @@ divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2) / den^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add, mul
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
@@ -30,8 +30,7 @@ from .lattices import Lattice, determinant, is_even
 QVec = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """L*/L with divisibility-ordered invariant factors (trivial 1s dropped).
 
     generators[i] is a coset representative of order invariant_factors[i],
@@ -44,10 +43,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
 
 def discriminant_group(L: Lattice) -> DiscriminantGroup:

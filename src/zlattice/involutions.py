@@ -13,8 +13,8 @@ degeneracy scan reads its obstruction off the discriminant forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .discriminant import _two_torsion_takes_one
@@ -46,11 +46,10 @@ from .lattices import (
     orthogonal_complement,
     saturate,
 )
-from .roots import _check_bound, bounded_vectors_of_norm, vectors_of_norm
+from .roots import _check_bound, _DataclassFields, bounded_vectors_of_norm, vectors_of_norm
 
 
-@dataclass(frozen=True)
-class IntegralInvolution:
+class IntegralInvolution(NamedTuple):
     """A matrix psi with psi^2 = id and psi^t G psi = G, acting on columns.
 
     A plain frozen record, built by make_involution, which checks the
@@ -61,8 +60,21 @@ class IntegralInvolution:
 
     ambient: Lattice
     matrix: la.Mat
-    fixed: SublatticeEmbedding = field(repr=False, compare=False)
-    anti: SublatticeEmbedding = field(repr=False, compare=False)
+    fixed: SublatticeEmbedding
+    anti: SublatticeEmbedding
+
+    def __eq__(self, other):
+        return isinstance(other, IntegralInvolution) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        # tuple's own != would compare all four fields
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return f"IntegralInvolution(ambient={self.ambient!r}, matrix={self.matrix!r})"
 
     def __call__(self, x) -> Vec:
         return la.mat_vec(self.matrix, check_vector(self.ambient, x))
@@ -133,8 +145,7 @@ def involution_rank_sum_check(psi: IntegralInvolution) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PeriodDomainSummary:
+class PeriodDomainSummary(NamedTuple):
     """Rank and hyperbolicity data of the two lattices that control the
     period domain factors; dims are rank - 1 when hyperbolic, else None."""
 
@@ -178,13 +189,13 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
     )
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Outcome of a glue-partner search: status is "yes", "no", or
     "unknown"; witness is the partner vector in ambient coordinates."""
 
     status: str
     witness: Vec | None
+    __dataclass_fields__ = _DataclassFields()
 
 
 def _scan_key(v: Vec):
@@ -247,8 +258,7 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     return MembershipResult("no" if found.complete else "unknown", None)
 
 
-@dataclass(frozen=True)
-class DegeneracyScanResult:
+class DegeneracyScanResult(NamedTuple):
     """Outcome of the double-point degeneracy scan.
 
     status is one of:
@@ -267,6 +277,7 @@ class DegeneracyScanResult:
     delta: Vec | None
     delta1: Vec | None
     delta2: Vec | None
+    __dataclass_fields__ = _DataclassFields()
 
     @property
     def found(self) -> bool:

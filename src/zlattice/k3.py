@@ -16,7 +16,7 @@ a fiber c and the exceptional section s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .discriminant import two_elementary_invariants
 from .errors import (
@@ -57,8 +57,7 @@ RECORDED_SYMMETRY_GROUP_311 = ("id",)
 RECORDED_COVERING_DATA_311 = "branch class meets e once and f twice upstairs"
 
 
-@dataclass(frozen=True)
-class PicardModel:
+class PicardModel(NamedTuple):
     """Even hyperbolic lattice of rank <= 20 with marked vectors e, f, a0.
 
     A plain frozen record, checked by make_picard_model.  The marked Gram
@@ -128,8 +127,7 @@ def model_degeneracy_scan(model: PicardModel, bound: int) -> DegeneracyScanResul
     return da_degeneracy_scan(model.lattice, model.marked_sublattice(), bound)
 
 
-@dataclass(frozen=True)
-class F4Class:
+class F4Class(NamedTuple):
     """Divisor class x*c + y*s on the degree-4 ruled surface."""
 
     c_coeff: int
@@ -144,6 +142,8 @@ class F4Class:
     def __rmul__(self, k: int) -> "F4Class":
         return F4Class(k * self.c_coeff, k * self.s_coeff)
 
+    __mul__ = __rmul__  # else class * k would repeat the tuple
+
 
 FIBER = F4Class(1, 0)
 SECTION = F4Class(0, 1)
@@ -157,8 +157,7 @@ def f4_intersection(a: F4Class, b: F4Class) -> int:
     return a.c_coeff * b.s_coeff + a.s_coeff * b.c_coeff - 4 * a.s_coeff * b.s_coeff
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     detail: str
     ok: bool

@@ -14,8 +14,8 @@ direct sums, complements, saturations) is valid by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
@@ -49,8 +49,7 @@ def check_vector(L: "Lattice", x) -> Vec:
     return v
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Free Z-module with a symmetric integer Gram matrix.
 
     Evenness is not required here: quotient-surface Picard lattices are odd.
@@ -65,8 +64,7 @@ class Lattice:
         return len(self.gram)
 
 
-@dataclass(frozen=True)
-class SublatticeEmbedding:
+class SublatticeEmbedding(NamedTuple):
     """A sublattice given by independent basis vectors in ambient coordinates."""
 
     ambient: Lattice

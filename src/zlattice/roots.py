@@ -26,10 +26,10 @@ has its first hit among those, so the witness searches try only them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg
+from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
@@ -60,13 +60,24 @@ _LLL_MIN_RANK = 10
 _MAX_HEAD_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class _DataclassFields:
+    """``__dataclass_fields__`` made on first read, so that ``dataclasses.replace``
+    takes the results perfbench/selftest.py alters to build wrong answers,
+    while importing this package loads no dataclasses."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        return dataclasses.make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+
+
+class EnumerationResult(NamedTuple):
     """Canonically ordered vector list; complete=False marks a box-limited scan."""
 
     vectors: tuple[Vec, ...]
     count: int
     complete: bool
+    __dataclass_fields__ = _DataclassFields()
 
 
 def canonical_order(vectors) -> tuple[Vec, ...]:

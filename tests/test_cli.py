@@ -270,3 +270,12 @@ def test_import_loads_no_numpy():
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: site preloads nothing, so the child sees what zlattice.cli imports
+    code = "import sys, zlattice.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", (proc.stdout, proc.stderr)

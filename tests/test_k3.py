@@ -177,7 +177,7 @@ def test_f4_intersection_values():
 
 def test_f4_class_arithmetic():
     assert BRANCH_CURVE + SECTION == F4Class(12, 4)
-    assert -2 * CANONICAL == F4Class(12, 4)
+    assert CANONICAL * -2 == -2 * CANONICAL == F4Class(12, 4)
     assert -CANONICAL == F4Class(6, 2)
 
 
@@ -186,6 +186,7 @@ def test_f4_class_arithmetic():
 def test_f4_intersection_bilinear_symmetric(x1, y1, x2, y2, k):
     a, b = F4Class(x1, y1), F4Class(x2, y2)
     assert f4_intersection(a, b) == f4_intersection(b, a)
+    assert a * k == k * a
     assert f4_intersection(k * a, b) == k * f4_intersection(a, b)
     assert f4_intersection(a + b, b) == f4_intersection(a, b) + f4_intersection(b, b)
 
