@@ -4,14 +4,18 @@ Matrices are immutable tuples of tuples of Python ints; nothing here ever
 touches floating point, and every routine but rational_inverse (whose
 result has rational entries) runs on ints alone.  No code in the package
 calls rational_inverse: the tests keep it as a rational reference, and the
-perfbench span tracer reads it by name.  The routines this package leans
-on are a fraction-free Bareiss determinant, a column-style Hermite normal
-form with recorded transform, a Smith normal form with its column
-transform, and one fraction-free symmetric LDL^t elimination (ldl).  Its
-leading minors give the inertia, and on a definite Gram matrix they and
-its scaled multipliers are the integral Gram-Schmidt data.  The Gram-only
-LLL factors once, keeps them current in place of a Gram matrix and returns
-them for the Fincke-Pohst search in roots; neither uses rationals.
+perfbench span tracer reads it by name.  mat_mul costs what the nonzero
+entries of its left factor cost, one scaled row of B each: row i of AB sums
+only the rows of B at the nonzero entries of row i of A, so the mostly-zero
+Gram and involution matrices of the K3 lattice multiply at a fraction of
+n^3.  The routines this package leans on are a fraction-free Bareiss
+determinant, a column-style Hermite normal form with recorded transform, a
+Smith normal form with its column transform, and one fraction-free
+symmetric LDL^t elimination (ldl).  Its leading minors give the inertia,
+and on a definite Gram matrix they and its scaled multipliers are the
+integral Gram-Schmidt data.  The Gram-only LLL factors once, keeps them
+current in place of a Gram matrix and returns them for the Fincke-Pohst
+search in roots; neither uses rationals.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ Mat = tuple[Vec, ...]
 
 
 def freeze(rows) -> Mat:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> Mat:
@@ -38,10 +42,19 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a, b) -> Mat:
-    if not a:
-        return ()
-    bt = list(zip(*b)) if b else []
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    # row i of AB is the sum of x * (row k of B) over the nonzero x = A[i][k]
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = None
+        for x, r in zip(row, b):
+            if x:
+                if acc is None:
+                    acc = r if x == 1 else [x * c for c in r]
+                else:
+                    acc = [s + x * c for s, c in zip(acc, r)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(m, v) -> Vec:

@@ -81,15 +81,21 @@ class IntegralInvolution(NamedTuple):
 
 
 def make_involution(L: Lattice, m) -> IntegralInvolution:
-    """Check outside input: an integer isometry of L squaring to the identity."""
+    """Check outside input: an integer isometry of L squaring to the identity.
+
+    psi^2 = id is checked first.  Given it, psi^t G psi = G holds exactly
+    when G psi is symmetric, so one product decides the isometry: (G psi)^t
+    = psi^t G, and multiplying psi^t G psi = G on the right by psi = psi^-1
+    turns it into psi^t G = G psi, and back.
+    """
     n = L.rank
-    m = tuple(tuple(_as_int(x) for x in row) for row in m)
+    m = tuple(tuple(map(_as_int, row)) for row in m)
     if len(m) != n or any(len(row) != n for row in m):
         raise DimensionMismatch(f"matrix is not {n} x {n}")
     if la.mat_mul(m, m) != la.identity(n):
         raise NotInvolution("matrix squared is not the identity")
-    g = L.gram
-    if la.mat_mul(la.mat_mul(la.transpose(m), g), m) != g:
+    gm = la.mat_mul(L.gram, m)
+    if gm != la.transpose(gm):
         raise NotIsometry("matrix does not preserve the Gram matrix")
     eigen = []  # fixed, then anti
     for sign in (-1, 1):
@@ -175,7 +181,7 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
     fixed, anti = psi.fixed, psi.anti
     pairing = la.mat_mul(la.mat_mul(s.basis, s.ambient.gram), anti.matrix)
     anti_s = SublatticeEmbedding(
-        psi.ambient, tuple(map(anti.to_ambient, la.kernel(pairing, ncols=anti.rank)))
+        psi.ambient, la.mat_mul(la.kernel(pairing, ncols=anti.rank), anti.basis)
     )
     fixed_hyp = is_hyperbolic(fixed.induced_lattice())
     anti_hyp = is_hyperbolic(anti_s.induced_lattice())

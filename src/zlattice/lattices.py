@@ -80,8 +80,7 @@ class SublatticeEmbedding(NamedTuple):
         return la.transpose(self.basis)
 
     def induced_gram(self) -> Mat:
-        b = self.matrix
-        return la.mat_mul(la.mat_mul(la.transpose(b), self.ambient.gram), b)
+        return la.mat_mul(la.mat_mul(self.basis, self.ambient.gram), self.matrix)
 
     def induced_lattice(self, name: str | None = None) -> Lattice:
         return Lattice(self.induced_gram(), name)

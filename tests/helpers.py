@@ -199,31 +199,31 @@ for _d in (-2, 2, -4, -6):
 
 
 def _assemble(rng: random.Random, max_rank: int):
-    gram_blocks = []
-    mat_blocks = []
+    blocks = []
     total = 0
     while total < max_rank:
-        g, m = rng.choice(_BLOCKS)
-        if total + len(g) > max_rank:
+        block = rng.choice(_BLOCKS)
+        if total + len(block[0]) > max_rank:
             break
-        gram_blocks.append(g)
-        mat_blocks.append(m)
-        total += len(g)
+        blocks.append(block)
+        total += len(block[0])
         if rng.random() < 0.3:
             break
-    if not gram_blocks:
-        gram_blocks = [((-2,),)]
-        mat_blocks = [((1,),)]
-        total = 1
+    return _block_diag(blocks or [(((-2,),), ((1,),))])
+
+
+def _block_diag(blocks):
+    """(gram, matrix) as lists, block-diagonal in the given (gram, matrix)
+    blocks."""
+    total = sum(len(g) for g, _ in blocks)
     gram = [[0] * total for _ in range(total)]
     mat = [[0] * total for _ in range(total)]
     at = 0
-    for g, m in zip(gram_blocks, mat_blocks):
+    for g, m in blocks:
         k = len(g)
         for i in range(k):
-            for j in range(k):
-                gram[at + i][at + j] = g[i][j]
-                mat[at + i][at + j] = m[i][j]
+            gram[at + i][at : at + k] = g[i]
+            mat[at + i][at : at + k] = m[i]
         at += k
     return gram, mat
 
@@ -257,6 +257,21 @@ def _mul(a, b):
     return [
         [sum(a[i][x] * b[x][j] for x in range(k)) for j in range(p)] for i in range(n)
     ]
+
+
+def random_involution_data(rng: random.Random, rank: int):
+    """(gram, matrix) as lists, unchecked: block involutions filling exactly
+    the given rank, conjugated by three random unimodular changes of basis."""
+    blocks = []
+    total = 0
+    while total < rank:
+        block = rng.choice([b for b in _BLOCKS if total + len(b[0]) <= rank])
+        blocks.append(block)
+        total += len(block[0])
+    gram, mat = _block_diag(blocks)
+    for _ in range(3):
+        gram, mat = _conjugate(rng, gram, mat)
+    return gram, mat
 
 
 def random_involution(rng: random.Random, max_rank: int = 8):

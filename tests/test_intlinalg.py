@@ -33,6 +33,58 @@ def rand_symmetric(rng, n, lo=-9, hi=9):
     return tuple(tuple(r) for r in m)
 
 
+# --- products ---
+
+
+def naive_mat_mul(a, b):
+    # a factor with no rows carries no width, so A (m x 0) times B (0 x p)
+    # has m empty rows
+    width = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(width))
+        for row in a
+    )
+
+
+def sparse_matrix(rng, rows, cols, density, lo=-9, hi=9):
+    return tuple(
+        tuple(rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols))
+        for _ in range(rows)
+    )
+
+
+def test_mat_mul_empty_shapes():
+    assert la.mat_mul((), ((1, 2),)) == ()
+    assert la.mat_mul((), ()) == ()
+    assert la.mat_mul(((), ()), ()) == ((), ())
+    assert la.mat_mul(((1, 2), (3, 4), (0, 0)), ((), ())) == ((), (), ())
+    assert la.mat_mul(((0, 0),), ((1, 2, 3), (4, 5, 6))) == ((0, 0, 0),)
+    assert la.mat_mul(((-3,),), ((7,),)) == ((-21,),)
+
+
+def test_mat_mul_matches_naive_triple_loop():
+    rng = random.Random(61)
+    big = 2**64
+    densities = (0.05, 0.3, 1.0)
+    for _ in range(300):
+        m, k, p = (rng.randint(0, 9) for _ in range(3))
+        lo, hi = rng.choice(((-9, 9), (-big * 5, big * 5)))
+        a = sparse_matrix(rng, m, k, rng.choice(densities), lo, hi)
+        b = sparse_matrix(rng, k, p, rng.choice(densities), lo, hi)
+        if m and k and rng.random() < 0.3:
+            a = tuple((0,) * k if i == m // 2 else row for i, row in enumerate(a))
+        if k and p and rng.random() < 0.3:
+            j = rng.randrange(p)
+            b = tuple(tuple(0 if c == j else x for c, x in enumerate(row)) for row in b)
+        assert la.mat_mul(a, b) == naive_mat_mul(a, b)
+    # the square sizes the involution checks multiply, at 5 % and full density
+    for n in (10, 18, 22):
+        for density in (0.05, 1.0):
+            a = sparse_matrix(rng, n, n, density)
+            b = sparse_matrix(rng, n, n, density, -big, big)
+            assert la.mat_mul(a, b) == naive_mat_mul(a, b)
+
+
 # --- determinant ---
 
 

@@ -18,6 +18,7 @@ from helpers import (
     psi_minus,
     psi_split,
     random_involution,
+    random_involution_data,
     s_copy_basis,
     sigma_s311_fixed,
 )
@@ -116,6 +117,72 @@ def test_make_involution_rejections():
     # an involution of Z^2 that is not an isometry of U
     with pytest.raises(NotIsometry):
         make_involution(U, ((1, 0), (0, -1)))
+
+
+def _naive_rejection(gram, mat):
+    """The error make_involution must raise, from plain triple loops: psi^2
+    != I first, else psi^t G psi != G; None when both hold."""
+    n = len(mat)
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    if mul(mat, mat) != [[int(i == j) for j in range(n)] for i in range(n)]:
+        return NotInvolution
+    mt = [list(col) for col in zip(*mat)]
+    if mul(mul(mt, gram), mat) != [list(row) for row in gram]:
+        return NotIsometry
+    return None
+
+
+def _is_signed_unit(vec, i):
+    return vec[i] in (1, -1) and not any(x for k, x in enumerate(vec) if k != i)
+
+
+def test_make_involution_single_entry_mutants():
+    # One changed entry c at (i, j) keeps psi^2 = I only when column i of
+    # psi is +-e_i and row j is -+e_j (for i == j: c = -2 psi_ii), so such
+    # positions are tried besides random ones; those reach the isometry
+    # check, where some fail and some pass.
+    rng = random.Random(1016)
+    seen = {NotInvolution: 0, NotIsometry: 0, None: 0}
+    for _ in range(24):
+        n = rng.randint(10, 22)
+        gram, mat = random_involution_data(rng, n)
+        L = make_lattice(tuple(map(tuple, gram)))
+        assert _naive_rejection(L.gram, mat) is None
+        make_involution(L, mat)
+        cols = list(zip(*mat))
+        keep = [(i, j) for i in range(n) for j in range(n)
+                if _is_signed_unit(cols[i], i) and _is_signed_unit(mat[j], j)
+                and (i == j or mat[i][i] == -mat[j][j])]
+        picks = rng.sample(keep, min(6, len(keep)))
+        picks += [(rng.randrange(n), rng.randrange(n)) for _ in range(8)]
+        for i, j in picks:
+            c = -2 * mat[i][i] if i == j and rng.random() < 0.5 else rng.choice((-2, -1, 1, 2))
+            bad = [row[:] for row in mat]
+            bad[i][j] += c
+            expected = _naive_rejection(L.gram, bad)
+            seen[expected] += 1
+            if expected is None:
+                assert make_involution(L, bad).matrix == tuple(map(tuple, bad))
+            else:
+                with pytest.raises(expected):
+                    make_involution(L, bad)
+    assert all(seen.values()), seen
+
+
+def test_make_involution_rank22_non_isometry_squaring_to_identity():
+    # (1, 0; 0, -1) on the first U block, the identity elsewhere: psi^2 = I
+    # but e.f = 1 goes to -1
+    L = lk3()
+    n = L.rank
+    m = tuple(tuple((-1 if i == 1 else 1) if i == j else 0 for j in range(n))
+              for i in range(n))
+    assert la.mat_mul(m, m) == la.identity(n)
+    with pytest.raises(NotIsometry):
+        make_involution(L, m)
 
 
 # --- eigenlattices ---
