@@ -16,36 +16,7 @@ import argparse
 import json
 import sys
 
-from .discriminant import (
-    discriminant_form_value,
-    discriminant_group,
-    two_elementary_invariants,
-)
 from .errors import InvalidInputFile, LatticeError
-from .involutions import (
-    da_degeneracy_scan,
-    eigenlattices,
-    involution_from_json_dict,
-    involution_rank_sum_check,
-    period_domain_summary,
-)
-from .k3 import (
-    RECORDED_COVERING_DATA_311,
-    f4_checks,
-    is_nondegenerate,
-    model_degeneracy_scan,
-    model_from_json_dict,
-    s311_selfcheck,
-)
-from .lattices import (
-    determinant,
-    is_even,
-    is_hyperbolic,
-    lattice_from_json_dict,
-    make_sublattice,
-    signature,
-)
-from .roots import bounded_vectors_of_norm, constrained_roots, vectors_of_norm
 
 
 class _UsageError(Exception):
@@ -111,10 +82,35 @@ def _load_json_file(path: str):
         raise InvalidInputFile(f"{path}: JSON nested too deeply") from None
 
 
+# --- per-verb file parsers (exit 2 territory); each verb's functions import
+# the modules they use when they run, so a verb loads only what it needs ---
+
+
+def _parse_lattice(data):
+    from .lattices import lattice_from_json_dict
+
+    return lattice_from_json_dict(data)
+
+
+def _parse_involution(data):
+    from .involutions import involution_from_json_dict
+
+    return involution_from_json_dict(data)
+
+
+def _parse_model(data):
+    from .k3 import model_from_json_dict
+
+    return model_from_json_dict(data)
+
+
 # --- per-verb executors (exit 3 territory) and text renderers ---
 
 
 def _exec_invariants(args, L):
+    from .discriminant import two_elementary_invariants
+    from .lattices import determinant, is_even, signature
+
     doc = {
         "rank": L.rank,
         "determinant": determinant(L),
@@ -141,6 +137,8 @@ def _text_invariants(doc):
 
 
 def _exec_discriminant(args, L):
+    from .discriminant import discriminant_form_value, discriminant_group
+
     dg = discriminant_group(L)
     return {
         "order": dg.order,
@@ -161,6 +159,8 @@ def _text_discriminant(doc):
 
 
 def _exec_roots(args, L):
+    from .roots import bounded_vectors_of_norm, constrained_roots, vectors_of_norm
+
     if args.bound is not None:
         result = bounded_vectors_of_norm(L, args.norm, args.bound)
     elif args.ortho is not None:
@@ -176,6 +176,9 @@ def _text_roots(doc):
 
 
 def _exec_involution(args, loaded):
+    from .involutions import eigenlattices, involution_rank_sum_check, period_domain_summary
+    from .lattices import is_hyperbolic, make_sublattice
+
     psi, s = loaded
     if args.s_basis is not None:
         s = make_sublattice(psi.ambient, args.s_basis)
@@ -216,6 +219,8 @@ def _text_involution(doc):
 
 
 def _exec_k3_check(args, model):
+    from .k3 import is_nondegenerate
+
     ok, witnesses = is_nondegenerate(model)
     names = {model.f: "+f", tuple(-c for c in model.f): "-f"}
     return {
@@ -231,6 +236,10 @@ def _text_k3_check(doc):
 
 
 def _exec_da_scan(args, model):
+    from .involutions import da_degeneracy_scan
+    from .k3 import model_degeneracy_scan
+    from .lattices import make_sublattice
+
     if args.s_basis is not None:
         s = make_sublattice(model.lattice, args.s_basis)
         result = da_degeneracy_scan(model.lattice, s, args.bound)
@@ -246,6 +255,8 @@ def _text_da_scan(doc):
 
 
 def _exec_demo(args, _):
+    from .k3 import RECORDED_COVERING_DATA_311, f4_checks, s311_selfcheck
+
     checks = [item._asdict() for item in s311_selfcheck() + f4_checks()]
     return {"checks": checks, "all_ok": all(c["ok"] for c in checks),
             "recorded_covering_data": RECORDED_COVERING_DATA_311}
@@ -274,13 +285,13 @@ def _build_parser() -> _Parser:
         return p
 
     add("invariants", "rank, determinant, signature, parity data of a lattice file",
-        lattice_from_json_dict, _exec_invariants, _text_invariants)
+        _parse_lattice, _exec_invariants, _text_invariants)
 
     add("discriminant", "invariant factors and quadratic form values of the discriminant group",
-        lattice_from_json_dict, _exec_discriminant, _text_discriminant)
+        _parse_lattice, _exec_discriminant, _text_discriminant)
 
     p = add("roots", "enumerate vectors of a given norm",
-            lattice_from_json_dict, _exec_roots, _text_roots)
+            _parse_lattice, _exec_roots, _text_roots)
     p.add_argument("--norm", type=int, required=True, help="target self-intersection")
     exclusive = p.add_mutually_exclusive_group()
     exclusive.add_argument("--ortho", type=_vector_list, default=None, metavar="V;V;...",
@@ -289,17 +300,17 @@ def _build_parser() -> _Parser:
                            help="scan a coordinate box instead of exact enumeration")
 
     p = add("involution", "eigenlattice data of an involution file",
-            involution_from_json_dict, _exec_involution, _text_involution)
+            _parse_involution, _exec_involution, _text_involution)
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",
                    help="marked sublattice basis for the period-domain summary "
                         "(overrides the file's s_basis)")
 
     add("k3-check", "decide double-point nondegeneracy for a Picard model file",
-        model_from_json_dict, _exec_k3_check, _text_k3_check)
+        _parse_model, _exec_k3_check, _text_k3_check)
 
     p = add("da-scan", "search for a degeneracy witness in a Picard model file: an exact "
                        "answer when the glue obstruction applies, box-bounded otherwise",
-            model_from_json_dict, _exec_da_scan, _text_da_scan)
+            _parse_model, _exec_da_scan, _text_da_scan)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="max |coordinate| of scanned vectors")
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",

@@ -20,7 +20,6 @@ search in roots; neither uses rationals.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -278,6 +277,8 @@ def snf_with_transforms(m) -> tuple[Mat, Mat]:
 
 def rational_inverse(m):
     """Inverse of a square nonsingular matrix, entries as Fractions."""
+    from fractions import Fraction
+
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(m)]

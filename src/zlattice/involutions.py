@@ -99,10 +99,9 @@ def make_involution(L: Lattice, m) -> IntegralInvolution:
         raise NotIsometry("matrix does not preserve the Gram matrix")
     eigen = []  # fixed, then anti
     for sign in (-1, 1):
-        shifted = tuple(
-            tuple(x + sign * (i == j) for j, x in enumerate(row))
-            for i, row in enumerate(m)
-        )
+        shifted = [list(row) for row in m]
+        for i, row in enumerate(shifted):
+            row[i] += sign
         eigen.append(SublatticeEmbedding(L, la.kernel(shifted, ncols=n)))
     return IntegralInvolution(L, m, *eigen)
 

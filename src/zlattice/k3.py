@@ -16,9 +16,9 @@ a fiber c and the exceptional section s.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
-from .discriminant import two_elementary_invariants
 from .errors import (
     InvalidInputFile,
     NotEven,
@@ -26,7 +26,6 @@ from .errors import (
     RankExceeds20,
     WrongGramOnMarkedVectors,
 )
-from .involutions import DegeneracyScanResult, da_degeneracy_scan
 from .lattices import (
     Lattice,
     SublatticeEmbedding,
@@ -41,6 +40,11 @@ from .lattices import (
     standard_lattice,
 )
 from .roots import constrained_roots
+
+# The package: its names load their submodule on first read, so the
+# degeneracy scan loads involutions, and k3-check, which needs none of it,
+# does not.  A read is one dict lookup once the package has bound the name.
+_package = sys.modules[__package__]
 
 # Intersection table the marked vectors must realize, in the order
 # (e, f, a0); it is the Gram matrix of the standard "S311" lattice.
@@ -124,7 +128,7 @@ def model_degeneracy_scan(model: PicardModel, bound: int) -> DegeneracyScanResul
     da_degeneracy_scan decides that glue obstruction before any search,
     so bound is only validated.
     """
-    return da_degeneracy_scan(model.lattice, model.marked_sublattice(), bound)
+    return _package.da_degeneracy_scan(model.lattice, model.marked_sublattice(), bound)
 
 
 class F4Class(NamedTuple):
@@ -214,6 +218,8 @@ def f4_checks() -> tuple[CheckItem, ...]:
 
 def s311_selfcheck() -> tuple[CheckItem, ...]:
     """Numerology of the standard rank-3 marked lattice."""
+    from .discriminant import two_elementary_invariants
+
     S = standard_lattice("S311")
     model = make_picard_model(S, (0, 0, 1), (1, 0, 0), (0, 1, 0))
     u = model.u_sublattice()

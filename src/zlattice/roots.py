@@ -91,11 +91,18 @@ def canonical_order(vectors) -> tuple[Vec, ...]:
     """
     vs = list(map(tuple, vectors))
     zero = (0,) * len(vs[0]) if vs else ()
-    # a tuple exceeds zero exactly when its first nonzero coordinate is positive
-    reps = {v if v >= zero else tuple(map(neg, v)) for v in vs}
-    mid = [zero] if zero in reps else []
-    reps = sorted(reps - {zero})
-    return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
+    # representative -> its negative.  A tuple exceeds zero exactly when its
+    # first nonzero coordinate is positive; an input below zero is the
+    # negative itself, so each input is negated once, to give the other one.
+    negative = {}
+    for v in vs:
+        if v < zero:
+            negative[tuple(map(neg, v))] = v
+        else:
+            negative[v] = tuple(map(neg, v))
+    mid = [zero] if negative.pop(zero, None) is not None else []
+    reps = sorted(negative)
+    return tuple(reps + mid + [negative[v] for v in reversed(reps)])
 
 
 def _make_result(vectors, complete: bool) -> EnumerationResult:

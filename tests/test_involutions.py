@@ -188,6 +188,17 @@ def test_make_involution_rank22_non_isometry_squaring_to_identity():
 # --- eigenlattices ---
 
 
+def test_eigenlattices_are_the_kernels_of_psi_shifted_entrywise():
+    rng = random.Random(23)
+    for _ in range(40):
+        psi = random_involution(rng)
+        n = psi.ambient.rank
+        for sign, eigen in ((-1, psi.fixed), (1, psi.anti)):
+            shifted = tuple(tuple(x + sign * (i == j) for j, x in enumerate(row))
+                            for i, row in enumerate(psi.matrix))
+            assert eigen.basis == la.kernel(shifted, ncols=n)
+
+
 def test_eigenlattices_minus_id():
     fixed, anti = eigenlattices(make_involution(S, _neg_id(3)))
     assert fixed.rank == 0

@@ -151,6 +151,34 @@ def test_canonical_order_writes_the_negatives():
     assert canonical_order([]) == ()
 
 
+def _canonical_order_reference(vectors):
+    # the definition that negated each representative for the output
+    vs = list(map(tuple, vectors))
+    zero = (0,) * len(vs[0]) if vs else ()
+    reps = {v if v >= zero else tuple(map(neg, v)) for v in vs}
+    mid = [zero] if zero in reps else []
+    reps = sorted(reps - {zero})
+    return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
+
+
+def test_canonical_order_matches_the_reference():
+    rng = random.Random(17)
+    assert canonical_order([]) == _canonical_order_reference([]) == ()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        pool = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        vectors = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # duplicates
+        vectors += [tuple(map(neg, v)) for v in vectors if rng.random() < 0.3]  # both signs
+        if rng.random() < 0.3:
+            vectors.append((0,) * n)
+        rng.shuffle(vectors)
+        if rng.random() < 0.5:
+            vectors = [list(v) for v in vectors]
+        got = canonical_order(vectors)
+        assert got == _canonical_order_reference(vectors)
+        assert all(type(v) is tuple for v in got)
+
+
 # --- constrained enumeration ---
 
 
