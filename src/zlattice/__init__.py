@@ -2,7 +2,7 @@
 
 Everything here works over the integers (or exact rationals where duals are
 involved): Gram-matrix lattices and sublattice embeddings, discriminant
-groups with their quadratic and bilinear forms, 2-elementary invariants
+groups with their quadratic forms, 2-elementary invariants
 (r, a, delta), integral involutions and their period-domain data, exact
 short-vector enumeration, and the nondegeneracy criterion for double points
 on anticanonical models.  No floating point is used on any decision path.
@@ -25,26 +25,22 @@ _EXPORTS = {
     "errors": (
         "LatticeError", "NotSquare", "NotSymmetric", "NotIntegral",
         "DimensionMismatch", "RankDeficient", "UnknownName",
-        "DegenerateSublattice", "NotInSublattice", "ZeroNormVector",
-        "NonIntegralImage", "DegenerateLattice", "NotInDualLattice",
-        "NotTwoElementary", "NotEven", "NotInvolution", "NotIsometry",
-        "EmbeddingMismatch", "SNotInAntiFixed", "WrongNorm", "NotDefinite",
-        "SignMismatch", "ComplementNotDefinite", "EnumerationOverflow",
-        "NotHyperbolic", "WrongGramOnMarkedVectors", "RankExceeds20",
-        "InvalidInputFile",
+        "DegenerateSublattice", "NotInSublattice", "DegenerateLattice",
+        "NotInDualLattice", "NotTwoElementary", "NotEven", "NotInvolution",
+        "NotIsometry", "EmbeddingMismatch", "SNotInAntiFixed", "WrongNorm",
+        "NotDefinite", "SignMismatch", "ComplementNotDefinite",
+        "EnumerationOverflow", "NotHyperbolic", "WrongGramOnMarkedVectors",
+        "RankExceeds20", "InvalidInputFile",
     ),
     "lattices": (
         "Lattice", "SublatticeEmbedding", "make_lattice", "make_sublattice",
         "inner_product", "norm", "determinant", "signature", "is_even",
-        "is_definite", "is_hyperbolic", "direct_sum", "orthogonal_complement",
-        "saturate", "sublattice_index_from_bases", "saturation_index",
-        "same_sublattice", "reflection", "standard_lattice",
-        "lattice_from_json_dict", "E8_CARTAN",
+        "is_hyperbolic", "direct_sum", "orthogonal_complement", "saturate",
+        "standard_lattice", "lattice_from_json_dict", "E8_CARTAN",
     ),
     "discriminant": (
         "DiscriminantGroup", "discriminant_group", "discriminant_form_value",
-        "discriminant_bilinear_value", "two_elementary_invariants",
-        "delta_via_involution",
+        "two_elementary_invariants", "delta_via_involution",
     ),
     "involutions": (
         "IntegralInvolution", "make_involution", "eigenlattices", "is_type",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 malformed or invalid input file; 3 a precondition
 failed or the result is too long to print; 4 unknown verb or bad flags.  All
-diagnostics go to stderr with the prefix "error:".
+diagnostics go to stderr with the prefix "error:".  A reader that closes
+stdout early (`| head`) ends the run with 0 and no diagnostic.
 
 Each verb has one executor, which computes every fact once and returns one
 result document, and one text renderer, which reads only that document.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import InvalidInputFile, LatticeError
@@ -345,7 +347,13 @@ def run(argv=None) -> int:
                else "\n".join(args.render(doc)))
     except ValueError as exc:  # an int past sys.get_int_max_str_digits()
         return _error(f"result too large to print: {exc}", 3)
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # interpreter exit has nowhere to fail, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

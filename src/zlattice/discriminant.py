@@ -69,9 +69,12 @@ def discriminant_group(L: Lattice) -> DiscriminantGroup:
     return DiscriminantGroup(tuple(factors), tuple(gens), L)
 
 
-def _dual_pairing(L: Lattice, g) -> tuple[la.Vec, int, la.Vec]:
-    """(a, den, G a) with g = a / den for an integer vector a; raises
-    NotInDualLattice unless den divides every entry of G a."""
+def discriminant_form_value(L: Lattice, g) -> Fraction:
+    """q(g) = g.g mod 2Z, represented in [0, 2).
+
+    g is a rational coset representative; it must pair integrally with the
+    lattice.  On an even lattice the value depends only on the coset of g.
+    """
     v = [Fraction(x) for x in g]
     if len(v) != L.rank:
         raise NotInDualLattice(
@@ -85,25 +88,8 @@ def _dual_pairing(L: Lattice, g) -> tuple[la.Vec, int, la.Vec]:
             raise NotInDualLattice(
                 f"pairing with basis vector {i} is {Fraction(c, den)}, not an integer"
             )
-    return a, den, ga
-
-
-def discriminant_form_value(L: Lattice, g) -> Fraction:
-    """q(g) = g.g mod 2Z, represented in [0, 2).
-
-    g is a rational coset representative; it must pair integrally with the
-    lattice.  On an even lattice the value depends only on the coset of g.
-    """
-    a, den, ga = _dual_pairing(L, g)
     sq = den * den
     return Fraction(sum(map(mul, a, ga)) % (2 * sq), sq)
-
-
-def discriminant_bilinear_value(L: Lattice, g, h) -> Fraction:
-    """b(g, h) = g.h mod Z, represented in [0, 1)."""
-    a, da, _ = _dual_pairing(L, g)
-    _, db, gb = _dual_pairing(L, h)
-    return Fraction(sum(map(mul, a, gb)) % (da * db), da * db)
 
 
 def _two_torsion_takes_one(L: Lattice) -> bool:

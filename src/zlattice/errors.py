@@ -36,22 +36,12 @@ class UnknownName(LatticeError):
     """No standard lattice with the requested name."""
 
 
-# sublattices and reflections
-
 class DegenerateSublattice(LatticeError):
     """Operation requires a nondegenerate induced Gram matrix."""
 
 
 class NotInSublattice(LatticeError):
     """Vector does not lie in the stated sublattice."""
-
-
-class ZeroNormVector(LatticeError):
-    """Cannot reflect in a vector of square zero."""
-
-
-class NonIntegralImage(LatticeError):
-    """Reflection image of this vector is not a lattice vector."""
 
 
 # discriminant forms

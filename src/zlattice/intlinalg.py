@@ -175,9 +175,9 @@ def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
     return tuple(tuple(u[r][c] for r in range(nc)) for c in range(rank, nc))
 
 
-def solve_int(m, v, ncols: int | None = None) -> Vec | None:
+def solve_int(m, v) -> Vec | None:
     """One integer solution x of M x = v, or None if none exists."""
-    h, u = hnf_with_transform(m, ncols)
+    h, u = hnf_with_transform(m)
     nr, nc = len(m), len(u)
     # pivot row of column c is its topmost nonzero entry
     y = [0] * nc

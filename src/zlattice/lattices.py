@@ -14,20 +14,17 @@ direct sums, complements, saturations) is valid by construction.
 
 from __future__ import annotations
 
-from math import prod
 from typing import NamedTuple
 
 from . import intlinalg as la
 from .errors import (
     DimensionMismatch,
     InvalidInputFile,
-    NonIntegralImage,
     NotIntegral,
     NotSquare,
     NotSymmetric,
     RankDeficient,
     UnknownName,
-    ZeroNormVector,
 )
 
 Vec = la.Vec
@@ -82,8 +79,8 @@ class SublatticeEmbedding(NamedTuple):
     def induced_gram(self) -> Mat:
         return la.mat_mul(la.mat_mul(self.basis, self.ambient.gram), self.matrix)
 
-    def induced_lattice(self, name: str | None = None) -> Lattice:
-        return Lattice(self.induced_gram(), name)
+    def induced_lattice(self) -> Lattice:
+        return Lattice(self.induced_gram())
 
     def to_ambient(self, coords) -> Vec:
         """Map internal coordinates to ambient coordinates."""
@@ -154,11 +151,6 @@ def is_even(L: Lattice) -> bool:
     return all(L.gram[i][i] % 2 == 0 for i in range(L.rank))
 
 
-def is_definite(L: Lattice) -> bool:
-    p, n, z = signature(L)
-    return z == 0 and (p == 0 or n == 0)
-
-
 def is_hyperbolic(L: Lattice) -> bool:
     """Signature (1, rank-1, 0)."""
     return signature(L) == (1, L.rank - 1, 0) and L.rank >= 1
@@ -185,80 +177,25 @@ def orthogonal_complement(k: SublatticeEmbedding) -> SublatticeEmbedding:
     return SublatticeEmbedding(L, la.kernel(la.mat_mul(k.basis, L.gram), ncols=L.rank))
 
 
-def _hnf_pivots(k: SublatticeEmbedding) -> tuple[int, ...]:
-    """Pivots of the column HNF of the rank x n basis matrix.
-
-    Its nonzero block is lower triangular with these pivots on the
-    diagonal, and column operations keep the gcd of the maximal minors,
-    so their product is that gcd: the index [sat(K) : K].
-    """
-    h, _ = la.hnf_with_transform(k.basis, k.ambient.rank)
-    return tuple(h[i][i] for i in range(k.rank))
-
-
 def saturate(k: SublatticeEmbedding) -> SublatticeEmbedding:
     """Smallest primitive sublattice containing K.
 
     Primitivity here is saturation: sat(K) = (K tensor Q) intersected with
-    the ambient lattice.  When every HNF pivot of K's basis is 1, K is
-    already primitive and is returned unchanged; otherwise the basis is the
-    double integer kernel below.
+    the ambient lattice.  The nonzero block of the column HNF of K's
+    rank x n basis matrix is lower triangular, and column operations keep
+    the gcd of the maximal minors, so the product of its diagonal pivots is
+    that gcd: the index [sat(K) : K].  When every pivot is 1, K is already
+    primitive and is returned unchanged; otherwise the basis is the double
+    integer kernel below.
     """
-    if all(p == 1 for p in _hnf_pivots(k)):
-        return k
     n = k.ambient.rank
+    h, _ = la.hnf_with_transform(k.basis, n)
+    if all(h[i][i] == 1 for i in range(k.rank)):
+        return k
     # double integer kernel with the standard dot product: the kernel of
     # (kernel of B^t)^t is the saturation of the column span of B
     left = la.kernel(k.basis, ncols=n)
     return SublatticeEmbedding(k.ambient, la.kernel(left, ncols=n))
-
-
-def sublattice_index_from_bases(outer: tuple[Vec, ...], inner: tuple[Vec, ...]) -> int:
-    """Index of span(inner) inside span(outer); both bases in the same
-    coordinates, equal ranks, inner contained in outer."""
-    if len(outer) != len(inner):
-        raise RankDeficient("index requires equal ranks")
-    if not outer:
-        return 1
-    cols = []
-    for v in inner:
-        c = la.solve_int(la.transpose(outer), v)
-        if c is None:
-            raise NotIntegral("inner basis does not lie in the outer span")
-        cols.append(c)
-    return abs(la.bareiss_det(la.transpose(cols)))
-
-
-def saturation_index(k: SublatticeEmbedding) -> int:
-    """Index [sat(K) : K], a finite positive integer: the product of the
-    HNF pivots of K's basis."""
-    return prod(_hnf_pivots(k))
-
-
-def same_sublattice(a: SublatticeEmbedding, b: SublatticeEmbedding) -> bool:
-    if a.ambient.gram != b.ambient.gram or a.rank != b.rank:
-        return False
-    return all(a.contains(v) for v in b.basis) and all(b.contains(v) for v in a.basis)
-
-
-def reflection(L: Lattice, d, x) -> Vec:
-    """Image of x under the reflection in d:  x - (2(x.d)/d^2) d.
-
-    Defined only when d^2 divides 2(x.d); for d^2 = -2 or 2 this is
-    automatic and the reflection is a lattice isometry.
-    """
-    d = check_vector(L, d)
-    x = check_vector(L, x)
-    dd = inner_product(L, d, d)
-    if dd == 0:
-        raise ZeroNormVector("cannot reflect in a vector of square zero")
-    xd2 = 2 * inner_product(L, x, d)
-    if xd2 % dd:
-        raise NonIntegralImage(
-            f"2(x.d) = {xd2} is not divisible by d^2 = {dd}"
-        )
-    q = xd2 // dd
-    return tuple(xi - q * di for xi, di in zip(x, d))
 
 
 # Fixed Gram matrices for the named lattices.  E8(-1) is given in the basis

@@ -42,6 +42,14 @@ E8B = tuple(range(14, 22))
 E8_ROOT = (2, 0, -1, 0, 0, 0, 0, 0)
 
 
+def same_sublattice(a, b) -> bool:
+    """Do two embeddings span the same sublattice of the same ambient
+    lattice?  Each basis must lie in the other span, at equal ranks."""
+    if a.ambient.gram != b.ambient.gram or a.rank != b.rank:
+        return False
+    return all(a.contains(v) for v in b.basis) and all(b.contains(v) for v in a.basis)
+
+
 def lk3() -> Lattice:
     return standard_lattice("LK3")
 
@@ -97,6 +105,20 @@ def psi_minus():
     return make_involution(L, m)
 
 
+def e8_reflection():
+    """Matrix of the reflection s_r in r = E8_ROOT on E8(-1), acting on
+    columns: column j is s_r(e_j) = e_j - (2 e_j.r / r.r) r."""
+    e8 = standard_lattice("E8(-1)")
+    r = E8_ROOT
+    rr = inner_product(e8, r, r)
+    cols = []
+    for j in range(8):
+        x = tuple(1 if i == j else 0 for i in range(8))
+        xr = inner_product(e8, x, r)
+        cols.append(tuple(x[i] - (2 * xr // rr) * r[i] for i in range(8)))
+    return tuple(zip(*cols))
+
+
 def sigma_s311_fixed():
     """Involution of U^3 + E8(-1)^2 with fixed part of invariants (3,1,1).
 
@@ -105,26 +127,16 @@ def sigma_s311_fixed():
     an even 2-elementary lattice with (r, a, delta) = (3, 1, 1).
     """
     L = lk3()
-    e8 = standard_lattice("E8(-1)")
-    r = E8_ROOT
-    rr = inner_product(e8, r, r)
-    cols = []
-    for j in range(8):
-        x = tuple(1 if i == j else 0 for i in range(8))
-        xr = inner_product(e8, x, r)
-        # s_r(x) = x - (2 x.r / r.r) r, then negated
-        refl = tuple(x[i] - (2 * xr // rr) * r[i] for i in range(8))
-        cols.append(tuple(-c for c in refl))
+    refl = e8_reflection()
     n = L.rank
     m = [[0] * n for _ in range(n)]
     for i in U1:
         m[i][i] = 1
     for i in U2 + U3 + E8B:
         m[i][i] = -1
-    for j_local, col in enumerate(cols):
-        j = E8A[j_local]
-        for i_local, c in enumerate(col):
-            m[E8A[i_local]][j] = c
+    for i_local, i in enumerate(E8A):
+        for j_local, j in enumerate(E8A):
+            m[i][j] = -refl[i_local][j_local]
     return make_involution(L, tuple(tuple(row) for row in m))
 
 
@@ -272,6 +284,38 @@ def random_involution_data(rng: random.Random, rank: int):
     for _ in range(3):
         gram, mat = _conjugate(rng, gram, mat)
     return gram, mat
+
+
+def _unimodular_blocks():
+    """(gram, matrix) blocks of even unimodular lattices: U with its four
+    involutions, U + U with its two blocks swapped (fixed part U(2), where
+    delta = 0 but a = 2), and E8(-1) with +-id and +- the reflection in a
+    root."""
+    uu = direct_sum(Lattice(_U), Lattice(_U)).gram
+    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    blocks = [b for b in _BLOCKS if b[0] == _U] + [(uu, swap)]
+    e8 = standard_lattice("E8(-1)").gram
+    ident = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+    for m in (ident, e8_reflection()):
+        blocks += [(e8, m), (e8, tuple(tuple(-c for c in row) for row in m))]
+    return blocks
+
+
+def random_unimodular_involution(rng: random.Random, max_rank: int = 12):
+    """An involution of an even unimodular lattice of rank at most max_rank:
+    U and E8(-1) blocks with their involutions, in a random basis."""
+    pool = _unimodular_blocks()
+    blocks = [rng.choice(pool)]
+    total = len(blocks[0][0])
+    while rng.random() < 0.7:
+        fits = [b for b in pool if total + len(b[0]) <= max_rank]
+        if not fits:
+            break
+        blocks.append(rng.choice(fits))
+        total += len(blocks[-1][0])
+    gram, mat = _conjugate(rng, *_block_diag(blocks))
+    L = make_lattice(tuple(tuple(r) for r in gram))
+    return make_involution(L, tuple(tuple(r) for r in mat))
 
 
 def random_involution(rng: random.Random, max_rank: int = 8):

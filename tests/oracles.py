@@ -254,6 +254,33 @@ def fraction_pairing(gram, g, h):
     return sum(g[i] * Fraction(gram[i][j]) * h[j] for i in range(n) for j in range(n))
 
 
+def involution_triple(gram, psi):
+    """(r, a, delta) of the fixed lattice of an involution psi of an even
+    unimodular lattice, read off psi without a discriminant group.
+
+    r = rank of ker(psi - I), by sympy.  a = rank of psi + I over F_2, by
+    elimination mod 2: (psi + I) L / 2 L_+ is L / (L_+ + L_-) = (Z/2)^a.
+    delta = 1 when some x.psi(x) is odd; x -> x.psi(x) mod 2 is additive
+    (the cross term is 2 x.psi(y)), so the basis vectors decide it
+    (Nikulin 1979, 1.5).
+    """
+    n = len(gram)
+    r = n - (sp.Matrix([list(row) for row in psi]) - sp.eye(n)).rank()
+    rows = [[(psi[i][j] + (i == j)) % 2 for j in range(n)] for i in range(n)]
+    a = 0
+    for col in range(n):
+        pivot = next((i for i in range(a, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[a], rows[pivot] = rows[pivot], rows[a]
+        for i in range(n):
+            if i != a and rows[i][col]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[a])]
+        a += 1
+    delta = int(any(sum(gram[i][k] * psi[k][i] for k in range(n)) % 2 for i in range(n)))
+    return r, a, delta
+
+
 def sympy_anti_s(gram, matrix, s_basis):
     """(rank, inertia) of the anti-invariant part orthogonal to S.
 

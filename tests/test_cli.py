@@ -1,5 +1,6 @@
 import collections
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,21 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 4
     assert proc.stderr.startswith("error:")
+
+
+def test_closed_stdout_exits_zero_quietly(files):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails however the scheduler orders the two processes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zlattice", "roots", files["e8"], "--norm", "-4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
 
 
 def test_import_loads_no_numpy():

@@ -13,7 +13,6 @@ from zlattice import (
     delta_via_involution,
     determinant,
     direct_sum,
-    discriminant_bilinear_value,
     discriminant_form_value,
     discriminant_group,
     eigenlattices,
@@ -134,8 +133,7 @@ def test_form_values_land_in_canonical_windows():
         for g in dg.generators:
             q = discriminant_form_value(L, g)
             assert 0 <= q < 2
-            b = discriminant_bilinear_value(L, g, g)
-            assert 0 <= b < 1
+            assert q == oracles.reduce_mod2z(oracles.fraction_pairing(L.gram, g, g))
         done += 1
 
 
@@ -155,7 +153,7 @@ def test_polarization_identity():
                 q_h = discriminant_form_value(L, h)
                 gh = tuple(a + b for a, b in zip(g, h))
                 q_gh = discriminant_form_value(L, gh)
-                b = discriminant_bilinear_value(L, g, h)
+                b = oracles.fraction_pairing(L.gram, g, h)
                 diff = q_gh - q_g - q_h - 2 * b
                 assert diff.denominator == 1 and diff % 2 == 0
         done += 1
@@ -187,24 +185,18 @@ def test_integer_pairings_match_fraction_oracle():
                      for _ in range(n)] for _ in range(3)]
         vectors.append([rng.randint(-9, 9) for _ in range(n)])
         for g in vectors:
-            for h in (g, rng.choice(vectors)):
-                expect = oracles.fraction_pairing(L.gram, g, h)
+            h = rng.choice(vectors)
+            for v in (g, [x + y for x, y in zip(g, h)]):
+                expect = oracles.fraction_pairing(L.gram, v, v)
                 if isinstance(expect, tuple):
                     i, pairing = expect
                     msg = f"pairing with basis vector {i} is {pairing}, not an integer"
                     with pytest.raises(NotInDualLattice) as err:
-                        if h is g:
-                            discriminant_form_value(L, g)
-                        else:
-                            discriminant_bilinear_value(L, g, h)
+                        discriminant_form_value(L, v)
                     assert str(err.value) == msg
                     rejected += 1
-                elif h is g:
-                    assert discriminant_form_value(L, g) == oracles.reduce_mod2z(expect)
-                    dual += 1
                 else:
-                    b = discriminant_bilinear_value(L, g, h)
-                    assert b == oracles.reduce_mod2z(2 * expect) / 2
+                    assert discriminant_form_value(L, v) == oracles.reduce_mod2z(expect)
                     dual += 1
     assert dual > 200 and rejected > 100
 
@@ -298,6 +290,22 @@ def test_delta_via_involution_agrees_with_intrinsic_on_unimodular_ambients():
         fixed, _ = eigenlattices(psi)
         intrinsic = two_elementary_invariants(fixed.induced_lattice())[2]
         assert delta_via_involution(L, psi) == intrinsic, (L.name, psi.matrix)
+
+
+def test_involution_triple_oracle_on_unimodular_involutions():
+    from helpers import psi_minus, psi_split, random_unimodular_involution, sigma_s311_fixed
+
+    rng = random.Random(37)
+    cases = [psi_split(), psi_minus(), sigma_s311_fixed()]
+    cases += [random_unimodular_involution(rng) for _ in range(120)]
+    seen = set()
+    for psi in cases:
+        L = psi.ambient
+        assert abs(determinant(L)) == 1
+        triple = two_elementary_invariants(psi.fixed.induced_lattice())
+        assert oracles.involution_triple(L.gram, psi.matrix) == triple, psi.matrix
+        seen.add(triple)
+    assert len(seen) >= 10, seen
 
 
 def test_delta_via_involution_frozen_k3_value():

@@ -20,6 +20,7 @@ from helpers import (
     random_involution,
     random_involution_data,
     s_copy_basis,
+    same_sublattice,
     sigma_s311_fixed,
 )
 from zlattice import (
@@ -48,7 +49,6 @@ from zlattice import (
     norm,
     orthogonal_complement,
     period_domain_summary,
-    same_sublattice,
     saturate,
     signature,
     standard_lattice,

@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from helpers import same_sublattice
 from zlattice import (
     DegenerateSublattice,
     DimensionMismatch,
-    NonIntegralImage,
     NotIntegral,
     NotSquare,
     NotSymmetric,
     RankDeficient,
     UnknownName,
-    ZeroNormVector,
     determinant,
     direct_sum,
     inner_product,
-    is_definite,
     is_even,
     is_hyperbolic,
     lattice_from_json_dict,
@@ -25,13 +23,9 @@ from zlattice import (
     make_sublattice,
     norm,
     orthogonal_complement,
-    reflection,
-    same_sublattice,
     saturate,
-    saturation_index,
     signature,
     standard_lattice,
-    sublattice_index_from_bases,
 )
 from zlattice.errors import InvalidInputFile
 from zlattice import intlinalg as la
@@ -119,10 +113,11 @@ def test_signature_matches_sympy_on_random_symmetric():
 
 
 def test_is_definite_examples_and_sympy():
-    for L in (E8M, standard_lattice("A1(-1)"), make_lattice(((2,),))):
-        assert is_definite(L)
-    for L in (U, make_lattice(((0,),)), standard_lattice("PicY")):
-        assert not is_definite(L)
+    """Definiteness is read off the signature (no zero and one sign), so
+    the signature is checked on definite and semidefinite Gram matrices."""
+    assert signature(standard_lattice("A1(-1)")) == (0, 1, 0)
+    assert signature(make_lattice(((2,),))) == (1, 0, 0)
+    assert signature(standard_lattice("PicY")) == (1, 2, 0)
     rng = random.Random(23)
     seen = set()
     for _ in range(60):
@@ -135,10 +130,9 @@ def test_is_definite_examples_and_sympy():
                  for i in range(n)]
         else:
             m = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        p, q, z = oracles.sympy_inertia(m)
-        got = is_definite(make_lattice(m))
-        assert got == (z == 0 and (p == 0 or q == 0))
-        seen.add(got)
+        p, q, z = signature(make_lattice(m))
+        assert (p, q, z) == oracles.sympy_inertia(m)
+        seen.add(z == 0 and (p == 0 or q == 0))
     assert seen == {True, False}
 
 
@@ -298,16 +292,25 @@ def test_orthogonal_complement_properties():
         assert same_sublattice(saturate(C), C)
 
 
+def _index_in(outer, inner) -> int:
+    """[outer : inner] for sublattices of equal rank, inner inside outer:
+    |det| of inner's basis written in outer's basis, by cofactor expansion."""
+    coords = [outer.from_ambient(v) for v in inner.basis]
+    assert None not in coords
+    return abs(oracles.cofactor_det([list(c) for c in coords]))
+
+
 def test_saturate_examples():
     two_e = make_sublattice(U, ((2, 0),))
     assert same_sublattice(saturate(two_e), make_sublattice(U, ((1, 0),)))
+    assert _index_in(saturate(two_e), two_e) == 2
     sk = make_sublattice(S, ((1, 1, 0), (0, 0, 2)))
     assert same_sublattice(saturate(sk), make_sublattice(S, ((1, 1, 0), (0, 0, 1))))
-    assert saturation_index(sk) == 2  # the first HNF pivot is 1, the second 2
+    # the first HNF pivot is 1, the second 2
+    assert _index_in(saturate(sk), sk) == oracles.sympy_maximal_minor_gcd(sk.basis) == 2
     u = make_sublattice(S, U_BASIS)
     assert saturate(u) is u
-    assert saturation_index(u) == 1
-    assert saturation_index(two_e) == 2
+    assert oracles.sympy_maximal_minor_gcd(u.basis) == 1
 
 
 def test_saturate_keeps_primitive_and_matches_minor_gcd():
@@ -324,7 +327,6 @@ def test_saturate_keeps_primitive_and_matches_minor_gcd():
             basis[j] = tuple(2 * c for c in basis[j])
         k = make_sublattice(L, basis)
         index = oracles.sympy_maximal_minor_gcd(basis)
-        assert saturation_index(k) == index, basis
         sat = saturate(k)
         if index == 1:
             primitive += 1
@@ -334,53 +336,13 @@ def test_saturate_keeps_primitive_and_matches_minor_gcd():
         # the double integer kernel, as saturate has always built it
         left = la.kernel(k.basis, ncols=n)
         assert sat.basis == (la.kernel(left, ncols=n) if left else la.identity(n))
-        assert sublattice_index_from_bases(sat.basis, k.basis) == index
+        assert _index_in(sat, k) == index, basis
+        assert oracles.sympy_maximal_minor_gcd(sat.basis) == 1
         first_row_gcd = 0
         for c in basis[0]:
             first_row_gcd = la.xgcd(first_row_gcd, c)[0]
         late_pivot += first_row_gcd == 1
     assert primitive >= 50 and non_primitive >= 50 and late_pivot >= 10
-
-
-def test_sublattice_index():
-    inner = ((2, 0), (0, 3))
-    outer = ((1, 0), (0, 1))
-    assert sublattice_index_from_bases(outer, inner) == 6
-
-
-# --- reflections ---
-
-
-def test_reflection_examples():
-    assert reflection(S, F_T, F_T) == (0, -1, 0)
-    assert reflection(S, F_T, E_T) == (1, 2, 0)
-    for x in (E_T, F_T, A_T):
-        assert reflection(S, F_T, reflection(S, F_T, x)) == x
-
-
-def test_reflection_errors():
-    with pytest.raises(ZeroNormVector):
-        reflection(U, (1, 0), (0, 1))
-    g4 = make_lattice(((-4,), ))
-    # fine when the projection coefficient is integral
-    assert reflection(g4, (1,), (2,)) == (-2,)
-    L = make_lattice(((-4, 0), (0, -2)))
-    with pytest.raises(NonIntegralImage):
-        reflection(L, (1, 1), (1, 0))
-
-
-def test_reflection_in_root_is_isometry():
-    rng = random.Random(47)
-    roots = [v for v in
-             [(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-2, 3)]
-             if norm(S, v) == -2]
-    assert roots
-    for _ in range(40):
-        d = rng.choice(roots)
-        x = tuple(rng.randint(-3, 3) for _ in range(3))
-        y = tuple(rng.randint(-3, 3) for _ in range(3))
-        assert inner_product(S, reflection(S, d, x), reflection(S, d, y)) == \
-            inner_product(S, x, y)
 
 
 # --- named lattices ---

@@ -130,7 +130,7 @@ def test_involution_ignores_its_derived_eigenlattices():
 def test_properties_and_methods_survive():
     s = SublatticeEmbedding(U, ((1, 1), (1, -1)))
     assert s.rank == 2 and s.matrix == ((1, 1), (1, -1))
-    assert s.induced_lattice("Q") == Lattice(((2, 0), (0, -2)), "Q")
+    assert s.induced_lattice() == Lattice(((2, 0), (0, -2)))
     assert U.rank == 2
     assert DiscriminantGroup((2, 6), (), A1).order == 12
     assert DiscriminantGroup((), (), U).order == 1
