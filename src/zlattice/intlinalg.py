@@ -13,9 +13,9 @@ determinant, a column-style Hermite normal form with recorded transform, a
 Smith normal form with its column transform, and one fraction-free
 symmetric LDL^t elimination (ldl).  Its leading minors give the inertia,
 and on a definite Gram matrix they and its scaled multipliers are the
-integral Gram-Schmidt data.  The Gram-only LLL factors once, keeps them
-current in place of a Gram matrix and returns them for the Fincke-Pohst
-search in roots; neither uses rationals.
+integral Gram-Schmidt data.  The Gram-only LLL factors nothing: it keeps
+the caller's (d, lam) of a definite form of either sign current for the
+Fincke-Pohst search in roots; neither uses rationals.
 """
 
 from __future__ import annotations
@@ -155,12 +155,11 @@ def hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
     return freeze(h), freeze(u)
 
 
-def integer_rank(m, ncols: int | None = None) -> int:
-    if not m and not ncols:
+def integer_rank(m) -> int:
+    if not m:
         return 0
-    h, _ = hnf_with_transform(m, ncols)
-    nc = len(h[0]) if h else (ncols or 0)
-    return sum(1 for c in range(nc) if any(row[c] for row in h))
+    h, _ = hnf_with_transform(m)
+    return sum(1 for c in range(len(h[0])) if any(row[c] for row in h))
 
 
 def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
@@ -382,22 +381,21 @@ def inertia(gram) -> tuple[int, int, int]:
     return sign_counts(ldl(gram)[0])
 
 
-def lll_reduce_gram(gram) -> tuple[Mat, list[int], list[list[int]]]:
-    """LLL-reduce a positive definite Gram matrix without vector coordinates.
+def lll_reduce_gram(d, lam) -> Mat:
+    """LLL-reduce a definite Gram matrix G, given only (d, lam) = ldl(G).
 
-    Returns (T, d, lam): T unimodular and (d, lam) = ldl(T^t G T); raises
-    ValueError when an ldl minor of G is not positive.  After that one ldl
-    of G, the reduction (Cohen, Alg. 2.6.7, delta = 3/4) updates only T and
-    (d, lam): mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) //
-    (2 d[j]), the Lovasz test reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >=
-    3 d[k-1]^2 (d[-1] = 1), size reduction changes row k of lam, and a swap
-    of b_(k-1) and b_k updates their rows and columns by exact divisions.
+    Returns T unimodular and leaves (d, lam) = ldl(T^t G T) in place.  The
+    reduction (Cohen, Alg. 2.6.7, delta = 3/4) updates only T and (d, lam):
+    mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) // (2 d[j]), the
+    Lovasz test reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >= 3 d[k-1]^2
+    (d[-1] = 1), size reduction changes row k of lam, and a swap of b_(k-1)
+    and b_k updates their rows and columns by exact divisions.  G may be
+    negative: ldl(-G) is ldl(G) with d[j] and column j of lam times
+    (-1)^(j+1), so each test reads the same values, each update keeps the
+    sign of its column, and T is that of -G.
     """
-    n = len(gram)
+    n = len(d)
     t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = ldl(gram)
-    if any(x <= 0 for x in d):
-        raise ValueError("gram matrix is not positive definite")
     k = 1
     while k < n:
         lk = lam[k]
@@ -425,4 +423,4 @@ def lll_reduce_gram(gram) -> tuple[Mat, list[int], list[list[int]]]:
             row[k - 1] = (b * s + off * row[k]) // d[k]
         d[k - 1] = above[k - 1] = b
         k = max(k - 1, 1)
-    return freeze(t), d, lam
+    return freeze(t)

@@ -296,11 +296,10 @@ def _doubled_projector(s: SublatticeEmbedding) -> tuple[la.Mat, int]:
     nondegenerate.  With den = |det G_S|, adj = den G_S^{-1} is an integer
     matrix whose column i is the one integer solution of G_S x = den e_i,
     so P = 2 B^t adj B G is integral.  Then 2 proj_S(v) is integral
-    exactly when den divides every entry of P v.
+    exactly when den divides every entry of P v.  S has rank > 0: the glue
+    obstruction answers a rank-0 S, whose discriminant group is trivial.
     """
-    n, k = s.ambient.rank, s.rank
-    if k == 0:
-        return ((0,) * n,) * n, 1
+    k = s.rank
     gs = s.induced_gram()
     den = abs(la.bareiss_det(gs))
     # adj is symmetric, so its columns serve as its rows

@@ -135,14 +135,15 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     and 0 share one loop: on entering level 1, t_1, the range of x_1 and
     the part of t_0 fixed by x_2.. are computed once; each x_1 then adds
     c01 x_1 (c01 = lam[1][0] / g_0) to that part and solves w_0 y_0^2 = rem
-    for x_0.  Rank 1 solves for x_0 alone.  Only x whose last nonzero
-    coordinate is positive are visited, so one v per +-v pair is emitted
-    (canonical_order writes the negatives).  In the identity basis v is
-    written from x directly; otherwise the levels >= 2 keep the partial
-    sums part[i] = sum_{j>=i} x_j basis[j] and v = part[2] + x_1 basis[1] +
-    x_0 basis[0].  Every coordinate value fixed at a level >= 1 and every
-    emitted x_0 counts as a node; past _MAX_FP_NODES the search raises
-    EnumerationOverflow.
+    for x_0.  Only x whose last nonzero coordinate is positive are visited,
+    so one v per +-v pair is emitted (canonical_order writes the
+    negatives).  In the identity basis v is written from x directly;
+    otherwise the levels >= 2 keep the partial sums part[i] =
+    sum_{j>=i} x_j basis[j] and v = part[2] + x_1 basis[1] + x_0 basis[0].
+    Every coordinate value fixed at a level >= 1 and every emitted x_0
+    counts as a node; past _MAX_FP_NODES the search raises
+    EnumerationOverflow.  Rank 1 solves for x_0 alone: it finds at most
+    one x and counts no nodes.
     """
     n = len(d)
     # g[i] carries the sign of d[i], so s[i] > 0
@@ -161,8 +162,6 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
         if w[0] * r * r == scale * target and not r % s[0]:
             x0 = r // s[0]
             found.append((x0,) if basis is None else tuple(x0 * b for b in basis[0]))
-        if len(found) > cap:
-            raise _node_overflow(len(found), n)
         return found
     s0, s1, w0, w1 = s[0], s[1], w[0], w[1]
     c01 = lam[1][0] // g[0]
@@ -247,9 +246,9 @@ def _definite_vectors(gram, m: int, basis) -> list[Vec]:
     verdict, and the Fincke-Pohst data, which serves a negative definite
     form as it is.  basis[i] is the image of the i-th unit vector; basis
     None is the identity, and the search then writes each x as it is.  From
-    rank _LLL_MIN_RANK on, the search runs instead on the (d, lam) that
-    lll_reduce_gram returns for the positive form (after a second ldl, its
-    only one), and the reduced unit vectors map to transpose(T) basis.
+    rank _LLL_MIN_RANK on, lll_reduce_gram first reduces that same (d, lam)
+    in place, of either sign, and the reduced unit vectors map to
+    transpose(T) basis.
     """
     n = len(gram)
     if n == 0:
@@ -264,9 +263,8 @@ def _definite_vectors(gram, m: int, basis) -> list[Vec]:
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
     if n >= _LLL_MIN_RANK:
-        work = gram if positive else tuple(tuple(-x for x in row) for row in gram)
-        trans, d, lam = la.lll_reduce_gram(work)
-        basis = la.transpose(trans) if basis is None else la.mat_mul(la.transpose(trans), basis)
+        trans = la.transpose(la.lll_reduce_gram(d, lam))
+        basis = trans if basis is None else la.mat_mul(trans, basis)
     return _fp_enumerate(d, lam, abs(m), basis)
 
 

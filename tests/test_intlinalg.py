@@ -150,6 +150,8 @@ def test_hnf_zero_rows_needs_ncols():
     h, u = la.hnf_with_transform((), ncols=3)
     assert h == ()
     assert u == la.identity(3)
+    # the rank needs no width: a matrix with no rows has rank 0
+    assert la.integer_rank(()) == 0
 
 
 # --- kernel and integral solving ---
@@ -349,13 +351,16 @@ def test_ldl_reconstructs_definite_and_signs_match_inertia():
 # --- LLL on Gram matrices ---
 
 
-def _lll_checked(g):
-    # LLL returns T and (d, lam) but not T^t G T: form it here, compare
-    # (T^t G T, T) with the Fraction reference and (d, lam) with a fresh ldl
-    t, d, lam = la.lll_reduce_gram(g)
+def _lll_checked(g, sign=1):
+    # LLL reduces ldl(sign G) in place and returns T alone: form T^t G T
+    # here, compare (T^t G T, T) with the Fraction reference on G and the
+    # reduced (d, lam) with a fresh ldl of T^t (sign G) T
+    signed = tuple(tuple(sign * x for x in row) for row in g)
+    d, lam = la.ldl(signed)
+    t = la.lll_reduce_gram(d, lam)
     g2 = la.mat_mul(la.mat_mul(la.transpose(t), g), t)
     assert (g2, t) == oracles.fraction_lll(g)
-    assert (d, lam) == la.ldl(g2)
+    assert (d, lam) == la.ldl(la.mat_mul(la.mat_mul(la.transpose(t), signed), t))
     return g2, t
 
 
@@ -402,9 +407,25 @@ def test_lll_matches_fraction_reference():
         _lll_checked(_skew(rng, g, rng.randint(0, 3 * len(g))))
 
 
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.sampled_from(("posdef", "2I", "E8")),
+       st.integers(0, 40), st.sampled_from((1, -1)))
+def test_lll_on_either_sign_matches_fraction_reference(seed, n, kind, ops, sign):
+    # one factorization of +-G serves LLL: T is that of G, and the (d, lam)
+    # left in place are those of T^t (+-G) T
+    rng = random.Random(seed)
+    if kind == "E8":
+        g = tuple(tuple(-x for x in row) for row in standard_lattice("E8(-1)").gram)
+    elif kind == "2I":
+        g = tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n))
+    else:
+        g = _random_posdef_gram(rng, n)
+    _lll_checked(_skew(rng, g, ops), sign)
+
+
 def test_lll_factors_once(monkeypatch):
     # the Fraction reference factors once more after every swap, so its
-    # factorizations count the swaps; LLL itself factors G once
+    # factorizations count the swaps; LLL itself factors nothing, and runs
+    # on the caller's one factorization
     calls = collections.Counter()
 
     def count(module, fname):
@@ -413,16 +434,12 @@ def test_lll_factors_once(monkeypatch):
             return _orig(*a)
         monkeypatch.setattr(module, fname, counted)
 
-    count(oracles, "fraction_gram_schmidt")
-    count(la, "ldl")
     e8 = tuple(tuple(-x for x in row) for row in standard_lattice("E8(-1)").gram)
     g = _skew(random.Random(100), e8, 30)
+    d, lam = la.ldl(g)
+    count(oracles, "fraction_gram_schmidt")
+    count(la, "ldl")
     oracles.fraction_lll(g)
     assert calls["fraction_gram_schmidt"] - 1 >= 20
-    la.lll_reduce_gram(g)
-    assert calls["ldl"] == 1
-
-
-def test_lll_rejects_indefinite():
-    with pytest.raises(ValueError):
-        la.lll_reduce_gram(((0, 1), (1, 0)))
+    la.lll_reduce_gram(d, lam)
+    assert calls["ldl"] == 0

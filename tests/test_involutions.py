@@ -53,7 +53,7 @@ from zlattice import (
     signature,
     standard_lattice,
 )
-from zlattice import intlinalg as la
+from zlattice import intlinalg as la, involutions
 from zlattice.involutions import MembershipResult, _box_search, _doubled_projector, _scan_key
 
 U = standard_lattice("U")
@@ -667,6 +667,18 @@ def test_glue_obstruction_on_both_sides(k):
         assert time.perf_counter() - start < 1.0
         if k == 4:
             assert _box_search(L, s, 2).status == "no-witness-within-bound"
+
+
+def test_rank_zero_sublattice_is_obstructed_before_the_box(monkeypatch):
+    # a rank-0 S has a trivial discriminant group, so the glue obstruction
+    # answers exactly and the box and its projector are never built
+    def refuse(s):
+        raise AssertionError("the box search ran")
+
+    monkeypatch.setattr(involutions, "_doubled_projector", refuse)
+    for L in (S, standard_lattice("LK3")):
+        got = da_degeneracy_scan(L, make_sublattice(L, []), 1)
+        assert got == DegeneracyScanResult("no-witness", None, None, None)
 
 
 def test_da_scan_rejects_degenerate_sublattice():

@@ -95,21 +95,42 @@ def test_lll_path_matches_plain(monkeypatch):
     assert res_plain.vectors == res_lll.vectors
 
 
-def test_rank_rule_picks_lll_and_hands_on_its_factorization(monkeypatch):
-    # below rank 10 one ldl and no LLL; from it on, LLL once, and the search
-    # runs on LLL's own factorization, after the one that decides the sign
+def _count_factorizations(monkeypatch):
     calls = collections.Counter()
     for fname in ("ldl", "lll_reduce_gram"):
         def counted(*a, _orig=getattr(la, fname), _name=fname):
             calls[_name] += 1
             return _orig(*a)
         monkeypatch.setattr(la, fname, counted)
+    return calls
+
+
+def test_rank_rule_picks_lll_and_hands_on_its_factorization(monkeypatch):
+    # below rank 10 one ldl and no LLL; from it on, LLL once, on the one
+    # negative definite factorization that decided the sign, and the search
+    # runs on what LLL left of it
+    calls = _count_factorizations(monkeypatch)
     assert roots._LLL_MIN_RANK == 10
     assert vectors_of_norm(E8M, -2).count == 240
     assert calls == {"ldl": 1}
     calls.clear()
     assert vectors_of_norm(direct_sum(E8M, E8M), -2).count == 480
-    assert calls == {"ldl": 2, "lll_reduce_gram": 1}
+    assert calls == {"ldl": 1, "lll_reduce_gram": 1}
+    calls.clear()
+    # a rank-15 complement: kernel, one ldl and one LLL
+    assert constrained_roots(direct_sum(E8M, E8M), ((1,) + (0,) * 15,), -2).count == 324
+    assert calls == {"ldl": 1, "lll_reduce_gram": 1}
+
+
+def test_indefinite_or_wrong_sign_search_never_reaches_lll(monkeypatch):
+    # LLL checks no minor: the factorization that decides the sign refuses
+    # an indefinite form, or a norm of the wrong sign, before LLL would run
+    calls = _count_factorizations(monkeypatch)
+    with pytest.raises(NotDefinite):
+        vectors_of_norm(standard_lattice("LK3"), -2)
+    with pytest.raises(SignMismatch):
+        vectors_of_norm(direct_sum(E8M, E8M), 2)
+    assert calls == {"ldl": 2}
 
 
 # --- canonical order ---
@@ -393,7 +414,7 @@ def test_definite_path_builds_no_fraction(monkeypatch):
     rng = random.Random(7)
     pos = _skewed_definite(rng, 6, 1)
     la.inertia(pos)
-    la.lll_reduce_gram(pos)
+    la.lll_reduce_gram(*la.ldl(pos))
     N = direct_sum(S, E8M)
     assert constrained_roots(N, ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2).count == 242
     for sign in (1, -1):
