@@ -4,10 +4,12 @@ The discriminant group of a nondegenerate lattice L is L*/L.  Working in
 the coordinates of L, L*/L is the cokernel of G: Z^n -> Z^n, so its
 invariant factors come from the Smith normal form P G Q = D, and the same
 transform gives its generators without a matrix inverse: column i of Q
-divided by d_i is the dual vector G^{-1} P^{-1} e_i.  Values of the
-discriminant quadratic form live in Q/2Z and are represented canonically
-in [0, 2).  Pairings run on integers: g = a/den is dual exactly when den
-divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2) / den^2.
+divided by d_i is the dual vector G^{-1} P^{-1} e_i.  A class is stored
+as that integer column a_i, reduced mod d_i, over its invariant factor d_i;
+every decision reads the integers.  Pairings: g = a/den is dual exactly
+when den divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2)
+/ den^2.  Fraction appears only in the printed values: the generators of
+discriminant_group and the form values in [0, 2) of discriminant_form_value.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NotInDualLattice,
     NotTwoElementary,
 )
-from .lattices import Lattice, determinant, is_even
+from .lattices import Lattice, Vec, determinant, is_even
 
 QVec = tuple[Fraction, ...]
 
@@ -46,27 +48,28 @@ class DiscriminantGroup(NamedTuple):
         return prod(self.invariant_factors)
 
 
-def discriminant_group(L: Lattice) -> DiscriminantGroup:
+def _glue_classes(L: Lattice) -> list[tuple[int, Vec]]:
+    """[(d_i, a_i)] over the invariant factors d_i > 1 of L*/L: the class
+    a_i / d_i generates the summand of order d_i.  a_i is column i of Q,
+    P G Q = D, reduced mod d_i, since e_i of the cokernel pulls back to
+    G^{-1} (column i of P^{-1}) = column i of Q D^{-1}.  Raises
+    DegenerateLattice when det G = 0.
+    """
     det = determinant(L)
     if det == 0:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
     if abs(det) == 1:
         # |L*/L| = |det|: a unimodular lattice has the trivial group
-        return DiscriminantGroup((), (), L)
-    n = L.rank
+        return []
     d, q = la.snf_with_transforms(L.gram)
-    factors = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di == 1:
-            continue
-        # cokernel generator e_i pulls back to the dual vector
-        # G^{-1} (column i of P^{-1}) = column i of Q D^{-1}, since
-        # P G Q = D; reduce mod Z^n for a canonical rep
-        gens.append(tuple(Fraction(q[r][i] % di, di) for r in range(n)))
-        factors.append(di)
-    return DiscriminantGroup(tuple(factors), tuple(gens), L)
+    return [(d[i][i], tuple(row[i] % d[i][i] for row in q))
+            for i in range(L.rank) if d[i][i] > 1]
+
+
+def discriminant_group(L: Lattice) -> DiscriminantGroup:
+    classes = _glue_classes(L)
+    gens = tuple(tuple(Fraction(x, d) for x in a) for d, a in classes)
+    return DiscriminantGroup(tuple(d for d, _ in classes), gens, L)
 
 
 def discriminant_form_value(L: Lattice, g) -> Fraction:
@@ -95,22 +98,20 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
 def _two_torsion_takes_one(L: Lattice) -> bool:
     """Does some class a of L*/L with 2a = 0 have q(a) = 1 in Q/2Z?
 
-    L must be even and nondegenerate.  The 2-torsion is spanned by
-    h_i = v_i / 2 with v_i = d_i g_i for the even invariant factors d_i,
-    and q(v/2) = v.v / 4 for every integer vector v with v/2 dual.  q mod
-    1 is additive there (2b(x, y) is an integer), so its kernel V0 has the
-    basis {h_i : q(h_i) in Z} and h_i + h_j for one fixed j with q(h_j)
-    not in Z.  On V0, q mod 2 is an F_2 quadratic form with polar form
-    2b; it takes the value 1 iff it does on a basis vector or its polar
-    form does on a basis pair, i.e. iff the Gram matrix of the doubled
-    basis has a diagonal entry 4 mod 8 or an off-diagonal entry 2 mod 4.
-    That is O(k^2) pairings instead of 2^k classes.
+    L must be even; a degenerate L raises DegenerateLattice.  The 2-torsion
+    is spanned by h_i = (d_i / 2)(a_i / d_i) = a_i / 2 over the even
+    invariant factors d_i, and q(v/2) = v.v / 4 for every integer vector v
+    with v/2 dual.  q mod 1 is additive there (2b(x, y) is an integer), so
+    its kernel V0 has the basis {h_i : q(h_i) in Z} and h_i + h_j for one
+    fixed j with q(h_j) not in Z.  On V0, q mod 2 is an F_2 quadratic form
+    with polar form 2b; it takes the value 1 iff it does on a basis vector
+    or its polar form does on a basis pair, i.e. iff the Gram matrix of the
+    doubled basis has a diagonal entry 4 mod 8 or an off-diagonal entry
+    2 mod 4.  That is O(k^2) pairings instead of 2^k classes.
     """
-    dg = discriminant_group(L)
     basis, half = [], []
-    for d, g in zip(dg.invariant_factors, dg.generators):
+    for d, v in _glue_classes(L):
         if d % 2 == 0:
-            v = tuple(int(x * d) for x in g)
             if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
                 half.append(v)  # q(v/2) is 1/2 or 3/2
             else:
@@ -130,24 +131,20 @@ def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
 
     r is the rank, a the number of invariant factors (all must equal 2),
     and delta is 0 exactly when the discriminant quadratic form takes only
-    integer values in Q/2Z.  Checking delta on the generators suffices:
+    integer values in Q/2Z.  Checking delta on the generators a/2 suffices:
     q(g+h) = q(g) + q(h) + 2b(g,h) mod 2Z, and 2b is integer-valued on a
-    2-elementary group because twice any element lies in L.
+    2-elementary group because twice any element lies in L.  q(a/2) =
+    a.a / 4 mod 2Z is an integer exactly when 4 divides a.a.
     """
     if not is_even(L):
         odd = next(i for i in range(L.rank) if L.gram[i][i] % 2)
         raise NotEven(f"diagonal entry gram[{odd}][{odd}] = {L.gram[odd][odd]} is odd")
-    dg = discriminant_group(L)
-    bad = next((f for f in dg.invariant_factors if f != 2), None)
+    classes = _glue_classes(L)
+    bad = next((d for d, _ in classes if d != 2), None)
     if bad is not None:
         raise NotTwoElementary(f"invariant factor {bad} is not 2")
-    a = len(dg.invariant_factors)
-    delta = 0
-    for g in dg.generators:
-        if discriminant_form_value(L, g).denominator != 1:
-            delta = 1
-            break
-    return (L.rank, a, delta)
+    delta = int(any(sum(map(mul, v, la.mat_vec(L.gram, v))) % 4 for _, v in classes))
+    return (L.rank, len(classes), delta)
 
 
 def delta_via_involution(L: Lattice, sigma) -> int:

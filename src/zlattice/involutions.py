@@ -19,6 +19,7 @@ from typing import NamedTuple
 from . import intlinalg as la
 from .discriminant import _two_torsion_takes_one
 from .errors import (
+    DegenerateLattice,
     DegenerateSublattice,
     DimensionMismatch,
     EmbeddingMismatch,
@@ -37,7 +38,6 @@ from .lattices import (
     Vec,
     _as_int,
     check_vector,
-    determinant,
     is_even,
     is_hyperbolic,
     lattice_from_json_dict,
@@ -323,9 +323,10 @@ def _glue_obstructed(s: SublatticeEmbedding) -> bool:
     if is_even(sat) and not _two_torsion_takes_one(sat):
         return True
     perp = orthogonal_complement(s).induced_lattice()
-    if not is_even(perp) or determinant(perp) == 0:
+    try:
+        return is_even(perp) and not _two_torsion_takes_one(perp)
+    except DegenerateLattice:
         return False
-    return not _two_torsion_takes_one(perp)
 
 
 def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:

@@ -118,7 +118,7 @@ def is_nondegenerate(model: PicardModel) -> tuple[bool, tuple[Vec, ...]]:
     return set(found.vectors) == expected, found.vectors
 
 
-def model_degeneracy_scan(model: PicardModel, bound: int) -> DegeneracyScanResult:
+def model_degeneracy_scan(model: PicardModel, bound: int) -> _package.DegeneracyScanResult:
     """Degeneracy scan over the marked rank-3 sublattice of the model.
 
     For any valid model this answers "no-witness", exactly and without a

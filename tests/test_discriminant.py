@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from helpers import _conjugate
 from zlattice import (
     DegenerateLattice,
     NotEven,
@@ -23,6 +24,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la
+from zlattice.discriminant import _two_torsion_takes_one
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -238,6 +240,58 @@ def test_a_at_most_r():
             L = direct_sum(L, pool[rng.randrange(len(pool))])
         r, a, delta = two_elementary_invariants(L)
         assert a <= r == L.rank
+
+
+def _two_torsion_values(L):
+    """q on every class x of L*/L with 2x = 0: a walk over all classes of
+    discriminant_group, each valued by the Fraction reference
+    discriminant_form_value."""
+    dg = discriminant_group(L)
+    values = []
+    for cs in itertools.product(*map(range, dg.invariant_factors)):
+        x = [sum(c * g[i] for c, g in zip(cs, dg.generators)) for i in range(L.rank)]
+        if all((2 * v).denominator == 1 for v in x):
+            values.append(discriminant_form_value(L, x))
+    return values
+
+
+def test_two_torsion_decisions_match_a_class_walk():
+    rng = random.Random(43)
+    lattices = odd = takes = 0
+    while lattices < 200:
+        n = rng.randint(1, 3)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        L = make_lattice(tuple(map(tuple, g)))
+        if not 0 < abs(determinant(L)) <= 300:
+            continue
+        lattices += 1
+        odd += any(d % 2 for d in discriminant_group(L).invariant_factors)
+        expect = 1 in _two_torsion_values(L)
+        takes += expect
+        assert _two_torsion_takes_one(L) == expect, L.gram
+    assert odd >= 40 and 20 <= takes <= 180
+    # delta of 2-elementary lattices in skewed bases, against every class
+    d4 = make_lattice(((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)))
+    pool = [U, A1M, make_lattice(((2,),)), make_lattice(((0, 2), (2, 0))), d4]
+    seen = set()
+    for _ in range(60):
+        L = pool[rng.randrange(len(pool))]
+        for _ in range(rng.randint(0, 2)):
+            L = direct_sum(L, pool[rng.randrange(len(pool))])
+        gram, _ = _conjugate(rng, L.gram, la.identity(L.rank))
+        L = make_lattice(tuple(map(tuple, gram)))
+        r, a, delta = two_elementary_invariants(L)
+        values = _two_torsion_values(L)
+        # every class has order <= 2
+        assert len(values) == abs(determinant(L)) == 2 ** a, L.gram
+        assert (r, delta) == (L.rank, int(any(v.denominator != 1 for v in values))), L.gram
+        assert _two_torsion_takes_one(L) == (1 in values), L.gram
+        seen.add((delta, 1 in values))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # --- involution route to delta ---

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,7 @@ from zlattice import (
     saturate,
     signature,
     standard_lattice,
+    two_elementary_invariants,
 )
 from zlattice import intlinalg as la, involutions
 from zlattice.involutions import MembershipResult, _box_search, _doubled_projector, _scan_key
@@ -551,6 +553,37 @@ def test_glue_obstruction_pinned_cases():
     L = make_lattice(((-1, 0), (0, -1)))
     res = da_degeneracy_scan(L, make_sublattice(L, ((1, 0),)), 1)
     assert (res.status, res.delta) == ("degenerate", (1, -1))
+    # S = span(e0, e1) has det 31: A_S is odd and has no class of order 2,
+    # so S alone rules the witness out, although the complement <-4> has
+    # one with q = 1; an odd invariant factor read as 2-torsion hides it
+    L = make_lattice(((-4, 1, 0), (1, -8, 0), (0, 0, -4)))
+    s = make_sublattice(L, ((1, 0, 0), (0, 1, 0)))
+    assert determinant(s.induced_lattice()) == 31
+    assert da_degeneracy_scan(L, s, 2).status == "no-witness"
+
+
+def test_glue_decisions_build_no_fraction(monkeypatch):
+    # (r, a, delta) and the glue obstruction read the integer classes of
+    # the Smith form; Fraction is left to the printed values
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kw):
+        made.append(args)
+        return new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and made
+    made.clear()
+    assert two_elementary_invariants(S) == (3, 1, 1)
+    assert two_elementary_invariants(make_lattice(((0, 2), (2, 0)))) == (2, 2, 0)
+    assert two_elementary_invariants(make_lattice(((2, 0), (0, -2)))) == (2, 2, 1)
+    L = make_lattice(((-4, 0, 0), (0, -8, 0), (0, 0, -8)))
+    assert da_degeneracy_scan(L, make_sublattice(L, ((1, 0, 0),)), 1).status == "no-witness"
+    L = make_lattice(((-2, 1, -2), (1, 0, 0), (-2, 0, -4)))
+    s = make_sublattice(L, ((2, 1, -1), (0, 1, 0)))
+    assert da_degeneracy_scan(L, s, 2).status == "degenerate"
+    assert made == []
 
 
 def _plain_norm(gram, v):

@@ -10,6 +10,8 @@ but the base class must be raised somewhere in the package.
 """
 
 import ast
+import inspect
+import typing
 from pathlib import Path
 
 import zlattice
@@ -77,3 +79,30 @@ def test_every_exported_error_is_raised():
     assert errors
     unraised = [n for n in errors if n not in raised]
     assert not unraised, f"error classes that nothing raises: {unraised}"
+
+
+def _annotated(obj):
+    """obj and, for a class, the functions its own body defines: methods,
+    static and class methods, and property getters."""
+    yield obj
+    if isinstance(obj, type):
+        for value in vars(obj).values():
+            value = getattr(value, "__func__", getattr(value, "fget", value))
+            if inspect.isfunction(value):
+                yield value
+
+
+def test_every_public_annotation_resolves():
+    # the modules postpone annotations, so a name an annotation reads must
+    # be reachable from the defining module when get_type_hints asks
+    unresolved = []
+    for name in zlattice.__all__:
+        obj = getattr(zlattice, name)
+        if not (inspect.isfunction(obj) or isinstance(obj, type)):
+            continue
+        for target in _annotated(obj):
+            try:
+                typing.get_type_hints(target)
+            except NameError as err:
+                unresolved.append(f"{target.__qualname__}: {err}")
+    assert not unresolved, unresolved
