@@ -4,11 +4,12 @@ The discriminant group of a nondegenerate lattice L is L*/L.  Working in
 the coordinates of L, L*/L is the cokernel of G: Z^n -> Z^n, so its
 invariant factors come from the Smith normal form P G Q = D, and the same
 transform gives its generators without a matrix inverse: column i of Q
-divided by d_i is the dual vector G^{-1} P^{-1} e_i.  A class is stored
-as that integer column a_i, reduced mod d_i, over its invariant factor d_i;
-every decision reads the integers.  Pairings: g = a/den is dual exactly
-when den divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2)
-/ den^2.  Fraction appears only in the printed values: the generators of
+divided by d_i is the dual vector G^{-1} P^{-1} e_i.  _glue_classes stores
+a class as that integer column a_i mod d_i over d_i; every decision reads
+these integers, the degeneracy scan's check det G != 0 and denominator
+|det G| = prod d_i included.  Pairings: g = a/den is dual exactly when den
+divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2) / den^2.
+Fraction appears only in the printed values: the generators of
 discriminant_group and the form values in [0, 2) of discriminant_form_value.
 """
 
@@ -95,11 +96,11 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
     return Fraction(sum(map(mul, a, ga)) % (2 * sq), sq)
 
 
-def _two_torsion_takes_one(L: Lattice) -> bool:
+def _two_torsion_takes_one(L: Lattice, classes) -> bool:
     """Does some class a of L*/L with 2a = 0 have q(a) = 1 in Q/2Z?
 
-    L must be even; a degenerate L raises DegenerateLattice.  The 2-torsion
-    is spanned by h_i = (d_i / 2)(a_i / d_i) = a_i / 2 over the even
+    L must be even and classes = _glue_classes(L).  The 2-torsion is
+    spanned by h_i = (d_i / 2)(a_i / d_i) = a_i / 2 over the even
     invariant factors d_i, and q(v/2) = v.v / 4 for every integer vector v
     with v/2 dual.  q mod 1 is additive there (2b(x, y) is an integer), so
     its kernel V0 has the basis {h_i : q(h_i) in Z} and h_i + h_j for one
@@ -110,7 +111,7 @@ def _two_torsion_takes_one(L: Lattice) -> bool:
     2 mod 4.  That is O(k^2) pairings instead of 2^k classes.
     """
     basis, half = [], []
-    for d, v in _glue_classes(L):
+    for d, v in classes:
         if d % 2 == 0:
             if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
                 half.append(v)  # q(v/2) is 1/2 or 3/2

@@ -8,16 +8,17 @@ fact below reads them from it.  On top of that sit the typed-restriction
 check, the rank/hyperbolicity bookkeeping for period domains, and two
 searches for norm -4 "glue partner" configurations.  Both decide an exact
 obstruction first and search a coordinate box only when it passes; the
-degeneracy scan reads its obstruction off the discriminant forms.
+degeneracy scan reads S through one Smith read-out of its saturation.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from . import intlinalg as la
-from .discriminant import _two_torsion_takes_one
+from .discriminant import _glue_classes, _two_torsion_takes_one
 from .errors import (
     DegenerateLattice,
     DegenerateSublattice,
@@ -289,47 +290,43 @@ class DegeneracyScanResult(NamedTuple):
         return self.status == "degenerate"
 
 
-def _doubled_projector(s: SublatticeEmbedding) -> tuple[la.Mat, int]:
-    """(P, den) with 2 proj_S(v) = P v / den for every ambient vector v.
+def _doubled_projector(sat: SublatticeEmbedding, gs: la.Mat, den: int) -> la.Mat:
+    """P with 2 proj_S(v) = P v / den for every ambient vector v.
 
-    proj_S(v) = B^t G_S^{-1} B G v for the basis rows B of S; S must be
-    nondegenerate.  With den = |det G_S|, adj = den G_S^{-1} is an integer
-    matrix whose column i is the one integer solution of G_S x = den e_i,
-    so P = 2 B^t adj B G is integral.  Then 2 proj_S(v) is integral
-    exactly when den divides every entry of P v.  S has rank > 0: the glue
-    obstruction answers a rank-0 S, whose discriminant group is trivial.
+    S and its saturation sat span the same space; with B the basis rows of
+    sat, gs = B G B^t nondegenerate and den = |det gs|, proj_S(v) = B^t
+    gs^{-1} B G v, and adj = den gs^{-1} is an integer matrix whose column i
+    is the one integer solution of gs x = den e_i.  So P = 2 B^t adj B G is
+    integral, and 2 proj_S(v) is integral exactly when den divides every
+    entry of P v.  sat has rank > 0: the glue obstruction answers rank 0.
     """
-    k = s.rank
-    gs = s.induced_gram()
-    den = abs(la.bareiss_det(gs))
     # adj is symmetric, so its columns serve as its rows
-    adj = tuple(la.solve_int(gs, tuple(den * (i == j) for j in range(k))) for i in range(k))
-    pair_rows = tuple(la.mat_vec(s.ambient.gram, b) for b in s.basis)
-    p = la.mat_mul(s.matrix, la.mat_mul(adj, pair_rows))
-    return tuple(tuple(2 * c for c in row) for row in p), den
+    adj = tuple(la.solve_int(gs, tuple(den * x for x in e)) for e in la.identity(len(gs)))
+    pair_rows = tuple(la.mat_vec(sat.ambient.gram, b) for b in sat.basis)
+    p = la.mat_mul(sat.matrix, la.mat_mul(adj, pair_rows))
+    return tuple(tuple(2 * c for c in row) for row in p)
 
 
-def _glue_obstructed(s: SublatticeEmbedding) -> bool:
-    """Is a degeneracy witness over the nondegenerate S ruled out exactly?
+def _glue_obstructed(sat: SublatticeEmbedding, gs: la.Mat, classes) -> bool:
+    """Is a witness ruled out exactly?  sat, gs, classes: see da_degeneracy_scan.
 
-    A witness delta has delta1 = 2 proj_S(delta) in the saturation S' of
-    S, and delta1/2 pairs integrally with S', so a = delta1/2 mod S' is a
-    class of A_{S'} with 2a = 0 and q(a) = -1 = 1 in Q/2Z.  Likewise
-    delta2/2 gives such a class of A_{S-perp}.  When either group has none,
-    there is no witness.  q is defined mod 2Z only on an even lattice, so
-    an odd side, and a degenerate S-perp, rule nothing out.
+    A witness delta has delta1 = 2 proj_S(delta) in sat, and delta1/2 pairs
+    integrally with sat: it is a class a of A_sat with 2a = 0 and q(a) =
+    -1 = 1 in Q/2Z, as delta2/2 is one of A_{S-perp}.  When either group
+    has none, there is no witness.  q is defined mod 2Z only on an even
+    lattice, so an odd side, and a degenerate S-perp, rule nothing out.
     """
-    sat = saturate(s).induced_lattice()
-    if is_even(sat) and not _two_torsion_takes_one(sat):
+    if is_even(Lattice(gs)) and not _two_torsion_takes_one(Lattice(gs), classes):
         return True
-    perp = orthogonal_complement(s).induced_lattice()
+    perp = orthogonal_complement(sat).induced_lattice()
     try:
-        return is_even(perp) and not _two_torsion_takes_one(perp)
+        return is_even(perp) and not _two_torsion_takes_one(perp, _glue_classes(perp))
     except DegenerateLattice:
         return False
 
 
-def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracyScanResult:
+def _box_search(L: Lattice, sat: SublatticeEmbedding, gs: la.Mat, den: int,
+                bound: int) -> DegeneracyScanResult:
     """The coordinate-box search of da_degeneracy_scan, without the glue
     obstruction in front: "degenerate" or "no-witness-within-bound".
 
@@ -340,7 +337,7 @@ def _box_search(L: Lattice, s: SublatticeEmbedding, bound: int) -> DegeneracySca
     d1^2/2, and d2 = 2 delta - d1 has d2^2 = 4 delta^2 - d1^2 = -8 - d1^2;
     so d1^2 = d2^2 = -4 exactly when delta.d1 = -2.
     """
-    proj, den = _doubled_projector(s)
+    proj = _doubled_projector(sat, gs, den)
     found = bounded_vectors_of_norm(L, -2, bound)
     for delta in sorted(found.vectors[: found.count // 2], key=_scan_key):
         scaled = la.mat_vec(proj, delta)
@@ -358,27 +355,29 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     of square -2 splitting as the half-sum of two norm -4 vectors, one in
     S and one in its orthogonal complement.
 
-    The glue obstruction (_glue_obstructed) is decided first, from the
-    discriminant forms of the saturation of S and of its complement; when
-    it holds the answer is an exact "no-witness" and no box is built.
-    Otherwise the box is searched: delta1 = 2 proj_S(delta) comes from the
-    integer projector of _doubled_projector, built once, so S must be
-    nondegenerate.  Each candidate costs one integer matrix-vector product
-    and a divisibility test for delta1, then one integer pairing: delta1
-    and delta2 = 2 delta - delta1 both have square -4 exactly when
-    delta.delta1 = -2.  Only representatives (first nonzero coordinate
-    positive) are tried, in _scan_key order, so the witness is the first
-    hit and minimizes (coordinate box, sign, lexicographic) over all
-    witnesses, which makes the result stable when bound grows.
+    Each step reads only the span of S, so the scan works on its
+    saturation sat: one Gram gs and one Smith read-out _glue_classes find a
+    degenerate S (det gs = 0 exactly when S's Gram is singular), decide the
+    sat side of the glue obstruction (_glue_obstructed) and give den =
+    |det gs|, the product of the invariant factors.  When the obstruction
+    holds the answer is an exact "no-witness" and no box is built.
+    Otherwise _box_search tries the box's representatives (first nonzero
+    coordinate positive) in _scan_key order against one integer projector:
+    the first hit is the witness minimizing (coordinate box, sign,
+    lexicographic), so the result is stable when bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
-    if s.rank and la.bareiss_det(s.induced_gram()) == 0:
-        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
+    sat = saturate(s)
+    gs = sat.induced_gram()
+    try:
+        classes = _glue_classes(Lattice(gs))
+    except DegenerateLattice:
+        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix") from None
     _check_bound(bound)
-    if _glue_obstructed(s):
+    if _glue_obstructed(sat, gs, classes):
         return DegeneracyScanResult("no-witness", None, None, None)
-    return _box_search(L, s, bound)
+    return _box_search(L, sat, gs, prod(d for d, _ in classes), bound)
 
 
 def involution_from_json_dict(data) -> tuple[IntegralInvolution, SublatticeEmbedding | None]:

@@ -33,6 +33,7 @@ INTLINALG = "src/zlattice/intlinalg.py"
 ROOTS = "src/zlattice/roots.py"
 LATTICES = "src/zlattice/lattices.py"
 DISCRIMINANT = "src/zlattice/discriminant.py"
+INVOLUTIONS = "src/zlattice/involutions.py"
 
 # (name, file, old text, new text); each old text occurs once in its file
 MUTANTS = (
@@ -67,7 +68,7 @@ MUTANTS = (
     ("fp-root-plus-r-dropped", ROOTS,
      "for y in (r, -r) if r else (0,):",
      "for y in (-r,) if r else (0,):"),
-    # glue obstruction (lattices.saturate, discriminant)
+    # glue obstruction (lattices.saturate, discriminant, the degeneracy scan)
     ("saturate-reads-first-pivot-only", LATTICES,
      "if all(h[i][i] == 1 for i in range(k.rank)):",
      "if all(h[i][i] == 1 for i in range(min(k.rank, 1))):"),
@@ -80,6 +81,9 @@ MUTANTS = (
     ("delta-reads-mod-8", DISCRIMINANT,
      ") % 4 for _, v in classes",
      ") % 8 for _, v in classes"),
+    ("scan-skips-saturation", INVOLUTIONS,
+     "sat = saturate(s)",
+     "sat = s"),
     # box scan (roots._box_scan)
     ("box-tail-norm-without-2", ROOTS,
      "tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)",

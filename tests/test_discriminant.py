@@ -24,7 +24,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la
-from zlattice.discriminant import _two_torsion_takes_one
+from zlattice.discriminant import _glue_classes, _two_torsion_takes_one
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -272,7 +272,7 @@ def test_two_torsion_decisions_match_a_class_walk():
         odd += any(d % 2 for d in discriminant_group(L).invariant_factors)
         expect = 1 in _two_torsion_values(L)
         takes += expect
-        assert _two_torsion_takes_one(L) == expect, L.gram
+        assert _two_torsion_takes_one(L, _glue_classes(L)) == expect, L.gram
     assert odd >= 40 and 20 <= takes <= 180
     # delta of 2-elementary lattices in skewed bases, against every class
     d4 = make_lattice(((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)))
@@ -289,7 +289,7 @@ def test_two_torsion_decisions_match_a_class_walk():
         # every class has order <= 2
         assert len(values) == abs(determinant(L)) == 2 ** a, L.gram
         assert (r, delta) == (L.rank, int(any(v.denominator != 1 for v in values))), L.gram
-        assert _two_torsion_takes_one(L) == (1 in values), L.gram
+        assert _two_torsion_takes_one(L, _glue_classes(L)) == (1 in values), L.gram
         seen.add((delta, 1 in values))
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
 

@@ -447,9 +447,11 @@ def test_integer_split_matches_fraction_split():
         if la.integer_rank(la.transpose(basis)) != len(basis):
             continue
         s = make_sublattice(L, basis)
-        if la.bareiss_det(s.induced_gram()) in (0, 1, -1, 2, -2):
+        gs = s.induced_gram()
+        den = abs(la.bareiss_det(gs))
+        if den in (0, 1, 2):
             continue
-        proj, den = _doubled_projector(s)
+        proj = _doubled_projector(s, gs, den)
         perp = la.kernel([la.mat_vec(L.gram, b) for b in basis], ncols=n)
         for _ in range(40):
             if rng.random() < 0.5:
@@ -476,8 +478,14 @@ def test_integer_split_matches_fraction_split():
     L = make_lattice(((-6, 3, 2), (3, -2, -2), (2, -2, -4)))
     s = make_sublattice(L, [(-1, -1, 1)])
     assert oracles.fraction_split(L.gram, s.basis, (0, 1, -1)) is None
-    assert _box_search(L, s, 1).status == "no-witness-within-bound"
+    assert _box(L, s, 1).status == "no-witness-within-bound"
     assert da_degeneracy_scan(L, s, 1).status == "no-witness"
+
+
+def _box(L, s, bound):
+    # the box search on S's own basis: its projector reads only S's span
+    gs = s.induced_gram()
+    return _box_search(L, s, gs, abs(la.bareiss_det(gs)), bound)
 
 
 def _random_even_gram(rng):
@@ -519,9 +527,13 @@ def test_glue_obstruction_never_hides_a_box_witness():
             continue
         L, s = case
         cases += 1
-        non_primitive += not same_sublattice(saturate(s), s)
         got = da_degeneracy_scan(L, s, 2)
-        box = _box_search(L, s, 2)
+        if not same_sublattice(saturate(s), s):
+            # the scan works on the saturation alone: the basis of S
+            # changes neither the status nor the witness
+            non_primitive += 1
+            assert got == da_degeneracy_scan(L, saturate(s), 2), (L.gram, s.basis)
+        box = _box(L, s, 2)
         found += box.found
         if got.status == "no-witness":
             obstructed += 1
@@ -560,6 +572,42 @@ def test_glue_obstruction_pinned_cases():
     s = make_sublattice(L, ((1, 0, 0), (0, 1, 0)))
     assert determinant(s.induced_lattice()) == 31
     assert da_degeneracy_scan(L, s, 2).status == "no-witness"
+
+
+def test_scan_reads_one_gram_of_s(monkeypatch):
+    # the scan builds the Gram of S's saturation once and runs one Bareiss
+    # on it, inside its one Smith read-out; the second, where there is
+    # one, is the complement's
+    dets, grams = [], []
+    bareiss, induced = la.bareiss_det, involutions.SublatticeEmbedding.induced_gram
+
+    def counted_det(m):
+        dets.append(m)
+        return bareiss(m)
+
+    def counted_gram(sub):
+        grams.append(sub)
+        return induced(sub)
+
+    monkeypatch.setattr(la, "bareiss_det", counted_det)
+    monkeypatch.setattr(involutions.SublatticeEmbedding, "induced_gram", counted_gram)
+    model = __import__("helpers").s311_model()
+    n4 = n4_model().lattice
+    u2 = make_lattice(((-2, 1, -2), (1, 0, 0), (-2, 0, -4)))
+    cases = (
+        (model.lattice, model.marked_sublattice(), 5, "no-witness", 1, 1),
+        (u2, make_sublattice(u2, ((2, 1, -1), (0, 1, 0))), 2, "degenerate", 2, 2),
+        (n4, n4_sprime(), 2, "degenerate", 2, 2),
+        (n4, make_sublattice(n4, ((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 4, -2))), 2,
+         "degenerate", 2, 2),
+    )
+    for L, s, bound, status, calls, distinct in cases:
+        dets.clear()
+        grams.clear()
+        assert da_degeneracy_scan(L, s, bound).status == status
+        assert (len(dets), len(set(dets))) == (calls, distinct), (s.basis, dets)
+        sat = saturate(s)
+        assert sum(g.rank == s.rank and all(map(sat.contains, g.basis)) for g in grams) == 1
 
 
 def test_glue_decisions_build_no_fraction(monkeypatch):
@@ -635,7 +683,7 @@ def test_box_search_is_the_key_minimal_split():
             split = oracles.fraction_split(L.gram, s.basis, delta)
             if split and all(_plain_norm(L.gram, d) == -4 for d in split):
                 hits.append((delta, *split))
-        got = _box_search(L, s, bound)
+        got = _box(L, s, bound)
         if not hits:
             assert got.status == "no-witness-within-bound", (L.gram, s.basis, bound)
             continue
@@ -699,13 +747,13 @@ def test_glue_obstruction_on_both_sides(k):
         assert da_degeneracy_scan(L, s, 1).status == "no-witness"
         assert time.perf_counter() - start < 1.0
         if k == 4:
-            assert _box_search(L, s, 2).status == "no-witness-within-bound"
+            assert _box(L, s, 2).status == "no-witness-within-bound"
 
 
 def test_rank_zero_sublattice_is_obstructed_before_the_box(monkeypatch):
     # a rank-0 S has a trivial discriminant group, so the glue obstruction
     # answers exactly and the box and its projector are never built
-    def refuse(s):
+    def refuse(sat, gs, den):
         raise AssertionError("the box search ran")
 
     monkeypatch.setattr(involutions, "_doubled_projector", refuse)
