@@ -5,11 +5,15 @@ the fraction-free LDL^t factorization of the Gram matrix (intlinalg.ldl),
 the same single factorization that decides definiteness.  The search reads
 its integer column scales and weights straight from the leading minors and
 scaled multipliers of that factorization, so it runs on Python ints only
-(each coordinate bounded with isqrt).  The last two levels run as one loop
-over x_1 that solves for x_0.  Without LLL a vector of the lattice is its
-coefficient vector, written as it is found; after LLL, or in the ambient
-coordinates of an orthogonal complement, the search keeps partial sums of
-the basis vectors and writes every vector directly in the caller's basis.
+(each coordinate bounded with isqrt).  The centre t_i of each level, and
+with it the part of the x_0 centre fixed above level 1, is a running sum:
+each step of a coordinate adds its share to the centres below it, and
+leaving its level takes that share back out and resets it to 0.  The last
+two levels run as one loop over x_1 that solves for x_0.  Without LLL a
+vector of the lattice is its coefficient vector, written as it is found;
+after LLL, or in the ambient coordinates of an orthogonal complement, the
+search keeps partial sums of the basis vectors and writes every vector
+directly in the caller's basis.
 Each coordinate value fixed at a level above the first and each emitted
 solution counts as a node, and a search that passes _MAX_FP_NODES nodes
 raises EnumerationOverflow.  A norm that is not an int, or a box bound that
@@ -127,30 +131,33 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
     g_i = +-gcd(d[i], lam[i+1..][i]), s_i = |d[i] / g_i| is the lcm of the
     denominators of column i of mu, so y_i = s_i x_i + t_i,
-    t_i = sum_{j>i} (lam[j][i] / g_i) x_j, is an integer.  Its weight is
-    |p_i| / s_i^2 = g_i^2 / |d[i - 1] d[i]|; scaling by the lcm `scale` of
-    the weights' denominators gives integer weights w_i with
+    t_i = sum_{j>i} c_ji x_j with c_ji = lam[j][i] / g_i, is an integer.
+    Its weight is |p_i| / s_i^2 = g_i^2 / |d[i - 1] d[i]|; scaling by the
+    lcm `scale` of the weights' denominators gives integer weights w_i with
     sum_i w_i y_i^2 = scale * target.  The coordinates are bounded one at
-    a time from the last one down, |y_i| <= isqrt(rem // w_i).  Levels 1
-    and 0 share one loop: on entering level 1, t_1, the range of x_1 and
-    the part of t_0 fixed by x_2.. are computed once; each x_1 then adds
-    c01 x_1 (c01 = lam[1][0] / g_0) to that part and solves w_0 y_0^2 = rem
-    for x_0.  Only x whose last nonzero coordinate is positive are visited,
-    so one v per +-v pair is emitted (canonical_order writes the
-    negatives).  In the identity basis v is written from x directly;
-    otherwise the levels >= 2 keep the partial sums part[i] =
-    sum_{j>=i} x_j basis[j] and v = part[2] + x_1 basis[1] + x_0 basis[0].
-    Every coordinate value fixed at a level >= 1 and every emitted x_0
-    counts as a node; past _MAX_FP_NODES the search raises
-    EnumerationOverflow.  Rank 1 solves for x_0 alone: it finds at most
-    one x and counts no nodes.
+    a time from the last one down, |y_i| <= isqrt(rem // w_i).  The centres
+    t_i are running sums over the levels >= 2: fixing x_j at lo adds
+    c_ji lo to every t_i, i < j, each step of x_j adds c_ji, and leaving
+    level j subtracts c_ji x_j and resets x_j to 0, so t_i always equals
+    sum_{j>i} c_ji x_j over the current x and is ready when level i is
+    entered.  Levels 1 and 0 share one loop: on entering level 1, t_0
+    holds the part fixed by x_2..; each x_1 adds c01 x_1 (c01 = c_10) to
+    it and solves w_0 y_0^2 = rem for x_0.  Only x whose last nonzero
+    coordinate is positive are visited, so one v per +-v pair is emitted
+    (canonical_order writes the negatives); nz[i] records whether some
+    x_j, j >= i, is nonzero, and only then may x_{i-1} go negative.
+    In the identity basis v is written from x directly; otherwise the
+    levels >= 2 keep the partial sums part[i] = sum_{j>=i} x_j basis[j]
+    and v = part[2] + x_1 basis[1] + x_0 basis[0].  Every coordinate value
+    fixed at a level >= 1 and every emitted x_0 counts as a node; past
+    _MAX_FP_NODES the search raises EnumerationOverflow.  Rank 1 solves
+    for x_0 alone: it finds at most one x and counts no nodes.
     """
     n = len(d)
     # g[i] carries the sign of d[i], so s[i] > 0
     g = [gcd(d[i], *(lam[j][i] for j in range(i + 1, n))) * (1 if d[i] > 0 else -1)
          for i in range(n)]
     s = [di // gi for di, gi in zip(d, g)]
-    cols = [[(j, lam[j][i] // g[i]) for j in range(i + 1, n) if lam[j][i]] for i in range(n)]
     den = [abs(a * b) for a, b in zip([1, *d], d)]
     scale = lcm(*(b // gcd(gi * gi, b) for gi, b in zip(g, den)))
     w = [gi * gi * scale // b for gi, b in zip(g, den)]
@@ -165,12 +172,16 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
         return found
     s0, s1, w0, w1 = s[0], s[1], w[0], w[1]
     c01 = lam[1][0] // g[0]
-    cols0 = [(j, c) for j, c in cols[0] if j > 1]
+    # rows[j]: the centres t_i that x_j moves, with c_ji; x_1 moves t_0 in
+    # the level-1 loop
+    rows = [[]] * 2 + [[(i, lam[j][i] // g[i]) for i in range(j) if lam[j][i]]
+                       for j in range(2, n)]
     # level i >= 2: x[i] runs up to hi[i], levels <= i may spend rem[i + 1],
     # and with a basis part[i + 1] = sum_{j>i} x_j basis[j]
     x = [0] * n
     hi = [0] * n
     t = [0] * n
+    nz = [False] * (n + 1)
     rem = [0] * n + [scale * target]
     part = None if basis is None else [None] * n + [(0,) * len(basis[0])]
     nodes = 0
@@ -178,15 +189,15 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     enter = True
     while i < n:
         if enter:
-            ti = t[i] = sum(c * x[j] for j, c in cols[i])
+            ti = t[i]
             r = isqrt(rem[i + 1] // w[i])
-            free = any(x[i + 1 :])
+            free = nz[i + 1]
             lo = -((r + ti) // s[i]) if free else 0
             hi[i] = (r - ti) // s[i]
             if i == 1:
                 # x_1 runs and x_0 is solved for; v is (x_0, x_1, *xs) or
                 # xs + x_1 basis[1] + x_0 basis[0]
-                base0 = sum(c * x[j] for j, c in cols0)
+                base0 = t[0]
                 rem2 = rem[2]
                 xs = tuple(x[2:]) if part is None else part[2]
                 for x1 in range(lo, hi[1] + 1):
@@ -219,20 +230,29 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                 i += 1
                 enter = False
                 continue
-            x[i] = lo
+            x[i] = xi = lo
+            for j, c in rows[i]:
+                t[j] += c * lo
             if part is not None:
                 part[i] = tuple(a + lo * b for a, b in zip(part[i + 1], basis[i]))
         else:
-            x[i] += 1
-            if x[i] > hi[i]:
+            xi = x[i]
+            if xi == hi[i]:
+                for j, c in rows[i]:
+                    t[j] -= c * xi
+                x[i] = 0
                 i += 1
                 continue
+            x[i] = xi = xi + 1
+            for j, c in rows[i]:
+                t[j] += c
             if part is not None:
                 part[i] = tuple(map(add, part[i], basis[i]))
         nodes += 1
         if nodes > cap:
             raise _node_overflow(nodes, n)
-        y = s[i] * x[i] + t[i]
+        nz[i] = nz[i + 1] or xi != 0
+        y = s[i] * xi + t[i]
         rem[i] = rem[i + 1] - w[i] * y * y
         i -= 1
         enter = True

@@ -68,6 +68,18 @@ MUTANTS = (
     ("fp-root-plus-r-dropped", ROOTS,
      "for y in (r, -r) if r else (0,):",
      "for y in (-r,) if r else (0,):"),
+    # Fincke-Pohst running centres and sign flags (roots._fp_enumerate)
+    ("fp-centre-exit-revert-dropped", ROOTS,
+     "                for j, c in rows[i]:\n"
+     "                    t[j] -= c * xi\n",
+     ""),
+    ("fp-centre-step-dropped", ROOTS,
+     "            for j, c in rows[i]:\n"
+     "                t[j] += c\n",
+     ""),
+    ("fp-nz-from-above-only", ROOTS,
+     "nz[i] = nz[i + 1] or xi != 0",
+     "nz[i] = nz[i + 1]"),
     # glue obstruction (lattices.saturate, discriminant, the degeneracy scan)
     ("saturate-reads-first-pivot-only", LATTICES,
      "if all(h[i][i] == 1 for i in range(k.rank)):",

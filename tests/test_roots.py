@@ -2,7 +2,7 @@ import collections
 import gc
 import random
 from fractions import Fraction
-from operator import neg
+from operator import mul, neg
 
 import pytest
 
@@ -346,23 +346,29 @@ def test_exact_enumeration_equals_box_oracle():
         assert exact.vectors == boxed.vectors
 
 
-def _skewed_definite(rng, n, sign):
-    # A^t A + I, then a unimodular skew, so that the ldl multipliers have
-    # nontrivial denominators
-    a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-    g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)]
-         for i in range(n)]
+def _skew(rng, gram, ops):
+    # T^t G T for T a product of `ops` column operations col_i += +-col_j
+    n = len(gram)
     t = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(min(n - 1, 3)):
+    for _ in range(ops):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-1, 1))
         for row in t:
             row[i] += c * row[j]
     return tuple(
-        tuple(sign * sum(t[k][i] * g[k][l] * t[l][j] for k in range(n) for l in range(n))
+        tuple(sum(t[k][i] * gram[k][l] * t[l][j] for k in range(n) for l in range(n))
               for j in range(n))
         for i in range(n)
     )
+
+
+def _skewed_definite(rng, n, sign):
+    # A^t A + I, then a unimodular skew, so that the ldl multipliers have
+    # nontrivial denominators
+    a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+    g = [[sign * (sum(a[k][i] * a[k][j] for k in range(n)) + (i == j)) for j in range(n)]
+         for i in range(n)]
+    return _skew(rng, g, min(n - 1, 3))
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -445,20 +451,58 @@ def test_enumeration_leaves_no_reference_cycles(monkeypatch):
 def test_node_cap_raises_overflow(monkeypatch):
     # every x_i fixed at a level >= 1 and every emitted x_0 is one node:
     # E8(-1) in the dual basis visits 416 nodes at norm -2 and 3048 at -4,
-    # in the simple-root basis (the negated Cartan matrix) 378 and 2695
+    # in the simple-root basis (the negated Cartan matrix) 378 and 2695;
+    # off the identity path, E8(-1) + A1(-1)^2 goes through LLL (rank 10),
+    # the S311 + E8(-1) complement is written in the ambient basis (rank 9)
+    # and the E8(-1)^2 complement does both (rank 15)
     monkeypatch.setattr(roots, "_MAX_FP_NODES", 1000)
     assert vectors_of_norm(E8M, -2).count == 240
     with pytest.raises(EnumerationOverflow, match="reached 1001 nodes"):
         vectors_of_norm(E8M, -4)
     roots_basis = make_lattice(tuple(tuple(-c for c in row) for row in E8_CARTAN))
-    for L, m, count, nodes in ((E8M, -2, 240, 416), (E8M, -4, 2160, 3048),
-                               (roots_basis, -2, 240, 378), (roots_basis, -4, 2160, 2695)):
+    e8_2a1 = direct_sum(direct_sum(E8M, A1M), A1M)
+    N = direct_sum(S, E8M)
+    n_ortho = ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8)
+    E8E8 = direct_sum(E8M, E8M)
+    cases = (
+        (lambda: vectors_of_norm(E8M, -2), 240, 416, 8),
+        (lambda: vectors_of_norm(E8M, -4), 2160, 3048, 8),
+        (lambda: vectors_of_norm(roots_basis, -2), 240, 378, 8),
+        (lambda: vectors_of_norm(roots_basis, -4), 2160, 2695, 8),
+        (lambda: vectors_of_norm(e8_2a1, -2), 244, 389, 10),
+        (lambda: constrained_roots(N, n_ortho, -2), 242, 538, 9),
+        (lambda: constrained_roots(E8E8, ((1,) + (0,) * 15,), -2), 324, 1343, 15),
+    )
+    for call, count, nodes, rank in cases:
         monkeypatch.setattr(roots, "_MAX_FP_NODES", nodes)
-        assert vectors_of_norm(L, m).count == count
+        assert call().count == count
         monkeypatch.setattr(roots, "_MAX_FP_NODES", nodes - 1)
         with pytest.raises(EnumerationOverflow,
-                           match=rf"reached {nodes} nodes in rank 8 \(limit {nodes - 1}\)"):
-            vectors_of_norm(L, m)
+                           match=rf"reached {nodes} nodes in rank {rank} \(limit {nodes - 1}\)"):
+            call()
+
+
+def test_high_rank_counts_match_theta_series(monkeypatch):
+    # E8(-1) + A1(-1)^k has theta series (1 + 240 q + 2160 q^2 + ...)
+    # (1 + 2 q + ...)^k: 240 + 2k vectors of norm -2 and
+    # 2160 + 480k + 2k(k - 1) of norm -4, in any basis
+    rng = random.Random(2211)
+    L = E8M
+    for k in range(10):
+        gram = _skew(rng, L.gram, L.rank)
+        for m, count in ((-2, 240 + 2 * k), (-4, 2160 + 480 * k + 2 * k * (k - 1))):
+            sides = []
+            for lll in (False, True):
+                _use_lll(monkeypatch, lll)
+                sides.append(vectors_of_norm(make_lattice(gram), m).vectors)
+            monkeypatch.undo()
+            vs = sides[0]
+            assert sides[1] == vs
+            assert len(vs) == len(set(vs)) == count
+            assert set(vs) == {tuple(map(neg, v)) for v in vs}
+            for v in vs:
+                assert sum(map(mul, v, (sum(map(mul, row, v)) for row in gram))) == m
+        L = direct_sum(L, A1M)
 
 
 def test_every_vector_has_requested_norm():
