@@ -11,10 +11,17 @@ Gram and involution matrices of the K3 lattice multiply at a fraction of
 n^3.  The routines this package leans on are a fraction-free Bareiss
 determinant, a column-style Hermite normal form with recorded transform, a
 Smith normal form with its column transform, and one fraction-free
-symmetric LDL^t elimination (ldl).  Its leading minors give the inertia,
-and on a definite Gram matrix they and its scaled multipliers are the
-integral Gram-Schmidt data.  The Gram-only LLL factors nothing: it keeps
-the caller's (d, lam) of a definite form of either sign current for the
+symmetric LDL^t elimination (ldl).  The first three pay only for live
+rows: a Bareiss step updates the rows with a nonzero in its column and
+brings a skipped row current when it is next read (the skipped scalings
+telescope), the Hermite sweeps visit the nonzero columns of the pivot row
+and skip the rows where both columns are zero, and the Smith form takes a
+unit pivot, found by list membership, whenever its block has one.  Each
+returns exactly what the dense elimination returns: the same determinant,
+(H, U) and (D, Q).  The leading minors of ldl give the inertia, and on a
+definite Gram matrix they and its scaled multipliers are the integral
+Gram-Schmidt data.  The Gram-only LLL factors nothing: it keeps the
+caller's (d, lam) of a definite form of either sign current for the
 Fincke-Pohst search in roots; neither uses rationals.
 """
 
@@ -78,26 +85,58 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 def bareiss_det(m: Mat) -> int:
     """Determinant of a square integer matrix, fraction-free.
 
-    The empty 0x0 matrix has determinant 1.
+    The empty 0x0 matrix has determinant 1.  Step k of Bareiss's
+    elimination (Math. Comp. 22, 1968), with pivots p[0] = 1 and
+    p[k + 1] = a_kk, sets a_ij <- (p[k + 1] a_ij - a_ik a_kj) // p[k] for
+    i, j > k, and every a_ij is then a minor of M.  It updates only the
+    rows with a nonzero in column k, each with one comprehension over the
+    row tail.  On any other row the step would be the scaling
+    a_ij <- a_ij p[k + 1] / p[k], and a run of them from step s to step k
+    telescopes to p[k] / p[s].  So such a row keeps the minors of step s
+    (seen[i] = s) until it is next read, and is brought current then with
+    one sweep x * p[k] // p[s]: exact, because the current value is itself
+    a minor.  Every stored entry is a minor of some step, so Bareiss's size
+    bound holds.  A scaling keeps zeros zero, so the pivot tests may read a
+    row that is behind.
     """
     n = len(m)
     if n == 0:
         return 1
     a = [list(map(int, row)) for row in m]
+    seen = [0] * n
+    p = [1]
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
             if pivot is None:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
+            seen[k], seen[pivot] = seen[pivot], seen[k]
             sign = -sign
+        prev = p[k]
+        row = a[k][k:]
+        if seen[k] != k:
+            g = p[seen[k]]
+            row = [x * prev // g for x in row]
+        pk, top = row[0], row[1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            x = row[k]
+            if x:
+                s = seen[i]
+                if s == k:
+                    row[k + 1 :] = [(y * pk - x * z) // prev
+                                    for y, z in zip(row[k + 1 :], top)]
+                else:
+                    # catch up from step s, then take step k
+                    g = p[s]
+                    x = x * prev // g
+                    row[k + 1 :] = [(y * prev // g * pk - x * z) // prev
+                                    for y, z in zip(row[k + 1 :], top)]
+                seen[i] = k + 1
+        p.append(pk)
+    return sign * (a[n - 1][n - 1] * p[n - 1] // p[seen[n - 1]])
 
 
 def hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
@@ -107,50 +146,60 @@ def hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
     entries to the left of a pivot in its row are reduced into [0, pivot),
     and zero columns are pushed to the end.  ``ncols`` must be supplied when
     M has no rows.
+
+    Each sweep pays only for nonzero entries (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  Row `row` lists its
+    nonzero columns >= col once; a combine changes only columns col and c,
+    so the list stays valid.  Every row above `row` is zero in columns
+    >= col, so the column operations on H start at `row`, and they skip
+    the rows of H and U where both entries are 0.  The reduction left of
+    the pivot reads all its quotients from the row first (each changes
+    only its own column) and updates only the rows with a nonzero in the
+    pivot column.
     """
     nr = len(m)
     nc = len(m[0]) if nr else ncols
     if nc is None:
         raise ValueError("ncols required for a matrix with no rows")
     h = [list(map(int, row)) for row in m]
-    u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def combine(c1, c2, a, b, c, d):
-        # (col c1, col c2) <- (a*col c1 + b*col c2, c*col c1 + d*col c2)
-        for mat in (h, u):
-            for row in mat:
-                s, t = row[c1], row[c2]
-                row[c1] = a * s + b * t
-                row[c2] = c * s + d * t
+    u = [[0] * nc for _ in range(nc)]
+    for i in range(nc):
+        u[i][i] = 1
 
     col = 0
     for row in range(nr):
         if col >= nc:
             break
-        piv = next((c for c in range(col, nc) if h[row][c]), None)
-        if piv is None:
+        hr = h[row]
+        nz = [c for c in range(col, nc) if hr[c]]
+        if not nz:
             continue
+        live = h[row:] + u
+        piv = nz[0]
         if piv != col:
-            for mat in (h, u):
-                for r in mat:
-                    r[col], r[piv] = r[piv], r[col]
-        for c in range(col + 1, nc):
-            if h[row][c] == 0:
-                continue
-            a, b = h[row][col], h[row][c]
+            for r in live:
+                r[col], r[piv] = r[piv], r[col]
+        for c in nz[1:]:
+            a, b = hr[col], hr[c]
             g, x, y = xgcd(a, b)
-            combine(col, c, x, y, -(b // g), a // g)
-        if h[row][col] < 0:
-            for mat in (h, u):
-                for r in mat:
-                    r[col] = -r[col]
-        p = h[row][col]
-        for c in range(col):
-            q = h[row][c] // p
-            if q:
-                for mat in (h, u):
-                    for r in mat:
-                        r[c] -= q * r[col]
+            # (col, c) <- (x col + y c, -(b/g) col + (a/g) c)
+            e, f = -(b // g), a // g
+            for r in live:
+                s, t = r[col], r[c]
+                if s or t:
+                    r[col] = x * s + y * t
+                    r[c] = e * s + f * t
+        if hr[col] < 0:
+            for r in live:
+                r[col] = -r[col]
+        p = hr[col]
+        qs = [(c, hr[c] // p) for c in range(col) if not 0 <= hr[c] < p]
+        if qs:
+            for r in live:
+                v = r[col]
+                if v:
+                    for c, q in qs:
+                        r[c] -= q * v
         col += 1
     return freeze(h), freeze(u)
 
@@ -159,7 +208,7 @@ def integer_rank(m) -> int:
     if not m:
         return 0
     h, _ = hnf_with_transform(m)
-    return sum(1 for c in range(len(h[0])) if any(row[c] for row in h))
+    return sum(1 for c in zip(*h) if any(c))
 
 
 def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
@@ -169,9 +218,8 @@ def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
     comes from the unimodular transform of a Hermite reduction.
     """
     h, u = hnf_with_transform(m, ncols)
-    nc = len(u)
-    rank = sum(1 for c in range(nc) if any(row[c] for row in h))
-    return tuple(tuple(u[r][c] for r in range(nc)) for c in range(rank, nc))
+    rank = sum(1 for c in zip(*h) if any(c))
+    return tuple(zip(*u))[rank:]
 
 
 def solve_int(m, v) -> Vec | None:
@@ -200,35 +248,46 @@ def snf_with_transforms(m) -> tuple[Mat, Mat]:
     Returns (D, Q) with P * M * Q = D for some unimodular P that is not
     kept, D diagonal with nonnegative entries satisfying d1 | d2 | ... ,
     and Q unimodular.
+
+    The pivot is the first entry of least absolute value in the block, in
+    row-major order.  A unit is looked for first, by list membership row by
+    row; only a block without one is scanned entry by entry.  A unit
+    pivot clears its row and column in one pass and divides everything,
+    so no divisibility scan follows it.  Rows from t are zero left of t and
+    rows above t are zero from t on, so the column operations on D start
+    at row t, and they skip the rows of D and Q whose entry in the source
+    column is 0.  A row operation is one comprehension; the column
+    operations of a pass read all their quotients from row t first and go
+    over the rows once.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     d = [list(map(int, row)) for row in m]
-    q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    q = [[0] * nc for _ in range(nc)]
+    for i in range(nc):
+        q[i][i] = 1
 
-    def row_add(i, j, k):
-        # row i += k * row j
-        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
-
-    def col_swap(i, j):
-        for mat in (d, q):
-            for r in mat:
-                r[i], r[j] = r[j], r[i]
-
-    def col_add(i, j, k):
-        # col j += k * col i
-        for mat in (d, q):
-            for r in mat:
-                r[j] += k * r[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # smallest nonzero entry of the remaining block to (t, t)
+    def smallest():
+        # first entry of least |x| in the block from (t, t), row-major; a
+        # unit is looked for first, by list membership: rows from t are
+        # zero left of t, so whole rows are searched
+        for i in range(t, nr):
+            r = d[i]
+            if 1 in r:
+                j = r.index(1)
+                return i, r.index(-1) if -1 in r[:j] else j
+            if -1 in r:
+                return i, r.index(-1)
         best = None
         for i in range(t, nr):
             for j in range(t, nc):
                 if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
                     best = (i, j)
+        return best
+
+    t = 0
+    while t < min(nr, nc):
+        best = smallest()
         if best is None:
             break
         while True:
@@ -236,37 +295,46 @@ def snf_with_transforms(m) -> tuple[Mat, Mat]:
             if i != t:
                 d[t], d[i] = d[i], d[t]
             if j != t:
-                col_swap(t, j)
+                for r in d[t:] + q:
+                    r[t], r[j] = r[j], r[t]
+            top = d[t]
+            p = top[t]
             dirty = False
+            # row i -= (d_it // p) row t
             for i in range(t + 1, nr):
+                k = d[i][t] // p
+                if k:
+                    d[i] = [x - k * y for x, y in zip(d[i], top)]
                 if d[i][t]:
-                    row_add(i, t, -(d[i][t] // d[t][t]))
-                    if d[i][t]:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if d[t][j]:
-                    col_add(t, j, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        dirty = True
-            if dirty:
-                best = min(
-                    ((i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j]),
-                    key=lambda ij: abs(d[ij[0]][ij[1]]),
-                )
+                    dirty = True
+            # col j -= (d_tj // p) col t: each reads column t and changes
+            # only its own column, so all the quotients are read first
+            ks = [(j, x // p) for j, x in enumerate(top[t + 1 :], t + 1) if x]
+            if ks:
+                for r in d[t:] + q:
+                    x = r[t]
+                    if x:
+                        for j, k in ks:
+                            r[j] -= k * x
+            if p == 1 or p == -1:
+                # a unit clears its row and column and divides everything
+                break
+            if dirty or any(top[t + 1 :]):
+                best = smallest()
                 continue
             # pivot divides everything below-right, or we fold a bad row in
             offender = next(
                 (
-                    (i, j)
+                    i
                     for i in range(t + 1, nr)
                     for j in range(t + 1, nc)
-                    if d[i][j] % d[t][t]
+                    if d[i][j] % p
                 ),
                 None,
             )
             if offender is None:
                 break
-            row_add(t, offender[0], 1)
+            d[t] = [x + y for x, y in zip(top, d[offender])]
             best = (t, t)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]

@@ -260,6 +260,20 @@ def _conjugate(rng: random.Random, gram, mat):
     return new_gram, new_mat
 
 
+def skewed_block_sum(rng: random.Random, grams, ops: int):
+    """T^t G T as lists: G block-diagonal in the Gram matrices `grams`, T a
+    product of `ops` seeded column operations col_j += +-col_i."""
+    gram, _ = _block_diag([(g, g) for g in grams])
+    n = len(gram)
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(ops if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in t:
+            row[j] += c * row[i]
+    return _mul(_mul(_transpose(t), gram), t)
+
+
 def _transpose(m):
     return [list(col) for col in zip(*m)]
 

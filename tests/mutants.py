@@ -52,6 +52,18 @@ MUTANTS = (
     ("lll-mu-rounded-with-abs-d", INTLINALG,
      "q = (2 * lk[j] + d[j]) // (2 * d[j])",
      "q = (2 * lk[j] + abs(d[j])) // (2 * abs(d[j]))"),
+    # lazily rescaled Bareiss and first-unit Smith pivots (intlinalg)
+    ("bareiss-catch-up-dropped", INTLINALG,
+     "                    g = p[s]\n"
+     "                    x = x * prev // g\n"
+     "                    row[k + 1 :] = [(y * prev // g * pk - x * z) // prev\n",
+     "                    row[k + 1 :] = [(y * pk - x * z) // prev\n"),
+    ("bareiss-seen-not-advanced", INTLINALG,
+     "                seen[i] = k + 1\n",
+     ""),
+    ("snf-unit-search-prefers-minus-one", INTLINALG,
+     "return i, r.index(-1) if -1 in r[:j] else j",
+     "return i, r.index(-1) if -1 in r else j"),
     # Fincke-Pohst levels 1 and 0 (roots._fp_enumerate)
     ("fp-c01-dropped", ROOTS,
      "t0 = base0 + c01 * x1",

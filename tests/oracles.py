@@ -15,6 +15,8 @@ from fractions import Fraction
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form
 
+from zlattice.intlinalg import Mat, freeze, xgcd
+
 
 def cofactor_det(m) -> int:
     """Laplace expansion along the first row.  Exponential; fine for rank <= 8."""
@@ -297,3 +299,167 @@ def sympy_anti_s(gram, matrix, s_basis):
         return 0, (0, 0, 0)
     basis = sp.Matrix.hstack(*null)
     return len(null), sympy_inertia((basis.T * g * basis).tolist())
+
+
+# --- dense eliminations: the intlinalg kernels before their sweeps went
+# sparse, kept verbatim as references that every output must equal ---
+
+
+def dense_bareiss_det(m: Mat) -> int:
+    """Determinant of a square integer matrix, fraction-free.
+
+    The empty 0x0 matrix has determinant 1.
+    """
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(map(int, row)) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def dense_hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
+    """Column-style Hermite normal form.
+
+    Returns (H, U) with H = M * U, U unimodular.  Pivots are positive,
+    entries to the left of a pivot in its row are reduced into [0, pivot),
+    and zero columns are pushed to the end.  ``ncols`` must be supplied when
+    M has no rows.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else ncols
+    if nc is None:
+        raise ValueError("ncols required for a matrix with no rows")
+    h = [list(map(int, row)) for row in m]
+    u = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def combine(c1, c2, a, b, c, d):
+        # (col c1, col c2) <- (a*col c1 + b*col c2, c*col c1 + d*col c2)
+        for mat in (h, u):
+            for row in mat:
+                s, t = row[c1], row[c2]
+                row[c1] = a * s + b * t
+                row[c2] = c * s + d * t
+
+    col = 0
+    for row in range(nr):
+        if col >= nc:
+            break
+        piv = next((c for c in range(col, nc) if h[row][c]), None)
+        if piv is None:
+            continue
+        if piv != col:
+            for mat in (h, u):
+                for r in mat:
+                    r[col], r[piv] = r[piv], r[col]
+        for c in range(col + 1, nc):
+            if h[row][c] == 0:
+                continue
+            a, b = h[row][col], h[row][c]
+            g, x, y = xgcd(a, b)
+            combine(col, c, x, y, -(b // g), a // g)
+        if h[row][col] < 0:
+            for mat in (h, u):
+                for r in mat:
+                    r[col] = -r[col]
+        p = h[row][col]
+        for c in range(col):
+            q = h[row][c] // p
+            if q:
+                for mat in (h, u):
+                    for r in mat:
+                        r[c] -= q * r[col]
+        col += 1
+    return freeze(h), freeze(u)
+
+
+def dense_snf_with_transforms(m) -> tuple[Mat, Mat]:
+    """Smith normal form with its column transform.
+
+    Returns (D, Q) with P * M * Q = D for some unimodular P that is not
+    kept, D diagonal with nonnegative entries satisfying d1 | d2 | ... ,
+    and Q unimodular.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    d = [list(map(int, row)) for row in m]
+    q = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def row_add(i, j, k):
+        # row i += k * row j
+        d[i] = [x + k * y for x, y in zip(d[i], d[j])]
+
+    def col_swap(i, j):
+        for mat in (d, q):
+            for r in mat:
+                r[i], r[j] = r[j], r[i]
+
+    def col_add(i, j, k):
+        # col j += k * col i
+        for mat in (d, q):
+            for r in mat:
+                r[j] += k * r[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # smallest nonzero entry of the remaining block to (t, t)
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        while True:
+            i, j = best
+            if i != t:
+                d[t], d[i] = d[i], d[t]
+            if j != t:
+                col_swap(t, j)
+            dirty = False
+            for i in range(t + 1, nr):
+                if d[i][t]:
+                    row_add(i, t, -(d[i][t] // d[t][t]))
+                    if d[i][t]:
+                        dirty = True
+            for j in range(t + 1, nc):
+                if d[t][j]:
+                    col_add(t, j, -(d[t][j] // d[t][t]))
+                    if d[t][j]:
+                        dirty = True
+            if dirty:
+                best = min(
+                    ((i, j) for i in range(t, nr) for j in range(t, nc) if d[i][j]),
+                    key=lambda ij: abs(d[ij[0]][ij[1]]),
+                )
+                continue
+            # pivot divides everything below-right, or we fold a bad row in
+            offender = next(
+                (
+                    (i, j)
+                    for i in range(t + 1, nr)
+                    for j in range(t + 1, nc)
+                    if d[i][j] % d[t][t]
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            row_add(t, offender[0], 1)
+            best = (t, t)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+        t += 1
+    return freeze(d), freeze(q)

@@ -15,6 +15,27 @@ from zlattice import standard_lattice
 from zlattice.cli import run
 
 
+# U + E8(-1) + A1(-1) + <-4> + <-6> + A1(-1) under 22 seeded column
+# operations: rank 14, det -96, invariant factors (2, 2, 2, 12); the CI bare
+# job writes the same Gram and diffs its discriminant against the golden
+SKEW14_GRAM = (
+    (0, 1, 0, 0, 0, 0, 0, -1, 1, 0, 0, 1, 0, 1),
+    (1, -10, -5, 1, -11, -16, -14, 0, -8, 1, 8, 3, -1, 2),
+    (0, -5, -4, 1, -7, -10, -8, -1, -5, 2, 4, 3, -2, 3),
+    (0, 1, 1, -4, 2, 3, 0, 0, -1, -1, 3, 1, 1, 1),
+    (0, -11, -7, 2, -14, -20, -16, -1, -10, 3, 9, 5, -3, 5),
+    (0, -16, -10, 3, -20, -30, -24, -2, -14, 4, 14, 8, -4, 8),
+    (0, -14, -8, 0, -16, -24, -24, -1, -14, 3, 18, 10, -3, 8),
+    (-1, 0, -1, 0, -1, -2, -1, -26, 12, 1, 1, 2, -13, 3),
+    (1, -8, -5, -1, -10, -14, -14, 12, -20, 2, 10, 9, 0, 8),
+    (0, 1, 2, -1, 3, 4, 3, 1, 2, -2, -1, -2, 2, -2),
+    (0, 8, 4, 3, 9, 14, 18, 1, 10, -1, -18, -10, 1, -8),
+    (1, 3, 3, 1, 5, 8, 10, 2, 9, -2, -10, -12, 6, -11),
+    (0, -1, -2, 1, -3, -4, -3, -13, 0, 2, 1, 6, -12, 6),
+    (1, 2, 3, 1, 5, 8, 8, 3, 8, -2, -8, -11, 6, -12),
+)
+
+
 @pytest.fixture()
 def files(tmp_path):
     def dump(name, obj):
@@ -49,6 +70,7 @@ def files(tmp_path):
         "badmodel": dump("badmodel.json", {
             "gram": [[-2, 0], [0, -2]], "a0": [1, 0], "e": [0, 1], "f": [1, 1],
         }),
+        "skew14": dump("skew14.json", {"gram": [list(r) for r in SKEW14_GRAM]}),
         "lk3": dump("lk3.json", {"gram": [list(r) for r in standard_lattice("LK3").gram]}),
         "model_m2": dump("model_m2.json", {
             "gram": [[-2, 2, 1, 0], [2, -2, 0, 0], [1, 0, -2, 0], [0, 0, 0, -2]],
@@ -103,6 +125,7 @@ GOLDEN_CASES = {
     "discriminant-u": ("discriminant", "@u"),
     "discriminant-lk3": ("discriminant", "@lk3"),
     "discriminant-n4": ("discriminant", "@n4model"),
+    "discriminant-skew14": ("discriminant", "@skew14"),
     "roots-e8": ("roots", "@e8", "--norm", "-2"),
     "roots-u-bound": ("roots", "@u", "--norm", "-2", "--bound", "2"),
     "roots-s311-ortho": ("roots", "@s311", "--norm", "-2", "--ortho", "0,0,1;1,1,0"),

@@ -1,11 +1,13 @@
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from helpers import _conjugate
+from helpers import _conjugate, skewed_block_sum
 from zlattice import (
     DegenerateLattice,
     NotEven,
@@ -20,6 +22,7 @@ from zlattice import (
     inner_product,
     make_involution,
     make_lattice,
+    signature,
     standard_lattice,
     two_elementary_invariants,
 )
@@ -201,6 +204,56 @@ def test_integer_pairings_match_fraction_oracle():
                     assert discriminant_form_value(L, v) == oracles.reduce_mod2z(expect)
                     dual += 1
     assert dual > 200 and rejected > 100
+
+
+# --- Milgram's formula ---
+
+
+def _gauss_sum(L):
+    """(sum over every class x of L*/L of exp(pi i q(x)), |L*/L|), the
+    classes spanned by the generators of discriminant_group."""
+    dg = discriminant_group(L)
+    total = 0j
+    for coeffs in itertools.product(*map(range, dg.invariant_factors)):
+        x = [sum(c * g[k] for c, g in zip(coeffs, dg.generators)) for k in range(L.rank)]
+        total += cmath.exp(1j * math.pi * discriminant_form_value(L, x))
+    return total, dg.order
+
+
+def test_milgram_formula_ties_signature_generators_and_form_values():
+    # an even nondegenerate L of signature (p, m) has
+    # sum_x exp(pi i q(x)) = sqrt|A| exp(pi i (p - m) / 4) over A = L*/L;
+    # neighbouring values of p - m mod 8 move the right side by
+    # 0.77 sqrt|A|, so a float tolerance of 1e-6 |A| decides it
+    from test_involutions import _random_even_gram
+
+    def check(L):
+        p, m, _ = signature(L)
+        total, order = _gauss_sum(L)
+        expect = math.sqrt(order) * cmath.exp(1j * math.pi * (p - m) / 4)
+        assert abs(total - expect) < 1e-6 * order, (L.gram, total, expect)
+
+    rng = random.Random(53)
+    lattices = 0
+    while lattices < 300:
+        g = _random_even_gram(rng)
+        if g is not None:
+            check(make_lattice(tuple(map(tuple, g))))
+            lattices += 1
+    # skewed non-unimodular block sums like the structure workload's, to
+    # rank 22
+    blocks = {"U": U.gram, "E8(-1)": E8M.gram, "A1(-1)": A1M.gram, "<2>": ((2,),),
+              "<-4>": ((-4,),), "<-6>": ((-6,),), "U(2)": ((0, 2), (2, 0))}
+    small = ("A1(-1)", "<2>", "<-4>", "<-6>", "U(2)")
+    for _ in range(30):
+        chosen = [blocks[b] for b in rng.sample(small, rng.randint(1, 3))]
+        for b in rng.choices(("U", "E8(-1)", "U(2)"), k=rng.randint(0, 3)):
+            if sum(map(len, chosen)) + len(blocks[b]) <= 22:
+                chosen.append(blocks[b])
+        n = sum(map(len, chosen))
+        L = make_lattice(skewed_block_sum(rng, chosen, 2 * n))
+        assert abs(determinant(L)) > 1
+        check(L)
 
 
 # --- 2-elementary invariants ---

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from helpers import skewed_block_sum
 from zlattice import intlinalg as la
 from zlattice import standard_lattice
 
@@ -252,6 +253,75 @@ def test_snf_transforms_and_divisibility():
         assert math.gcd(*minors) == 1
         # the full diagonal, zeros and ones included, so a wrong rank shows
         assert tuple(diag) == oracles.sympy_smith_diagonal(m)
+
+
+# --- sparse sweeps against the dense eliminations ---
+
+
+def _dense_rank_and_kernel(m, ncols=None):
+    h, u = oracles.dense_hnf_with_transform(m, ncols)
+    nc = len(u)
+    rank = sum(1 for c in range(nc) if any(row[c] for row in h))
+    return rank, tuple(tuple(u[r][c] for r in range(nc)) for c in range(rank, nc))
+
+
+def _assert_same_as_dense(m, ncols=None):
+    if len(m) == (len(m[0]) if m else ncols):
+        assert la.bareiss_det(m) == oracles.dense_bareiss_det(m), m
+    assert la.hnf_with_transform(m, ncols) == oracles.dense_hnf_with_transform(m, ncols), m
+    rank, ker = _dense_rank_and_kernel(m, ncols)
+    assert la.kernel(m, ncols) == ker, m
+    assert la.integer_rank(m) == (rank if m else 0), m
+    if m:
+        assert la.snf_with_transforms(m) == oracles.dense_snf_with_transforms(m), m
+
+
+def _random_sparse_case(rng):
+    """A random integer matrix with 0-12 rows and columns, square half the
+    time, of density 0.1-1.0, sometimes singular by a scaled copied row
+    and sometimes with a zeroed row or column."""
+    nr = rng.randint(0, 12)
+    nc = nr if rng.random() < 0.5 else rng.randint(0, 12)
+    density = rng.uniform(0.1, 1.0)
+    lim = rng.choice((1, 1, 2, 9, 100))
+    rows = [[rng.randint(-lim, lim) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)]
+    if nr >= 2 and rng.random() < 0.3:
+        i, j = rng.sample(range(nr), 2)
+        k = rng.randint(-2, 2)
+        rows[i] = [k * x for x in rows[j]]
+    if nr and rng.random() < 0.2:
+        rows[rng.randrange(nr)] = [0] * nc
+    if nr and nc and rng.random() < 0.2:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = 0
+    return la.freeze(rows), nc
+
+
+def test_sparse_sweeps_equal_the_dense_eliminations():
+    # every output is the same as the dense code's: kernel bases are read
+    # from U and discriminant generators from Q, so the goldens rest on it
+    rng = random.Random(2323)
+    for _ in range(2000):
+        m, nc = _random_sparse_case(rng)
+        _assert_same_as_dense(m, None if m else nc)
+    # skewed block sums up to rank 22, with unit entries (U, E8(-1)) and
+    # without (A1(-1), <-4>, <-6> only, so every entry is even), and
+    # their top rows, whose kernels are not trivial
+    blocks = {"U": ((0, 1), (1, 0)), "E8(-1)": standard_lattice("E8(-1)").gram,
+              "A1(-1)": ((-2,),), "<-4>": ((-4,),), "<-6>": ((-6,),)}
+    for k in range(45):
+        pool = ("A1(-1)", "<-4>", "<-6>") if k % 3 == 0 else tuple(blocks)
+        chosen = []
+        for b in rng.choices(pool, k=rng.randint(1, 8)):
+            if sum(map(len, chosen)) + len(blocks[b]) <= 22:
+                chosen.append(blocks[b])
+        n = sum(map(len, chosen))
+        g = la.freeze(skewed_block_sum(rng, chosen, rng.randint(0, 2 * n)))
+        assert (k % 3 != 0) or all(x % 2 == 0 for row in g for x in row)
+        _assert_same_as_dense(g)
+        _assert_same_as_dense(g[: rng.randint(1, len(g))])
 
 
 # --- rational inverse ---
