@@ -1,6 +1,8 @@
 """Exact linear algebra over the integers.
 
-Matrices are immutable tuples of tuples of Python ints; nothing here ever
+Matrices are immutable tuples of tuples of Python ints; the kernels copy
+their input rows as given and convert nothing, since the make_*
+constructors check every entry at the boundary.  Nothing here ever
 touches floating point, and every routine but rational_inverse (whose
 result has rational entries) runs on ints alone.  No code in the package
 calls rational_inverse: the tests keep it as a rational reference, and the
@@ -102,7 +104,7 @@ def bareiss_det(m: Mat) -> int:
     n = len(m)
     if n == 0:
         return 1
-    a = [list(map(int, row)) for row in m]
+    a = [list(row) for row in m]
     seen = [0] * n
     p = [1]
     sign = 1
@@ -161,7 +163,7 @@ def hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
     nc = len(m[0]) if nr else ncols
     if nc is None:
         raise ValueError("ncols required for a matrix with no rows")
-    h = [list(map(int, row)) for row in m]
+    h = [list(row) for row in m]
     u = [[0] * nc for _ in range(nc)]
     for i in range(nc):
         u[i][i] = 1
@@ -262,7 +264,7 @@ def snf_with_transforms(m) -> tuple[Mat, Mat]:
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    d = [list(map(int, row)) for row in m]
+    d = [list(row) for row in m]
     q = [[0] * nc for _ in range(nc)]
     for i in range(nc):
         q[i][i] = 1
@@ -393,7 +395,7 @@ def ldl(gram) -> tuple[list[int], list[list[int]]]:
     into the upper one, which is never read otherwise.
     """
     n = len(gram)
-    a = [list(map(int, row[: i + 1])) + [0] * (n - i - 1) for i, row in enumerate(gram)]
+    a = [list(row[: i + 1]) + [0] * (n - i - 1) for i, row in enumerate(gram)]
     d: list[int] = []
     prev = 1
     t = 0

@@ -285,10 +285,6 @@ class DegeneracyScanResult(NamedTuple):
     delta2: Vec | None
     __dataclass_fields__ = _DataclassFields()
 
-    @property
-    def found(self) -> bool:
-        return self.status == "degenerate"
-
 
 def _doubled_projector(sat: SublatticeEmbedding, gs: la.Mat, den: int) -> la.Mat:
     """P with 2 proj_S(v) = P v / den for every ambient vector v.

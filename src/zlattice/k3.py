@@ -112,8 +112,7 @@ def is_nondegenerate(model: PicardModel) -> tuple[bool, tuple[Vec, ...]]:
     such vectors in canonical order, so they always contain +-f and any
     extra entry certifies a degenerate configuration.
     """
-    epf = tuple(a + b for a, b in zip(model.e, model.f))
-    found = constrained_roots(model.lattice, [model.a0, epf], -2)
+    found = constrained_roots(model.lattice, model.u_sublattice().basis, -2)
     expected = {model.f, tuple(-c for c in model.f)}
     return set(found.vectors) == expected, found.vectors
 
@@ -139,9 +138,6 @@ class F4Class(NamedTuple):
 
     def __add__(self, other: "F4Class") -> "F4Class":
         return F4Class(self.c_coeff + other.c_coeff, self.s_coeff + other.s_coeff)
-
-    def __neg__(self) -> "F4Class":
-        return F4Class(-self.c_coeff, -self.s_coeff)
 
     def __rmul__(self, k: int) -> "F4Class":
         return F4Class(k * self.c_coeff, k * self.s_coeff)

@@ -256,6 +256,93 @@ def test_milgram_formula_ties_signature_generators_and_form_values():
         check(L)
 
 
+# --- Nikulin's existence conditions and direct sums ---
+
+D4M = make_lattice(((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)))
+U2 = make_lattice(((0, 2), (2, 0)))
+PM2 = make_lattice(((2, 0), (0, -2)))
+
+
+def _nikulin_broken(triple, sig):
+    """The existence conditions that an even 2-elementary lattice with
+    invariants (r, a, delta) and signature (t+, t-, 0) breaks (Nikulin
+    1979, Thm. 3.6.2)."""
+    r, a, delta = triple
+    tp, tm, zero = sig
+    s = (tp - tm) % 8
+    conditions = (
+        ("nondegenerate of rank r = t+ + t-", zero == 0 and r == tp + tm),
+        ("a <= r and r = a mod 2", a <= r and (r - a) % 2 == 0),
+        ("delta = 0 gives t+ - t- = 0 mod 4", delta or s % 4 == 0),
+        ("a = 0 gives delta = 0 and t+ - t- = 0 mod 8", a or (delta == 0 and s == 0)),
+        ("a = 1 gives t+ - t- = +-1 mod 8", a != 1 or s in (1, 7)),
+        ("a = 2 and t+ - t- = 4 mod 8 give delta = 0", a != 2 or s != 4 or delta == 0),
+        ("delta = 0 and a = r give t+ - t- = 0 mod 8", delta or a != r or s == 0),
+    )
+    return [name for name, holds in conditions if not holds]
+
+
+def _unimodular_involutions():
+    """The three K3 involutions and the 120 seeded involutions of
+    test_involution_triple_oracle_on_unimodular_involutions."""
+    from helpers import psi_minus, psi_split, random_unimodular_involution, sigma_s311_fixed
+
+    rng = random.Random(37)
+    return [psi_split(), psi_minus(), sigma_s311_fixed()] + [
+        random_unimodular_involution(rng) for _ in range(120)]
+
+
+def test_invariant_triples_meet_nikulins_existence_conditions():
+    # both eigenlattices of an involution of an even unimodular lattice are
+    # 2-elementary (their discriminant forms are anti-isometric)
+    assert (two_elementary_invariants(S), signature(S)) == ((3, 1, 1), (1, 2, 0))
+    cases = [S, U, A1M, E8M, U2, PM2, D4M, standard_lattice("LK3")]
+    for psi in _unimodular_involutions():
+        cases += [psi.fixed.induced_lattice(), psi.anti.induced_lattice()]
+    premises = set()
+    for L in cases:
+        triple, sig = two_elementary_invariants(L), signature(L)
+        assert not _nikulin_broken(triple, sig), (L.gram, triple, sig)
+        r, a, delta = triple
+        s = (sig[0] - sig[1]) % 8
+        premises.update(name for name, met in (
+            ("a = 0", a == 0), ("a = 1", a == 1), ("a = 2, s = 4", a == 2 and s == 4),
+            ("delta = 0, 0 < a = r", not delta and 0 < a == r)) if met)
+    # each conditional case is met at least once
+    assert len(premises) == 4, premises
+
+
+def _assert_direct_sum(parts, total):
+    """Assert that (r, a, delta) and the Gauss sum of the lattice `total`
+    come from those of its orthogonal summands `parts`."""
+    r, a, delta = two_elementary_invariants(total)
+    gauss, order = _gauss_sum(total)
+    triples = [two_elementary_invariants(P) for P in parts]
+    assert r == sum(t[0] for t in triples) and a == sum(t[1] for t in triples), triples
+    assert delta == max(t[2] for t in triples), triples
+    expect, expect_order = 1, 1
+    for P in parts:
+        part_gauss, part_order = _gauss_sum(P)
+        expect *= part_gauss
+        expect_order *= part_order
+    assert order == expect_order and abs(gauss - expect) < 1e-6 * order, (total.gram, gauss, expect)
+
+
+def test_direct_sums_add_r_and_a_take_the_max_delta_and_multiply_gauss_sums():
+    rng = random.Random(61)
+    pool = (U, U2, make_lattice(((2,),)), A1M, D4M, E8M)
+    for _ in range(40):
+        # at most four parts with a <= 2: at most 2^8 classes to walk
+        parts = rng.choices(pool, k=rng.randint(2, 4))
+        n = sum(P.rank for P in parts)
+        total = make_lattice(skewed_block_sum(rng, [P.gram for P in parts], 2 * n))
+        _assert_direct_sum(parts, total)
+    fixed = [psi.fixed.induced_lattice() for psi in _unimodular_involutions()[3:]]
+    for P, Q in zip(fixed[::2], fixed[1::2]):
+        if two_elementary_invariants(P)[1] + two_elementary_invariants(Q)[1] <= 8:
+            _assert_direct_sum([P, Q], direct_sum(P, Q))
+
+
 # --- 2-elementary invariants ---
 
 

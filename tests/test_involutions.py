@@ -411,7 +411,6 @@ def test_da_scan_minimal_model_never_finds_witness():
 
 def test_da_scan_overlattice_witness():
     res = da_degeneracy_scan(n4_model().lattice, n4_sprime(), 3)
-    assert res.found
     assert res.status == "degenerate"
     assert res.delta == (0, 0, 1, -1)
     assert res.delta1 == (0, 0, 2, -1)
@@ -428,7 +427,7 @@ def test_da_scan_witness_stable_under_larger_bound():
     L = n4_model().lattice
     Ssub = n4_sprime()
     first = da_degeneracy_scan(L, Ssub, 1)
-    assert first.found
+    assert first.status == "degenerate"
     for bound in (2, 3, 5):
         assert da_degeneracy_scan(L, Ssub, bound).delta == first.delta
 
@@ -534,10 +533,10 @@ def test_glue_obstruction_never_hides_a_box_witness():
             non_primitive += 1
             assert got == da_degeneracy_scan(L, saturate(s), 2), (L.gram, s.basis)
         box = _box(L, s, 2)
-        found += box.found
+        found += box.status == "degenerate"
         if got.status == "no-witness":
             obstructed += 1
-            assert not box.found, (L.gram, s.basis, box)
+            assert box.status != "degenerate", (L.gram, s.basis, box)
         else:
             assert got == box
     assert found >= 10 and obstructed >= 100 and non_primitive >= 50

@@ -178,7 +178,6 @@ def test_f4_intersection_values():
 def test_f4_class_arithmetic():
     assert BRANCH_CURVE + SECTION == F4Class(12, 4)
     assert CANONICAL * -2 == -2 * CANONICAL == F4Class(12, 4)
-    assert -CANONICAL == F4Class(6, 2)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),

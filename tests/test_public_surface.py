@@ -6,7 +6,9 @@ read as a name or an attribute, imported, or given as a string (a tracer or
 a query table looks functions up by name).  Its own ``def``, ``class`` or
 assignment and any docstring or comment that mentions it do not count, so a
 function that only its tests call fails here.  Every exported error class
-but the base class must be raised somewhere in the package.
+but the base class must be raised somewhere in the package, and every
+method or property an exported class defines (dunders aside) must be read
+as an attribute or given as a string on one of those paths.
 """
 
 import ast
@@ -35,29 +37,35 @@ def _path_files():
     return files + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def _used_names(files) -> set[str]:
-    used = set()
+def _nodes(files):
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _used_names(files, bare=True) -> set[str]:
+    """Names read as an attribute or given as a string and, with bare,
+    names read bare or imported.  Without bare a local variable cannot
+    stand in for a member."""
+    used = set()
+    for node in _nodes(files):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        elif bare and isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif bare and isinstance(node, ast.alias):
+            used.add(node.name)
     return used
 
 
 def _raised_names(files) -> set[str]:
     raised = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
+    for node in _nodes(files):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
     return raised
 
 
@@ -79,6 +87,29 @@ def test_every_exported_error_is_raised():
     assert errors
     unraised = [n for n in errors if n not in raised]
     assert not unraised, f"error classes that nothing raises: {unraised}"
+
+
+def _members(cls):
+    """Names of the methods, static and class methods and properties that
+    the body of cls defines, dunders aside; what NamedTuple adds (_make,
+    _replace, ...) is defined in another module."""
+    for name, value in vars(cls).items():
+        value = getattr(value, "__func__", getattr(value, "fget", value))
+        if (inspect.isfunction(value) and value.__module__ == cls.__module__
+                and not (name.startswith("__") and name.endswith("__"))):
+            yield name
+
+
+def test_every_member_of_an_exported_class_is_read():
+    members = {}
+    for export in zlattice.__all__:
+        obj = getattr(zlattice, export)
+        if isinstance(obj, type):
+            members.update((f"{export}.{name}", name) for name in _members(obj))
+    assert "PicardModel.u_sublattice" in members and "Lattice.rank" in members
+    used = _used_names(_path_files(), bare=False)
+    unread = [member for member, name in members.items() if name not in used]
+    assert not unread, f"members that no path reads: {unread}"
 
 
 def _annotated(obj):

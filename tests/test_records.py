@@ -134,7 +134,7 @@ def test_properties_and_methods_survive():
     assert U.rank == 2
     assert DiscriminantGroup((2, 6), (), A1).order == 12
     assert DiscriminantGroup((), (), U).order == 1
-    assert DegeneracyScanResult("degenerate", (1,), (2,), (0,)).found
-    assert not DegeneracyScanResult("no-witness", None, None, None).found
+    assert DegeneracyScanResult("degenerate", (1,), (2,), (0,)).status == "degenerate"
+    assert DegeneracyScanResult("no-witness", None, None, None).status != "degenerate"
     psi = IntegralInvolution(U, SWAP, None, None)
     assert psi((1, 0)) == (0, 1)

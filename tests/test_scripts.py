@@ -27,7 +27,7 @@ def test_root_census_e8_row():
 
 
 def test_family_scan_small_sweep():
-    rows = _run("family_scan.py", "--bound", "1", "--max-d", "-4")
+    rows = _run("family_scan.py", "--max-d", "-4")
     assert rows["S311"][0] == "NONDEGENERATE"
     assert rows["S311+<-2>"][0] == "DEGENERATE-POSS"
     assert rows["S311+<-4>"][0] == "NONDEGENERATE"
