@@ -189,12 +189,13 @@ def saturate(k: SublatticeEmbedding) -> SublatticeEmbedding:
     integer kernel below.
     """
     n = k.ambient.rank
-    h, _ = la.hnf_with_transform(k.basis, n)
+    h, u = la.hnf_with_transform(k.basis, n)
     if all(h[i][i] == 1 for i in range(k.rank)):
         return k
-    # double integer kernel with the standard dot product: the kernel of
-    # (kernel of B^t)^t is the saturation of the column span of B
-    left = la.kernel(k.basis, ncols=n)
+    # the kernel of (kernel of B^t)^t is the saturation of B's span; the
+    # inner kernel is read from U as la.kernel reads it
+    rank = sum(1 for c in zip(*h) if any(c))
+    left = tuple(zip(*u))[rank:]
     return SublatticeEmbedding(k.ambient, la.kernel(left, ncols=n))
 
 

@@ -20,19 +20,17 @@ raises EnumerationOverflow.  A norm that is not an int, or a box bound that
 is not a positive one, is refused before any search.  Indefinite lattices
 can only be scanned inside an explicit coordinate box, and the result says
 so.
-The box scan also runs on Python ints only: it walks the trailing
-coordinates with the same loop and completes each of them by looking up
-the first two in a table of their contributions to the norm.  Both
-searches emit one member of each +-v pair, and canonical_order alone writes
-the negatives, after the representatives; a negation-closed witness set
-has its first hit among those, so the witness searches try only them.
+The box scan runs on Python ints too: the same walk, ended the same way
+by solving for x_0, inside the box.  Both searches emit one member of
+each +-v pair, and canonical_order alone writes the negatives, after the
+representatives; a negation-closed witness set has its first hit among
+those, so the witness searches try only them.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import gcd, isqrt, lcm
-from operator import add, mul, neg
+from operator import add, neg
 from typing import NamedTuple
 
 from . import intlinalg as la
@@ -58,11 +56,6 @@ _MAX_FP_NODES = 10_000_000
 
 # Definite searches LLL-reduce from this rank on; below, it is not worth its cost.
 _LLL_MIN_RANK = 10
-
-# Box scans hold at most this many head-table entries at once, whatever
-# the Gram entries and the bound.
-_MAX_HEAD_CELLS = 1 << 16
-
 
 class _DataclassFields:
     """``__dataclass_fields__`` made on first read, so that ``dataclasses.replace``
@@ -334,78 +327,84 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
 
 
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
-    """Every x >= zero (one of each +-pair) with max |x_i| <= bound and
-    x^t gram x = m, unordered; canonical_order writes the negatives.
+    """Every x with max |x_i| <= bound and x^t gram x = m that is zero or
+    has its last nonzero coordinate positive (one of each +-pair),
+    unordered; canonical_order writes the negatives.
 
-    The first k = min(n, 2) coordinates are the head, the rest the tail;
-    k is lowered while a single head table would exceed _MAX_HEAD_CELLS
-    entries.  The tail x_{n-1}..x_k is walked with the loop of
-    _fp_enumerate, x_k innermost; each level keeps the tail norm and
-    p = gram x_tail, cut to the coordinates not yet fixed.  Since
-    x^t gram x = h(head) + 2 head.p + tail norm, the heads completing a
-    tail are the entries under m - tail norm in the table of
-    h(head) + 2 head.p over the head box, built the first time its key p
-    occurs.  At most _MAX_HEAD_CELLS table entries are held at once: a full
-    cache is emptied before the next table goes in.  Only heads >= zero
-    enter the tables, and a zero head completes only a tail >= zero.
+    The multiples x_0 e_0 come first: g00 x_0^2 = m, x_0 >= 0.  The rest
+    are walked over x_{n-1}..x_2 with the loop of _fp_enumerate, each
+    level keeping the tail norm and part = gram x_tail cut to the
+    coordinates not yet fixed; a level may go negative only when nz says
+    a later coordinate is nonzero, and over a zero tail x_1 starts at 1.
+    Levels 1 and 0 share one loop over x_1 that steps p = part_0 + g01 x_1
+    and rest = m - (norm of x_1..x_{n-1}) by finite differences (drest)
+    and solves g00 x_0^2 + 2 p x_0 = rest: x_0 = (-p +- isqrt(p^2 +
+    g00 rest)) / g00, or rest / 2p when g00 = 0, or, when p and rest are
+    both 0, every x_0 of the box.
     """
     n = len(gram)
-    side = range(-bound, bound + 1)
-    k = min(n, 2)
-    while len(side) ** k > _MAX_HEAD_CELLS:
-        k -= 1
-    zero = (0,) * n
-    quad = [
-        (head, sum(a * gram[i][j] * b for i, a in enumerate(head) for j, b in enumerate(head)))
-        for head in product(side, repeat=k)
-        if head >= zero[:k]
-    ]
-    if k == n:
-        return [head for head, h in quad if h == m]
-    max_tables = _MAX_HEAD_CELLS // len(quad)
-    tables: dict[Vec, dict[int, list[Vec]]] = {}
+    if n == 0:
+        return [()] if m == 0 else []
+    g00 = gram[0][0]
+    zeros = (0,) * (n - 1)
+    if not g00:
+        hits = [(x0, *zeros) for x0 in range(bound + 1)] if m == 0 else []
+    else:
+        q, k = divmod(m, g00)
+        r = isqrt(q) if q > 0 else 0
+        hits = [(r, *zeros)] if not k and r * r == q and r <= bound else []
+    if n == 1:
+        return hits
+    g01, g11 = gram[0][1], gram[1][1]
     cols = [tuple(gram[j][i] for j in range(i)) for i in range(n)]
-    # x_k, its share of the key, and its diagonal term
-    steps = [(xk, tuple(xk * c for c in cols[k]), gram[k][k] * xk * xk) for xk in side]
-    hits: list[Vec] = []
-    # level i: x[i] runs up to bound; tail[i + 1] is the norm of x_{>i} and
-    # part[i + 1] the first i + 1 coordinates of gram x_{>i}
+    # level i >= 2: tail[i + 1] = norm of x_{>i}, part[i + 1] = (gram x_{>i})_{<=i}
     x = [0] * n
+    nz = [False] * (n + 1)
     tail = [0] * (n + 1)
     part = [None] * n + [(0,) * n]
     i = n - 1
     enter = True
     while i < n:
-        if i == k:
-            up = part[k + 1]
-            rem = m - tail[k + 1]
-            twice = 2 * up[k]
-            for xk, share, sq in steps:
-                key = tuple(map(add, up, share))
-                table = tables.get(key)
-                if table is None:
-                    if len(tables) >= max_tables:
-                        tables.clear()
-                    table = tables[key] = {}
-                    for head, h in quad:
-                        table.setdefault(h + 2 * sum(map(mul, head, key)), []).append(head)
-                heads = table.get(rem - xk * twice - sq)
-                if heads:
-                    rest = (xk, *x[k + 1 :])
-                    hits.extend(v for v in (head + rest for head in heads) if v >= zero)
-            i += 1
+        if i == 1:
+            lo = -bound if nz[2] else 1
+            p, p1 = part[2]
+            p += g01 * lo
+            rest = m - tail[2] - lo * (2 * p1 + g11 * lo)
+            drest = -2 * p1 - g11 * (2 * lo + 1)
+            for x1 in range(lo, bound + 1):
+                if g00:
+                    disc = p * p + g00 * rest
+                    if disc >= 0:
+                        r = isqrt(disc)
+                        if r * r == disc:
+                            for y in {r, -r}:
+                                x0, k = divmod(y - p, g00)
+                                if not k and -bound <= x0 <= bound:
+                                    hits.append((x0, x1, *x[2:]))
+                elif p:
+                    if not rest % (2 * p):
+                        x0 = rest // (2 * p)
+                        if -bound <= x0 <= bound:
+                            hits.append((x0, x1, *x[2:]))
+                elif not rest:
+                    hits.extend((x0, x1, *x[2:]) for x0 in range(-bound, bound + 1))
+                p += g01
+                rest += drest
+                drest -= 2 * g11
+            i = 2
             enter = False
             continue
         if enter:
-            x[i] = -bound
-            part[i] = tuple(a - bound * c for a, c in zip(part[i + 1], cols[i]))
+            x[i] = xi = -bound if nz[i + 1] else 0
+            part[i] = tuple(a + xi * c for a, c in zip(part[i + 1], cols[i]))
         else:
-            x[i] += 1
-            if x[i] > bound:
+            xi = x[i]
+            if xi == bound:
                 i += 1
                 continue
+            x[i] = xi = xi + 1
             part[i] = tuple(map(add, part[i], cols[i]))
-        xi = x[i]
+        nz[i] = nz[i + 1] or xi != 0
         tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)
         i -= 1
         enter = True

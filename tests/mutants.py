@@ -90,8 +90,10 @@ MUTANTS = (
      "                t[j] += c\n",
      ""),
     ("fp-nz-from-above-only", ROOTS,
-     "nz[i] = nz[i + 1] or xi != 0",
-     "nz[i] = nz[i + 1]"),
+     "        nz[i] = nz[i + 1] or xi != 0\n"
+     "        y = s[i] * xi + t[i]\n",
+     "        nz[i] = nz[i + 1]\n"
+     "        y = s[i] * xi + t[i]\n"),
     # glue obstruction (lattices.saturate, discriminant, the degeneracy scan)
     ("saturate-reads-first-pivot-only", LATTICES,
      "if all(h[i][i] == 1 for i in range(k.rank)):",
@@ -112,6 +114,17 @@ MUTANTS = (
     ("box-tail-norm-without-2", ROOTS,
      "tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)",
      "tail[i] = tail[i + 1] + xi * (part[i + 1][i] + gram[i][i] * xi)"),
+    ("box-x1-negative-over-zero-tail", ROOTS,
+     "lo = -bound if nz[2] else 1",
+     "lo = -bound"),
+    ("box-linear-x0-without-2", ROOTS,
+     "                    if not rest % (2 * p):\n"
+     "                        x0 = rest // (2 * p)\n",
+     "                    if not rest % p:\n"
+     "                        x0 = rest // p\n"),
+    ("box-rest-step-constant", ROOTS,
+     "                drest -= 2 * g11\n",
+     ""),
 )
 
 # the list check fails on every mutated copy, so it cannot kill a mutant

@@ -162,8 +162,9 @@ def fraction_lll(gram):
 def brute_box_vectors(gram, target, bound):
     """All integer vectors with max-|coordinate| <= bound and v^T G v = target.
 
-    Plain itertools product, no shortcuts; the package's box scan uses a
-    chunked mixed-radix layout, so this is an independent route.
+    Plain itertools product, no shortcuts; the package's box scan walks
+    the trailing coordinates and solves for the first, so this is an
+    independent route.
     """
     n = len(gram)
     hits = []

@@ -477,6 +477,14 @@ def test_lll_matches_fraction_reference():
         _lll_checked(_skew(rng, g, rng.randint(0, 3 * len(g))))
 
 
+def test_lll_on_negative_binary_forms():
+    # -G for binary forms that need a swap: the swap's new pivot keeps the
+    # sign of the one it replaces, so a lost sign shows in T here, before
+    # any random draw that it could send round forever
+    for g in (((4, 2), (2, 2)), ((6, 1), (1, 2)), ((10, 3), (3, 1))):
+        _lll_checked(g, -1)
+
+
 @given(st.integers(0, 2 ** 32), st.integers(1, 8), st.sampled_from(("posdef", "2I", "E8")),
        st.integers(0, 40), st.sampled_from((1, -1)))
 def test_lll_on_either_sign_matches_fraction_reference(seed, n, kind, ops, sign):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from helpers import same_sublattice
+from helpers import n4_model, n4_sprime, same_sublattice
 from zlattice import (
     DegenerateSublattice,
     DimensionMismatch,
@@ -311,6 +311,24 @@ def test_saturate_examples():
     u = make_sublattice(S, U_BASIS)
     assert saturate(u) is u
     assert oracles.sympy_maximal_minor_gcd(u.basis) == 1
+
+
+def test_saturate_runs_two_hermite_reductions(monkeypatch):
+    # non-primitive S = U + Z 2w on N4, w = (0, 0, 2, -1): one HNF finds
+    # the index and gives the left kernel, the second is the outer kernel's
+    calls = []
+    hnf = la.hnf_with_transform
+
+    def counted(m, ncols=None):
+        calls.append(m)
+        return hnf(m, ncols)
+
+    s = make_sublattice(n4_model().lattice, ((1, -1, 0, 0), (0, 1, 0, 0), (0, 0, 4, -2)))
+    monkeypatch.setattr(la, "hnf_with_transform", counted)
+    sat = saturate(s)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert same_sublattice(sat, n4_sprime())
 
 
 def test_saturate_keeps_primitive_and_matches_minor_gcd():

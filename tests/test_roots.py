@@ -1,5 +1,6 @@
 import collections
 import gc
+import itertools
 import random
 from fractions import Fraction
 from operator import mul, neg
@@ -277,8 +278,7 @@ def test_box_scan_matches_bruteforce_oracle():
             v = [rng.randint(-bound, bound) for _ in range(n)]
             target = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
         cases.append((m, target, bound))
-    # bounds whose head table would be too large: the head shrinks to one
-    # coordinate, then to none
+    # large bounds: a long x_1 loop in rank 2, and rank 1 solved at once
     cases.append(([[0, 3], [3, -2]], -2 * 129 * 129 + 6 * 5 * 129, 130))
     cases.append(([[-2]], -2 * 32900 * 32900, 33000))
     for m, target, bound in cases:
@@ -287,10 +287,37 @@ def test_box_scan_matches_bruteforce_oracle():
         expect = oracles.brute_box_vectors(m, target, bound)
         assert set(got.vectors) == set(expect)
         assert got.count == len(expect)
-        # the scan itself emits each +- pair once, and the zero vector
+        # the scan itself emits each +- pair once, as either member, and
+        # the zero vector
         zero = (0,) * len(m)
-        assert sorted(roots._box_scan(L.gram, target, bound)) == [v for v in expect if v >= zero]
+        reps = sorted(max(v, tuple(-c for c in v)) for v in roots._box_scan(L.gram, target, bound))
+        assert reps == [v for v in expect if v >= zero]
     assert any(target == 0 for _, target, _ in cases)
+
+
+def test_box_scan_equals_enumeration_on_skewed_definite_forms():
+    # skewed bases of E8(-1) and A1(-1)^k, in some of which no two tails
+    # x_2.. of the box pair alike with the first two coordinates; inside the
+    # a priori coordinate bound the box holds every vector of the norm
+    a1 = [tuple(tuple(-2 * (i == j) for j in range(k)) for i in range(k)) for k in (4, 5, 6)]
+    checked = distinct = 0
+    for base, seeds in ((E8M.gram, (2, 7)), (a1[0], (2, 3)), (a1[1], (10, 16)), (a1[2], range(10))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            gram = _skew(rng, base, rng.randint(2, 12))
+            L = make_lattice(gram)
+            for target in (-2, -4):
+                bound = oracles.coordinate_bound(gram, target)
+                if bound > 3:
+                    continue
+                bound = max(bound, 1)
+                assert bounded_vectors_of_norm(L, target, bound).vectors == \
+                    vectors_of_norm(L, target).vectors, (gram, target)
+                checked += 1
+                tails = list(itertools.product(range(-bound, bound + 1), repeat=len(gram) - 2))
+                pairings = {tuple(sum(map(mul, gram[r][2:], x)) for r in (0, 1)) for x in tails}
+                distinct += len(pairings) == len(tails)
+    assert checked >= 20 and distinct >= 5
 
 
 def test_box_scan_bound_validation():
