@@ -8,17 +8,20 @@ result has rational entries) runs on ints alone.  No code in the package
 calls rational_inverse: the tests keep it as a rational reference, and the
 perfbench span tracer reads it by name.  mat_mul costs what the nonzero
 entries of its left factor cost, one scaled row of B each: row i of AB sums
-only the rows of B at the nonzero entries of row i of A, so the mostly-zero
-Gram and involution matrices of the K3 lattice multiply at a fraction of
-n^3.  The routines this package leans on are a fraction-free Bareiss
-determinant, a column-style Hermite normal form with recorded transform, a
-Smith normal form with its column transform, and one fraction-free
-symmetric LDL^t elimination (ldl).  The first three pay only for live
-rows: a Bareiss step updates the rows with a nonzero in its column and
-brings a skipped row current when it is next read (the skipped scalings
-telescope), the Hermite sweeps visit the nonzero columns of the pivot row
-and skip the rows where both columns are zero, and the Smith form takes a
-unit pivot, found by list membership, whenever its block has one.  Each
+only the rows of B at the nonzero entries of row i of A, so AB costs
+nnz(A) * cols(B), and the mostly-zero Gram and involution matrices of the
+K3 lattice multiply at a fraction of n^3.  The cost is not symmetric in
+the factors, so callers put the sparse factor on the left, rewriting with
+G = G^t and (AB)^t = B^t A^t where they must.  The routines this package
+leans on are a fraction-free Bareiss determinant, a column-style Hermite
+normal form with recorded transform, a Smith normal form with its column
+transform, and one fraction-free symmetric LDL^t elimination (ldl).  The
+first three pay only for live rows: a Bareiss step updates the rows with a
+nonzero in its column and brings a skipped row current when it is next
+read (the skipped scalings telescope), the Hermite sweeps visit the
+nonzero columns of the pivot row and skip the rows where both columns are
+zero, and the Smith form takes a unit pivot, found by list membership,
+whenever its block has one.  Each
 returns exactly what the dense elimination returns: the same determinant,
 (H, U) and (D, Q).  The leading minors of ldl give the inertia, and on a
 definite Gram matrix they and its scaled multipliers are the integral
@@ -40,7 +43,13 @@ def freeze(rows) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zeros = [0] * n
+    rows = []
+    for i in range(n):
+        zeros[i] = 1
+        rows.append(tuple(zeros))
+        zeros[i] = 0
+    return tuple(rows)
 
 
 def transpose(m: Mat) -> Mat:
@@ -50,7 +59,8 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a, b) -> Mat:
-    # row i of AB is the sum of x * (row k of B) over the nonzero x = A[i][k]
+    # row i of AB is the sum of x * (row k of B) over the nonzero x = A[i][k],
+    # so AB costs nnz(A) * cols(B): callers put the sparse factor on the left
     zero = (0,) * len(b[0]) if b else ()
     out = []
     for row in a:

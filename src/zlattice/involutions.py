@@ -37,7 +37,7 @@ from .lattices import (
     Lattice,
     SublatticeEmbedding,
     Vec,
-    _as_int,
+    _ints,
     check_vector,
     is_even,
     is_hyperbolic,
@@ -85,18 +85,19 @@ def make_involution(L: Lattice, m) -> IntegralInvolution:
     """Check outside input: an integer isometry of L squaring to the identity.
 
     psi^2 = id is checked first.  Given it, psi^t G psi = G holds exactly
-    when G psi is symmetric, so one product decides the isometry: (G psi)^t
-    = psi^t G, and multiplying psi^t G psi = G on the right by psi = psi^-1
-    turns it into psi^t G = G psi, and back.
+    when psi^t G is symmetric, so one product decides the isometry:
+    (psi^t G)^t = G psi, and multiplying psi^t G psi = G on the right by
+    psi = psi^-1 turns it into psi^t G = G psi, and back.  psi^t, as sparse
+    as psi, stands on the left.
     """
     n = L.rank
-    m = tuple(tuple(map(_as_int, row)) for row in m)
+    m = tuple(map(_ints, m))
     if len(m) != n or any(len(row) != n for row in m):
         raise DimensionMismatch(f"matrix is not {n} x {n}")
     if la.mat_mul(m, m) != la.identity(n):
         raise NotInvolution("matrix squared is not the identity")
-    gm = la.mat_mul(L.gram, m)
-    if gm != la.transpose(gm):
+    tg = la.mat_mul(la.transpose(m), L.gram)
+    if tg != la.transpose(tg):
         raise NotIsometry("matrix does not preserve the Gram matrix")
     eigen = []  # fixed, then anti
     for sign in (-1, 1):
@@ -170,16 +171,20 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
     Requires psi to negate S pointwise (S inside the -1 eigenlattice).
     anti meets S-perp in A k over the integer kernel k of B_S^t G A, A the
     basis of anti: k is saturated and anti primitive, so the meet is too.
+    Each product takes a sparse basis on the left: B_S^t psi^t holds the
+    images of S's basis as rows, and B_S^t G A = (A^t (B_S^t G)^t)^t.
     """
     if s.ambient.gram != psi.ambient.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
-    for b in s.basis:
-        if psi(b) != tuple(-c for c in b):
+    images = la.mat_mul(s.basis, la.transpose(psi.matrix))
+    for b, img in zip(s.basis, images):
+        if img != tuple(-c for c in b):
             raise SNotInAntiFixed(
                 f"basis vector {b} is not negated by the involution"
             )
     fixed, anti = psi.fixed, psi.anti
-    pairing = la.mat_mul(la.mat_mul(s.basis, s.ambient.gram), anti.matrix)
+    gs = la.transpose(la.mat_mul(s.basis, s.ambient.gram))
+    pairing = la.transpose(la.mat_mul(anti.basis, gs))
     anti_s = SublatticeEmbedding(
         psi.ambient, la.mat_mul(la.kernel(pairing, ncols=anti.rank), anti.basis)
     )

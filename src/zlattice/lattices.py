@@ -31,14 +31,19 @@ Vec = la.Vec
 Mat = la.Mat
 
 
-def _as_int(x):
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise NotIntegral(f"entry {x!r} is not an integer")
-    return x
+def _ints(row) -> Vec:
+    """row as a tuple of its own entries, each an int and not a bool: one
+    C-level type test passes plain ints, any other row is read entry by entry."""
+    v = tuple(row)
+    if not set(map(type, v)) <= {int}:
+        for x in v:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise NotIntegral(f"entry {x!r} is not an integer")
+    return v
 
 
 def check_vector(L: "Lattice", x) -> Vec:
-    v = tuple(_as_int(c) for c in x)
+    v = _ints(x)
     if len(v) != L.rank:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match rank {L.rank}"
@@ -77,7 +82,8 @@ class SublatticeEmbedding(NamedTuple):
         return la.transpose(self.basis)
 
     def induced_gram(self) -> Mat:
-        return la.mat_mul(la.mat_mul(self.basis, self.ambient.gram), self.matrix)
+        # B G B^t = B (B G)^t as G = G^t: the sparse basis is on the left twice
+        return la.mat_mul(self.basis, la.transpose(la.mat_mul(self.basis, self.ambient.gram)))
 
     def induced_lattice(self) -> Lattice:
         return Lattice(self.induced_gram())
@@ -105,7 +111,7 @@ class SublatticeEmbedding(NamedTuple):
 
 def make_lattice(gram, name: str | None = None) -> Lattice:
     """Check outside input: a square, symmetric integer Gram matrix."""
-    rows = tuple(tuple(_as_int(x) for x in row) for row in gram)
+    rows = tuple(map(_ints, gram))
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:

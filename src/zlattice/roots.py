@@ -42,6 +42,7 @@ from .errors import (
 )
 from .lattices import (
     Lattice,
+    SublatticeEmbedding,
     Vec,
     check_vector,
 )
@@ -315,7 +316,7 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     ortho = [check_vector(L, o) for o in ortho]
     rows = [la.mat_vec(L.gram, o) for o in ortho]
     basis = la.kernel(rows, ncols=L.rank)
-    gram = la.mat_mul(la.mat_mul(basis, L.gram), la.transpose(basis))
+    gram = SublatticeEmbedding(L, basis).induced_gram()
     try:
         vecs = _definite_vectors(gram, m, basis)
     except NotDefinite as exc:

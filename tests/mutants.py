@@ -110,6 +110,17 @@ MUTANTS = (
     ("scan-skips-saturation", INVOLUTIONS,
      "sat = saturate(s)",
      "sat = s"),
+    # products with the sparse factor on the left (involutions) and the
+    # one-test integer boundary (lattices._ints)
+    ("isometry-reads-psi-g", INVOLUTIONS,
+     "la.mat_mul(la.transpose(m), L.gram)",
+     "la.mat_mul(m, L.gram)"),
+    ("negation-check-reads-psi", INVOLUTIONS,
+     "la.mat_mul(s.basis, la.transpose(psi.matrix))",
+     "la.mat_mul(s.basis, psi.matrix)"),
+    ("ints-accepts-bool", LATTICES,
+     "<= {int}",
+     "<= {int, bool}"),
     # box scan (roots._box_scan)
     ("box-tail-norm-without-2", ROOTS,
      "tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)",

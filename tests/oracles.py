@@ -159,6 +159,26 @@ def fraction_lll(gram):
     return tuple(map(tuple, a)), tuple(map(tuple, t))
 
 
+def naive_pairing(a, gram, b) -> Mat:
+    """A G B^t by plain loops over the definition: entry (i, j) is the sum
+    of a_i[x] G[x][y] b_j[y] over every x and y, the pairing of row i of A
+    with row j of B.  The Gram of the rows of B, B G B^t, is
+    naive_pairing(B, G, B).  No product is reordered or skipped, so it is an
+    independent route to what mat_mul computes with the sparse factor on
+    the left."""
+    n = len(gram)
+    out = []
+    for u in a:
+        row = []
+        for v in b:
+            total = 0
+            for x in range(n):
+                for y in range(n):
+                    total += u[x] * gram[x][y] * v[y]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
 def brute_box_vectors(gram, target, bound):
     """All integer vectors with max-|coordinate| <= bound and v^T G v = target.
 

@@ -58,6 +58,8 @@ def files(tmp_path):
             "gram": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, -2], [0, 0, -2, -4]],
             "a0": [1, -1, 0, 0], "e": [0, 1, -1, 0], "f": [0, 0, 1, 0],
         }),
+        # the CI bare job writes the same file and diffs its involution
+        # output against the golden
         "swap": dump("swap.json", {
             "gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [1, 0]],
         }),

@@ -335,6 +335,71 @@ def test_anti_s_matches_sympy_nullspace_oracle():
     assert seen == {(False, False), (True, False), (True, True)}
 
 
+def test_period_domain_pairing_matches_triple_loop(monkeypatch):
+    # the pairing B_S^t G A handed to la.kernel is the triple-loop one, also
+    # when S has rank 0 and when anti has rank 0 (psi = id, so S = 0 too)
+    rng = random.Random(2627)
+    cases = []
+    for _ in range(30):
+        psi = random_involution(rng)
+        anti = psi.anti.basis
+        cases.append((psi, anti[: rng.randint(0, len(anti))]))
+    cases.append((psi_split(), ()))
+    cases.append((make_involution(lk3(), la.identity(22)), ()))
+    pairings = []
+    kernel = la.kernel
+
+    def spy(m, ncols=None):
+        pairings.append(m)
+        return kernel(m, ncols)
+
+    monkeypatch.setattr(la, "kernel", spy)
+    seen = set()
+    for psi, s_basis in cases:
+        pairings.clear()
+        summ = period_domain_summary(psi, make_sublattice(psi.ambient, s_basis))
+        anti = psi.anti.basis
+        assert pairings == [oracles.naive_pairing(s_basis, psi.ambient.gram, anti)]
+        if not s_basis:
+            assert summ.rank_anti_s == len(anti)
+        seen.add((len(s_basis) > 0, len(anti) > 0))
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+def _nonsymmetric_involutions(rng, count):
+    """Involutions psi != psi^t with fixed rank >= 2 and a basis vector a of
+    anti with psi^t a != -a, so a check that read psi^t for psi would fail
+    on them."""
+    found = []
+    while len(found) < count:
+        psi = random_involution(rng)
+        m = psi.matrix
+        if m == la.transpose(m) or psi.fixed.rank < 2:
+            continue
+        if all(la.mat_vec(la.transpose(m), a) == tuple(-c for c in a) for a in psi.anti.basis):
+            continue
+        found.append(psi)
+    return found
+
+
+def test_negation_check_reads_psi_not_its_transpose():
+    for psi in _nonsymmetric_involutions(random.Random(2628), 10):
+        summ = period_domain_summary(psi, make_sublattice(psi.ambient, psi.anti.basis))
+        assert summ.rank_anti_s == 0 and summ.rank_fixed == psi.fixed.rank
+
+
+def test_negation_check_names_the_first_offender():
+    # of two basis vectors that psi does not negate, the first is named
+    for psi in _nonsymmetric_involutions(random.Random(2629), 10):
+        a, (f0, f1) = psi.anti.basis[0], psi.fixed.basis[:2]
+        for basis, first in (((a, f0, f1), f0), ((f1, a, f0), f1)):
+            s = make_sublattice(psi.ambient, basis)
+            message = f"basis vector {first} is not negated by the involution"
+            with pytest.raises(SNotInAntiFixed) as exc:
+                period_domain_summary(psi, s)
+            assert str(exc.value) == message
+
+
 # --- half-vector membership ---
 
 

@@ -1,10 +1,12 @@
+import enum
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from helpers import n4_model, n4_sprime, same_sublattice
+from helpers import n4_model, n4_sprime, random_involution_data, same_sublattice
 from zlattice import (
     DegenerateSublattice,
     DimensionMismatch,
@@ -19,6 +21,7 @@ from zlattice import (
     is_even,
     is_hyperbolic,
     lattice_from_json_dict,
+    make_involution,
     make_lattice,
     make_sublattice,
     norm,
@@ -29,6 +32,7 @@ from zlattice import (
 )
 from zlattice.errors import InvalidInputFile
 from zlattice import intlinalg as la
+from zlattice.lattices import SublatticeEmbedding, check_vector
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -58,6 +62,124 @@ def test_make_lattice_rejects_bad_gram():
         make_lattice(((0, 1.5), (1.5, 0)))
     with pytest.raises(NotIntegral):
         make_lattice(((True, 0), (0, 1)))
+
+
+class _Bit(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class _Int(int):
+    pass
+
+
+# entries the boundary must refuse: a bool is not an integer here, and
+# neither is a float, string, None or Fraction, even of integral value
+_NOT_INTS = (True, False, 2.0, 1.5, "1", None, Fraction(2, 1))
+
+
+def _same_int(rng, x):
+    """x itself, or an int subclass instance equal to it."""
+    roll = rng.random()
+    if roll < 0.3 and x in (0, 1):
+        return _Bit(x)
+    if roll < 0.6:
+        return _Int(x)
+    return x
+
+
+def _per_entry_verdict(rows):
+    """The rule the boundary keeps, entry by entry: the NotIntegral message
+    for the first entry in row-major order that is a bool or not an int,
+    or None when every entry passes."""
+    for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                return f"entry {x!r} is not an integer"
+    return None
+
+
+def _spoil(rng, rows, count):
+    """Nonempty rows as lists, with count entries at random places (a place
+    may repeat) replaced by entries that are not integers."""
+    out = [list(row) for row in rows]
+    for _ in range(count):
+        row = rng.choice(out)
+        row[rng.randrange(len(row))] = rng.choice(_NOT_INTS)
+    return out
+
+
+def _assert_same_objects(got, given):
+    assert len(got) == len(given)
+    for a, b in zip(got, given):
+        assert len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_integer_boundary_matches_per_entry_rule():
+    # check_vector, make_lattice and make_involution give the verdict and
+    # the NotIntegral message of the per-entry rule on mixed rows, accept
+    # int subclasses (an IntEnum member, a plain subclass) and keep them
+    # as the same objects
+    rng = random.Random(2606)
+    seen = {"accepted": 0, "rejected": 0, "several": 0}
+
+    def judge(call, rows, *args):
+        got = message = None
+        try:
+            got = call(*args)
+        except NotIntegral as exc:
+            message = str(exc)
+        expected = _per_entry_verdict(rows)
+        assert message == expected, (rows, message)
+        seen["accepted" if expected is None else "rejected"] += 1
+        seen["several"] += sum(_per_entry_verdict([[x]]) is not None
+                               for row in rows for x in row) > 1
+        return got
+
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        spoiled = rng.choice((0, 0, 1, 2, 3))
+
+        L = make_lattice(la.identity(n))
+        vec = _spoil(rng, [[_same_int(rng, rng.randint(-3, 3)) for _ in range(n)]], spoiled)[0]
+        got = judge(check_vector, [vec], L, vec)
+        if got is not None:
+            _assert_same_objects([got], [vec])
+
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = _same_int(rng, rng.choice((0, 1, -2, 2**70)))
+        rows = _spoil(rng, gram, spoiled)
+        got = judge(make_lattice, rows, rows)
+        if got is not None:
+            _assert_same_objects(got.gram, rows)
+
+        g, m = random_involution_data(rng, rng.randint(2, 6))
+        L = make_lattice(g)
+        m = [[_same_int(rng, x) for x in row] for row in m]
+        rows = _spoil(rng, m, spoiled)
+        got = judge(make_involution, rows, L, rows)
+        if got is not None:
+            _assert_same_objects(got.matrix, rows)
+    assert all(seen.values()), seen
+
+
+def test_integer_boundary_names_the_first_bad_entry():
+    L = make_lattice(la.identity(3))
+    with pytest.raises(NotIntegral, match=r"^entry True is not an integer$"):
+        check_vector(L, (_Bit.ONE, True, 2.0))
+    with pytest.raises(NotIntegral, match=r"^entry 'a' is not an integer$"):
+        make_lattice(((0, "a", None), (None, 0, 1.5), (Fraction(2, 1), 1, 0)))
+    with pytest.raises(NotIntegral, match=r"^entry Fraction\(2, 1\) is not an integer$"):
+        make_lattice(((0, 1), (Fraction(2, 1), None)))
+    with pytest.raises(NotIntegral, match=r"^entry None is not an integer$"):
+        make_involution(U, ((0, 1), (None, 0.0)))
+    # the integer check comes before the shape and symmetry checks
+    with pytest.raises(NotIntegral, match=r"^entry False is not an integer$"):
+        make_lattice(((0, 1, 2), (3, False)))
+    psi = make_involution(U, ((_Int(0), _Bit.ONE), (_Bit.ONE, _Bit.ZERO)))
+    assert psi.matrix[0][1] is _Bit.ONE and type(psi.matrix[0][0]) is _Int
 
 
 def test_rank_zero_lattice():
@@ -217,6 +339,34 @@ def test_sublattice_embedding_basics():
     assert not u.contains(F_T)
     assert u.from_ambient((1, 1, 0)) == (0, 1)
     assert u.to_ambient((0, 1)) == (1, 1, 0)
+
+
+def test_induced_gram_matches_triple_loop():
+    # B (B G)^t is B G B^t for symmetric G, on sparse and dense bases of
+    # rank 0 up to full rank, with entries past 2^64
+    rng = random.Random(2626)
+    seen = {"rank 0": 0, "full rank": 0, "past 2^64": 0}
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        span = rng.choice((3, 2**70))
+        density = rng.choice((0.15, 0.5, 1.0))
+
+        def entry():
+            return rng.randint(-span, span) if rng.random() < density else 0
+
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = entry()
+        L = make_lattice(gram)
+        k = rng.choice((0, n, rng.randint(0, n)))
+        basis = tuple(tuple(entry() for _ in range(n)) for _ in range(k))
+        got = SublatticeEmbedding(L, basis).induced_gram()
+        assert got == oracles.naive_pairing(basis, L.gram, basis)
+        seen["rank 0"] += k == 0
+        seen["full rank"] += k == n and la.integer_rank(la.transpose(basis)) == n
+        seen["past 2^64"] += any(abs(x) >= 2**64 for row in got for x in row)
+    assert all(seen.values()), seen
 
 
 def test_to_ambient_matches_double_loop():
