@@ -78,8 +78,14 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
 
     g is a rational coset representative; it must pair integrally with the
     lattice.  On an even lattice the value depends only on the coset of g.
+    Its entries are ints (not bools) or Fractions; any other entry raises
+    NotInDualLattice before any arithmetic.
     """
-    v = [Fraction(x) for x in g]
+    v = list(g)
+    for i, x in enumerate(v):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise NotInDualLattice(f"entry {i} is {x!r}, not an int or a Fraction")
+    v = list(map(Fraction, v))
     if len(v) != L.rank:
         raise NotInDualLattice(
             f"vector length {len(v)} does not match rank {L.rank}"

@@ -202,7 +202,13 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
 
 class MembershipResult(NamedTuple):
     """Outcome of a glue-partner search: status is "yes", "no", or
-    "unknown"; witness is the partner vector in ambient coordinates."""
+    "unknown"; witness is the partner vector in ambient coordinates.
+
+    "no" is exact: the coset test fails, the complement is positive
+    definite (a wrong sign), or a complete enumeration holds no partner.
+    "unknown" comes only from a fruitless coordinate box on an indefinite
+    complement.
+    """
 
     status: str
     witness: Vec | None
@@ -218,19 +224,40 @@ def _scan_key(v: Vec):
     return (max(map(abs, v), default=0), 0 if first > 0 else 1, v)
 
 
+def _coset_vector(M: Lattice, x: Vec, bound: int) -> MembershipResult:
+    """Does the coset x + 2M hold a vector of norm -4?  "yes" with the
+    first such c in _scan_key order, in M's coordinates; "no"; or "unknown".
+
+    The one search for the norm -4 vectors of M: a definite M is
+    enumerated completely (a positive definite one holds none), any other
+    inside the coordinate box |c_i| <= bound, and a fruitless box answers
+    "unknown".  The coset is negation-closed (-c = c - 2c), so only the
+    representatives, the first half of the canonical list, are tried.
+    """
+    try:
+        found = vectors_of_norm(M, -4)
+    except SignMismatch:
+        return MembershipResult("no", None)
+    except NotDefinite:
+        found = bounded_vectors_of_norm(M, -4, bound)
+    for c in sorted(found.vectors[: found.count // 2], key=_scan_key):
+        if all((a - b) % 2 == 0 for a, b in zip(c, x)):
+            return MembershipResult("yes", c)
+    return MembershipResult("no" if found.complete else "unknown", None)
+
+
 def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> MembershipResult:
     """Does some delta2 in the orthogonal complement of S satisfy
     delta2^2 = -4 and (d1 + delta2)/2 in L?
 
-    The coset obstruction (d1 must lie in 2L + S-perp) is decided exactly;
-    if it passes, candidates are enumerated completely when the complement
-    is definite, otherwise inside the coordinate box |internal coord| <=
-    bound, and a fruitless bounded search answers "unknown".  The hits
-    are negation-closed ((d1 - delta2)/2 = (d1 + delta2)/2 - delta2), so
-    only the representatives, the first half of the canonical candidate
-    list, are tried: in _scan_key order of their internal coordinates, and
-    the first that glues is the witness, its sign normalized in ambient
-    coordinates.
+    The coset test solves d1 = 2u + B^t y for u in L and y in the
+    coordinates of the complement, whose basis rows B are saturated
+    (orthogonal_complement); no solution answers "no".  Saturation makes
+    B^t z lie in 2L exactly when z = 0 (mod 2), so d1 + B^t c lies in 2L
+    exactly when c = y (mod 2), whichever solution y is found: the partners
+    are the norm -4 vectors of the coset y + 2M, M the complement's own
+    lattice, and _coset_vector looks for them.  Its witness is mapped to
+    ambient coordinates, its sign normalized as canonical_order does.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
@@ -243,30 +270,17 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     _check_bound(bound)
     comp = orthogonal_complement(s)
     n = L.rank
-    # coset test: d1 = 2u + c with u in L, c in the complement
-    cols = tuple(
-        tuple(2 * int(i == j) for j in range(n)) for i in range(n)
-    )
-    stacked = tuple(
-        cols[i] + tuple(comp.basis[j][i] for j in range(comp.rank))
-        for i in range(n)
-    )
-    if la.solve_int(stacked, d1) is None:
+    # columns: 2 e_j for u, then the complement's basis vectors for y
+    stacked = tuple(tuple(2 * (i == j) for j in range(n)) + tuple(b[i] for b in comp.basis)
+                    for i in range(n))
+    sol = la.solve_int(stacked, d1)
+    if sol is None:
         return MembershipResult("no", None)
-    inner = comp.induced_lattice()
-    try:
-        found = vectors_of_norm(inner, -4)
-    except SignMismatch:
-        return MembershipResult("no", None)
-    except NotDefinite:
-        found = bounded_vectors_of_norm(inner, -4, bound)
-    for c in sorted(found.vectors[: found.count // 2], key=_scan_key):
-        witness = comp.to_ambient(c)
-        if all((a + b) % 2 == 0 for a, b in zip(d1, witness)):
-            if next((x for x in witness if x), 0) < 0:
-                witness = tuple(-x for x in witness)
-            return MembershipResult("yes", witness)
-    return MembershipResult("no" if found.complete else "unknown", None)
+    found = _coset_vector(comp.induced_lattice(), sol[n:], bound)
+    if found.witness is None:
+        return found
+    w = comp.to_ambient(found.witness)
+    return MembershipResult("yes", max(w, tuple(-x for x in w)))
 
 
 class DegeneracyScanResult(NamedTuple):

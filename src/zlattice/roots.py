@@ -45,6 +45,7 @@ from .lattices import (
     SublatticeEmbedding,
     Vec,
     check_vector,
+    orthogonal_complement,
 )
 
 # Box scans refuse to touch more cells than this; keeps a typo from eating
@@ -313,12 +314,9 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     coordinates by the enumeration.
     """
     _check_norm(m)
-    ortho = [check_vector(L, o) for o in ortho]
-    rows = [la.mat_vec(L.gram, o) for o in ortho]
-    basis = la.kernel(rows, ncols=L.rank)
-    gram = SublatticeEmbedding(L, basis).induced_gram()
+    comp = orthogonal_complement(SublatticeEmbedding(L, [check_vector(L, o) for o in ortho]))
     try:
-        vecs = _definite_vectors(gram, m, basis)
+        vecs = _definite_vectors(comp.induced_gram(), m, comp.basis)
     except NotDefinite as exc:
         raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:

@@ -110,6 +110,16 @@ MUTANTS = (
     ("scan-skips-saturation", INVOLUTIONS,
      "sat = saturate(s)",
      "sat = s"),
+    # the coset question of delta4_membership (involutions._coset_vector)
+    ("coset-parity-mod-4", INVOLUTIONS,
+     "(a - b) % 2 == 0 for a, b in zip(c, x)",
+     "(a - b) % 4 == 0 for a, b in zip(c, x)"),
+    ("coset-rep-zero", INVOLUTIONS,
+     "sol[n:]",
+     "(0,) * comp.rank"),
+    ("coset-sign-min", INVOLUTIONS,
+     "max(w, tuple(-x for x in w))",
+     "min(w, tuple(-x for x in w))"),
     # products with the sparse factor on the left (involutions) and the
     # one-test integer boundary (lattices._ints)
     ("isometry-reads-psi-g", INVOLUTIONS,

@@ -125,6 +125,17 @@ def test_form_value_examples():
 def test_form_value_requires_dual_membership():
     with pytest.raises(NotInDualLattice):
         discriminant_form_value(A1M, (Fraction(1, 3),))
+    # a float, a string or a bool never reaches the exact arithmetic; the
+    # first such entry is named
+    L = make_lattice(((2,),))
+    for bad in (0.5, "1/2", True):
+        with pytest.raises(NotInDualLattice) as err:
+            discriminant_form_value(L, (bad,))
+        assert str(err.value) == f"entry 0 is {bad!r}, not an int or a Fraction"
+    with pytest.raises(NotInDualLattice, match=r"^entry 1 is 1\.0,"):
+        discriminant_form_value(U, (Fraction(1, 2), 1.0))
+    assert discriminant_form_value(L, (Fraction(1, 2),)) == Fraction(1, 2)
+    assert discriminant_form_value(L, (1,)) == 0
 
 
 def test_form_values_land_in_canonical_windows():

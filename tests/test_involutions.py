@@ -704,8 +704,9 @@ def _plain_norm(gram, v):
 
 def _planted_case(rng):
     """A random even N with two orthogonal roots r1, r2, and S = Z(r1 + r2)
-    plus, half the time, a vector orthogonal to r1 - r2; delta = r1 splits
-    as ((r1 + r2) + (r1 - r2))/2.  Returns (N, S, r1 + r2) or None."""
+    plus, half the time, a combination of the basis of (r1 - r2)-perp;
+    delta = r1 splits as ((r1 + r2) + (r1 - r2))/2, so r1 - r2 is a glue
+    partner of d1 = r1 + r2.  Returns (N, S, d1) or None."""
     g = _random_even_gram(rng)
     if g is None:
         return None
@@ -720,7 +721,8 @@ def _planted_case(rng):
     basis = [d1]
     perp = la.kernel([la.mat_vec(g, tuple(a - b for a, b in zip(r1, r2)))], ncols=n)
     if rng.random() < 0.5:
-        extra = tuple(sum(rng.randint(-1, 1) * v[i] for v in perp) for i in range(n))
+        coeffs = [rng.randint(-1, 1) for _ in perp]
+        extra = tuple(sum(c * v[i] for c, v in zip(coeffs, perp)) for i in range(n))
         if la.integer_rank(la.transpose(basis + [extra])) == 2:
             basis.append(extra)
     L = make_lattice(tuple(map(tuple, g)))
@@ -758,6 +760,29 @@ def test_box_search_is_the_key_minimal_split():
     assert found >= 50 and several >= 20
 
 
+def _glue_hits(L, comp, d1, candidates):
+    """The (c, w) with c among candidates, in the complement's coordinates,
+    w its ambient image summed entry by entry, and d1 + w in 2L."""
+    hits = []
+    for c in candidates:
+        amb = [0] * L.rank
+        for j, b in enumerate(comp.basis):
+            for i in range(L.rank):
+                amb[i] += c[j] * b[i]
+        if all((a + b) % 2 == 0 for a, b in zip(d1, amb)):
+            hits.append((c, tuple(amb)))
+    return hits
+
+
+def _key_minimal(hits):
+    """The ambient w of the _scan_key-minimal c, its first nonzero made
+    positive."""
+    witness = min(hits, key=lambda h: _scan_key(h[0]))[1]
+    if next(x for x in witness if x) < 0:
+        witness = tuple(-x for x in witness)
+    return witness
+
+
 def test_delta4_bounded_witness_is_the_key_minimal_glue():
     # on an indefinite complement the search is bounded; its witness is
     # the _scan_key minimum over the brute box of the complement's Gram
@@ -774,25 +799,45 @@ def test_delta4_bounded_witness_is_the_key_minimal_glue():
             continue
         cases += 1
         bound = rng.randint(1, 2)
-        hits = []
-        for c in oracles.brute_box_vectors(comp.induced_gram(), -4, bound):
-            amb = [0] * L.rank
-            for j, b in enumerate(comp.basis):
-                for i in range(L.rank):
-                    amb[i] += c[j] * b[i]
-            if all((a + b) % 2 == 0 for a, b in zip(d1, amb)):
-                hits.append((c, tuple(amb)))
+        hits = _glue_hits(L, comp, d1, oracles.brute_box_vectors(comp.induced_gram(), -4, bound))
         got = delta4_membership(L, s, d1, bound)
+        # r1 - r2 is a partner, so a planted case never answers "no"
+        assert got.status != "no", (L.gram, s.basis, d1, bound)
         if not hits:
-            assert got.status in ("no", "unknown") and got.witness is None
+            assert got == MembershipResult("unknown", None)
             continue
         found += 1
         several += len(hits) > 2
-        witness = min(hits, key=lambda h: _scan_key(h[0]))[1]
-        if next(x for x in witness if x) < 0:
-            witness = tuple(-x for x in witness)
-        assert got == MembershipResult("yes", witness), (L.gram, s.basis, d1, bound)
+        assert got == MembershipResult("yes", _key_minimal(hits)), (L.gram, s.basis, d1, bound)
     assert found >= 50 and several >= 20
+
+
+def test_delta4_definite_witness_is_the_key_minimal_glue():
+    # on a definite complement the enumeration is complete, so any bound
+    # gives the _scan_key minimum over the whole brute box of the a priori
+    # coordinate bound, and the answer is never "unknown"; a box past 10^5
+    # cells is skipped only to keep the oracle quick
+    rng = random.Random(59)
+    cases = beyond = 0
+    while cases < 60:
+        case = _planted_case(rng)
+        if case is None:
+            continue
+        L, s, d1 = case
+        comp = orthogonal_complement(s)
+        gram = comp.induced_gram()
+        p, q, _ = signature(comp.induced_lattice())
+        box = oracles.coordinate_bound(gram, -4)
+        if (p and q) or (2 * box + 1) ** comp.rank > 10**5:
+            continue
+        cases += 1
+        hits = _glue_hits(L, comp, d1, oracles.brute_box_vectors(gram, -4, box))
+        bound = rng.randint(1, 2)
+        got = delta4_membership(L, s, d1, bound)
+        # r1 - r2 is a partner, so the complement is negative definite
+        assert hits and got == MembershipResult("yes", _key_minimal(hits)), (L.gram, s.basis, d1)
+        beyond += max(map(abs, min(hits, key=lambda h: _scan_key(h[0]))[0])) > bound
+    assert beyond >= 3
 
 
 @pytest.mark.parametrize("k", [4, 16])
