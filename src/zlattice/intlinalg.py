@@ -53,8 +53,6 @@ def identity(n: int) -> Mat:
 
 
 def transpose(m: Mat) -> Mat:
-    if not m:
-        return ()
     return tuple(zip(*m))
 
 
@@ -235,21 +233,24 @@ def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
 
 
 def solve_int(m, v) -> Vec | None:
-    """One integer solution x of M x = v, or None if none exists."""
+    """One integer solution x of M x = v, or None if none exists.
+
+    H = M U is solved row by row.  The pivot row of column col is its
+    topmost nonzero entry; any other row is zero from column col on, so
+    its residual, after the columns already solved, must be 0.
+    """
     h, u = hnf_with_transform(m)
     nr, nc = len(m), len(u)
-    # pivot row of column c is its topmost nonzero entry
     y = [0] * nc
     col = 0
     for row in range(nr):
+        s = v[row] - sum(h[row][c] * y[c] for c in range(col))
         if col < nc and h[row][col]:
-            s = v[row] - sum(h[row][c] * y[c] for c in range(col))
             if s % h[row][col]:
                 return None
             y[col] = s // h[row][col]
             col += 1
-    for row in range(nr):
-        if sum(h[row][c] * y[c] for c in range(nc)) != v[row]:
+        elif s:
             return None
     return mat_vec(u, y)
 

@@ -77,9 +77,6 @@ class IntegralInvolution(NamedTuple):
     def __repr__(self):
         return f"IntegralInvolution(ambient={self.ambient!r}, matrix={self.matrix!r})"
 
-    def __call__(self, x) -> Vec:
-        return la.mat_vec(self.matrix, check_vector(self.ambient, x))
-
 
 def make_involution(L: Lattice, m) -> IntegralInvolution:
     """Check outside input: an integer isometry of L squaring to the identity.
@@ -114,27 +111,35 @@ def eigenlattices(psi: IntegralInvolution) -> tuple[SublatticeEmbedding, Sublatt
     return psi.fixed, psi.anti
 
 
+def _images(psi: IntegralInvolution, s: SublatticeEmbedding) -> la.Mat:
+    """B_S^t psi^t: row j is psi(b_j), the image of S's basis vector b_j.
+    The sparse basis stands on the left."""
+    if s.ambient.gram != psi.ambient.gram:
+        raise EmbeddingMismatch("sublattice is embedded in a different lattice")
+    return la.mat_mul(s.basis, la.transpose(psi.matrix))
+
+
 def is_type(psi: IntegralInvolution, s: SublatticeEmbedding, theta: IntegralInvolution) -> bool:
     """Does psi stabilize S and restrict to theta on it?
 
     theta acts on S's induced lattice, in S's basis coordinates.  Returns
     False when psi does not stabilize S; raises EmbeddingMismatch when the
     pieces refer to different lattices in the first place.
+
+    One identity decides it: B psi^t = theta^t B, B the basis rows b_j of
+    S.  psi restricts to theta exactly when psi(b_j) = sum_i theta_ij b_i
+    for every j, which is row j of that identity.  The right side lies in
+    S, and the b_i are independent, so the identity fixes the restriction.
+    If psi maps some b_j outside the integer span of S, no integer theta
+    satisfies it; that includes a non-primitive S, where psi(b_j) lies in
+    S (x) Q but not in S.
     """
-    if s.ambient.gram != psi.ambient.gram:
-        raise EmbeddingMismatch("sublattice is embedded in a different lattice")
+    images = _images(psi, s)
     if theta.ambient.gram != s.induced_gram():
         raise EmbeddingMismatch(
             "restriction involution acts on a different lattice than S induces"
         )
-    cols = []
-    for b in s.basis:
-        coords = s.from_ambient(psi(b))
-        if coords is None:
-            return False
-        cols.append(coords)
-    restriction = la.transpose(cols)
-    return restriction == theta.matrix
+    return images == la.mat_mul(la.transpose(theta.matrix), s.basis)
 
 
 def involution_rank_sum_check(psi: IntegralInvolution) -> bool:
@@ -171,13 +176,10 @@ def period_domain_summary(psi: IntegralInvolution, s: SublatticeEmbedding) -> Pe
     Requires psi to negate S pointwise (S inside the -1 eigenlattice).
     anti meets S-perp in A k over the integer kernel k of B_S^t G A, A the
     basis of anti: k is saturated and anti primitive, so the meet is too.
-    Each product takes a sparse basis on the left: B_S^t psi^t holds the
+    Each product takes a sparse basis on the left: _images holds the
     images of S's basis as rows, and B_S^t G A = (A^t (B_S^t G)^t)^t.
     """
-    if s.ambient.gram != psi.ambient.gram:
-        raise EmbeddingMismatch("sublattice is embedded in a different lattice")
-    images = la.mat_mul(s.basis, la.transpose(psi.matrix))
-    for b, img in zip(s.basis, images):
+    for b, img in zip(s.basis, _images(psi, s)):
         if img != tuple(-c for c in b):
             raise SNotInAntiFixed(
                 f"basis vector {b} is not negated by the involution"
@@ -215,18 +217,19 @@ class MembershipResult(NamedTuple):
     __dataclass_fields__ = _DataclassFields()
 
 
-def _scan_key(v: Vec):
-    # minimal coordinate box first, then the sign convention of
-    # canonical_order (positive first nonzero preferred), then lexicographic;
-    # a witness minimal for this order stays minimal when the box grows, and
-    # is a representative when the witness set is negation-closed
-    first = next((c for c in v if c), 0)
-    return (max(map(abs, v), default=0), 0 if first > 0 else 1, v)
+def _box_radius(v: Vec) -> int:
+    # the smallest coordinate box holding v.  Both searches sort the
+    # representatives, which canonical_order lists in lexicographic order,
+    # and a stable sort keeps that order within a box: the first hit is
+    # minimal for (box, lexicographic), so it stays the witness when the
+    # box grows
+    return max(map(abs, v))
 
 
 def _coset_vector(M: Lattice, x: Vec, bound: int) -> MembershipResult:
     """Does the coset x + 2M hold a vector of norm -4?  "yes" with the
-    first such c in _scan_key order, in M's coordinates; "no"; or "unknown".
+    first such c, smallest coordinate box first, then canonical order, in
+    M's coordinates; "no"; or "unknown".
 
     The one search for the norm -4 vectors of M: a definite M is
     enumerated completely (a positive definite one holds none), any other
@@ -240,7 +243,7 @@ def _coset_vector(M: Lattice, x: Vec, bound: int) -> MembershipResult:
         return MembershipResult("no", None)
     except NotDefinite:
         found = bounded_vectors_of_norm(M, -4, bound)
-    for c in sorted(found.vectors[: found.count // 2], key=_scan_key):
+    for c in sorted(found.vectors[: found.count // 2], key=_box_radius):
         if all((a - b) % 2 == 0 for a, b in zip(c, x)):
             return MembershipResult("yes", c)
     return MembershipResult("no" if found.complete else "unknown", None)
@@ -347,14 +350,15 @@ def _box_search(L: Lattice, sat: SublatticeEmbedding, gs: la.Mat, den: int,
 
     Witnesses are negation-closed (-delta splits as -d1, -d2), so only the
     representatives, the first half of the canonical list (no zero vector
-    at norm -2), are tried in _scan_key order; the first that splits is the
-    witness.  With d1 = 2 proj_S(delta), delta.d1 = 2 proj_S(delta)^2 =
-    d1^2/2, and d2 = 2 delta - d1 has d2^2 = 4 delta^2 - d1^2 = -8 - d1^2;
-    so d1^2 = d2^2 = -4 exactly when delta.d1 = -2.
+    at norm -2), are tried smallest coordinate box first, then in canonical
+    order; the first that splits is the witness.  With d1 = 2 proj_S(delta),
+    delta.d1 = 2 proj_S(delta)^2 = d1^2/2, and d2 = 2 delta - d1 has d2^2 =
+    4 delta^2 - d1^2 = -8 - d1^2; so d1^2 = d2^2 = -4 exactly when
+    delta.d1 = -2.
     """
     proj = _doubled_projector(sat, gs, den)
     found = bounded_vectors_of_norm(L, -2, bound)
-    for delta in sorted(found.vectors[: found.count // 2], key=_scan_key):
+    for delta in sorted(found.vectors[: found.count // 2], key=_box_radius):
         scaled = la.mat_vec(proj, delta)
         if any(c % den for c in scaled):
             continue
@@ -377,9 +381,10 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     |det gs|, the product of the invariant factors.  When the obstruction
     holds the answer is an exact "no-witness" and no box is built.
     Otherwise _box_search tries the box's representatives (first nonzero
-    coordinate positive) in _scan_key order against one integer projector:
-    the first hit is the witness minimizing (coordinate box, sign,
-    lexicographic), so the result is stable when bound grows.
+    coordinate positive), smallest coordinate box first, then in canonical
+    order, against one integer projector: the first hit is the witness
+    minimizing (coordinate box, lexicographic), so the result is stable
+    when bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")

@@ -159,7 +159,7 @@ def is_even(L: Lattice) -> bool:
 
 def is_hyperbolic(L: Lattice) -> bool:
     """Signature (1, rank-1, 0)."""
-    return signature(L) == (1, L.rank - 1, 0) and L.rank >= 1
+    return signature(L) == (1, L.rank - 1, 0)
 
 
 def direct_sum(a: Lattice, b: Lattice) -> Lattice:

@@ -52,6 +52,12 @@ MUTANTS = (
     ("lll-mu-rounded-with-abs-d", INTLINALG,
      "q = (2 * lk[j] + d[j]) // (2 * d[j])",
      "q = (2 * lk[j] + abs(d[j])) // (2 * abs(d[j]))"),
+    # one row pass of the HNF solve (intlinalg.solve_int)
+    ("solve-skips-free-rows", INTLINALG,
+     "            col += 1\n"
+     "        elif s:\n"
+     "            return None\n",
+     "            col += 1\n"),
     # lazily rescaled Bareiss and first-unit Smith pivots (intlinalg)
     ("bareiss-catch-up-dropped", INTLINALG,
      "                    g = p[s]\n"
@@ -125,9 +131,13 @@ MUTANTS = (
     ("isometry-reads-psi-g", INVOLUTIONS,
      "la.mat_mul(la.transpose(m), L.gram)",
      "la.mat_mul(m, L.gram)"),
-    ("negation-check-reads-psi", INVOLUTIONS,
+    ("images-read-psi-untransposed", INVOLUTIONS,
      "la.mat_mul(s.basis, la.transpose(psi.matrix))",
      "la.mat_mul(s.basis, psi.matrix)"),
+    # the type check as one identity, B psi^t = theta^t B (involutions.is_type)
+    ("is-type-theta-untransposed", INVOLUTIONS,
+     "la.mat_mul(la.transpose(theta.matrix), s.basis)",
+     "la.mat_mul(theta.matrix, s.basis)"),
     ("ints-accepts-bool", LATTICES,
      "<= {int}",
      "<= {int, bool}"),

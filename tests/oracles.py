@@ -15,7 +15,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form
 
-from zlattice.intlinalg import Mat, freeze, xgcd
+from zlattice.intlinalg import Mat, freeze, hnf_with_transform, mat_vec, transpose, xgcd
 
 
 def cofactor_det(m) -> int:
@@ -484,3 +484,41 @@ def dense_snf_with_transforms(m) -> tuple[Mat, Mat]:
             d[t] = [-x for x in d[t]]
         t += 1
     return freeze(d), freeze(q)
+
+
+# --- earlier decision rules, kept as references for their one-pass and
+# one-identity replacements ---
+
+
+def two_pass_solve_int(m, v):
+    """The two-pass rule that solve_int's one row pass must agree with:
+    back-substitute the pivot rows of the column HNF, then check every row
+    of H y = v again."""
+    h, u = hnf_with_transform(m)
+    nr, nc = len(m), len(u)
+    y = [0] * nc
+    col = 0
+    for row in range(nr):
+        if col < nc and h[row][col]:
+            s = v[row] - sum(h[row][c] * y[c] for c in range(col))
+            if s % h[row][col]:
+                return None
+            y[col] = s // h[row][col]
+            col += 1
+    for row in range(nr):
+        if sum(h[row][c] * y[c] for c in range(nc)) != v[row]:
+            return None
+    return mat_vec(u, y)
+
+
+def restriction_by_columns(psi_matrix, s):
+    """The matrix of psi restricted to the sublattice embedding s, in s's
+    basis coordinates: column j holds the coordinates of psi(b_j), each
+    read by from_ambient.  None when psi maps some b_j outside S."""
+    cols = []
+    for b in s.basis:
+        coords = s.from_ambient(mat_vec(psi_matrix, b))
+        if coords is None:
+            return None
+        cols.append(coords)
+    return transpose(cols)

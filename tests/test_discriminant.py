@@ -462,7 +462,7 @@ def test_delta_via_involution_small_examples():
     for _ in range(60):
         psi = random_involution(rng)
         L = psi.ambient
-        expect = int(any(inner_product(L, z, psi(z)) % 2
+        expect = int(any(inner_product(L, z, la.mat_vec(psi.matrix, z)) % 2
                          for z in itertools.product((0, 1), repeat=L.rank)))
         assert delta_via_involution(L, psi) == expect, psi.matrix
         seen.add(expect)

@@ -200,9 +200,38 @@ def test_solve_int_roundtrip_and_unsolvable():
         assert la.mat_vec(m, y) == v
     assert la.solve_int(((2,),), (1,)) is None
     assert la.solve_int(((2, 4), (0, 0)), (1, 3)) is None
+    # the pivot row solves, the free row below it does not
+    assert la.solve_int(((1,), (1,)), (1, 2)) is None
     # no caller hands it a matrix with no rows, whose width is unknown
     with pytest.raises(ValueError, match="ncols required"):
         la.solve_int((), ())
+
+
+def test_solve_int_one_pass_matches_the_two_pass_rule():
+    # wide, square and tall systems, some with zero rows, against the rule
+    # that re-checks every row after back-substitution; a right side off
+    # the image is usually unsolvable
+    rng = random.Random(79)
+    solved = unsolvable = 0
+    for _ in range(4000):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [list(r) for r in rand_matrix(rng, rows, cols, -4, 4)]
+        for r in m:
+            if rng.random() < 0.2:
+                r[:] = [0] * cols
+        if rng.random() < 0.5:
+            v = la.mat_vec(m, tuple(rng.randint(-3, 3) for _ in range(cols)))
+            v = tuple(c + (rng.random() < 0.3) * rng.randint(-2, 2) for c in v)
+        else:
+            v = tuple(rng.randint(-6, 6) for _ in range(rows))
+        y = la.solve_int(m, v)
+        assert y == oracles.two_pass_solve_int(m, v), (m, v)
+        if y is None:
+            unsolvable += 1
+        else:
+            solved += 1
+            assert la.mat_vec(m, y) == v
+    assert solved >= 1000 and unsolvable >= 1000
 
 
 # --- SNF ---

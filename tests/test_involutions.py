@@ -56,7 +56,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la, involutions
-from zlattice.involutions import MembershipResult, _box_search, _doubled_projector, _scan_key
+from zlattice.involutions import MembershipResult, _box_search, _doubled_projector
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -66,6 +66,15 @@ def _neg_id(n):
     return tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _scan_key(v):
+    """The witness order on vectors of either sign: smallest coordinate box
+    first, then the sign convention of canonical_order (positive first
+    nonzero preferred), then lexicographic.  On the representatives the
+    searches sort, it is their stable sort by box alone."""
+    first = next((c for c in v if c), 0)
+    return (max(map(abs, v), default=0), 0 if first > 0 else 1, v)
+
+
 # --- construction ---
 
 
@@ -73,7 +82,7 @@ def test_make_involution_examples():
     assert make_involution(S, _neg_id(3)).matrix == _neg_id(3)
     uu = direct_sum(U, U)
     swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
-    assert make_involution(uu, swap)((1, 0, 0, 0)) == (0, 0, 1, 0)
+    assert la.mat_vec(make_involution(uu, swap).matrix, (1, 0, 0, 0)) == (0, 0, 1, 0)
     # the stored eigen split is derived data: equality, hash and repr
     # depend on (ambient, matrix) alone
     a, b = make_involution(uu, swap), make_involution(uu, swap)
@@ -265,6 +274,17 @@ def test_is_type_examples():
     theta_id = make_involution(first_u.induced_lattice(), ((1, 0), (0, 1)))
     assert not is_type(swap, first_u, theta_id)  # psi(S) is the other block
 
+    # U under the swap, S = span((1, 0), (1, 1)): psi(b1) = b2 - b1 and
+    # psi(b2) = b2, so column j of theta holds psi(b_j), and theta is not
+    # symmetric
+    swap = make_involution(U, ((0, 1), (1, 0)))
+    s = make_sublattice(U, ((1, 0), (1, 1)))
+    assert is_type(swap, s, make_involution(s.induced_lattice(), ((-1, 0), (1, 1))))
+    # span((2, 0), (0, 1)) holds psi((0, 1)) = (1, 0) only over Q
+    half = make_sublattice(U, ((2, 0), (0, 1)))
+    for m in (_neg_id(2), la.identity(2), ((0, 1), (1, 0))):
+        assert not is_type(swap, half, make_involution(half.induced_lattice(), m))
+
 
 def test_is_type_checks_restriction_not_just_stability():
     psi = make_involution(U, ((1, 0), (0, 1)))
@@ -278,6 +298,55 @@ def test_is_type_embedding_mismatch():
     theta = make_involution(U, ((1, 0), (0, 1)))  # wrong induced lattice
     with pytest.raises(EmbeddingMismatch):
         is_type(psi_minus(), Sc, theta)
+
+
+def _type_triple(rng):
+    """(psi, S, theta, true) with psi from random_involution and S spanned
+    by an eigenlattice, by vectors from v, psi v, v +- psi v and 2v
+    (sometimes a non-primitive S; two forms of one v give a theta that is
+    not symmetric), or by random vectors.  true is the restriction read by
+    columns, None when psi does not stabilize S; theta is true, -id or
+    id."""
+    psi = random_involution(rng)
+    L, n = psi.ambient, psi.ambient.rank
+    kind = rng.randrange(3)
+    if kind == 0:
+        basis = list(rng.choice((psi.fixed, psi.anti)).basis)
+    else:
+        basis = []
+        for _ in range(rng.randint(1, n)):
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            pv = la.mat_vec(psi.matrix, v)
+            forms = [v]
+            if kind == 1:
+                forms = rng.sample((v, pv, tuple(a + b for a, b in zip(v, pv)),
+                                    tuple(a - b for a, b in zip(v, pv)),
+                                    tuple(2 * a for a in v)), rng.randint(1, 2))
+            for w in forms:
+                if any(w) and la.integer_rank(la.transpose(basis + [w])) == len(basis) + 1:
+                    basis.append(w)
+    s = make_sublattice(L, basis)
+    true = oracles.restriction_by_columns(psi.matrix, s)
+    k = s.rank
+    theta = rng.choice([m for m in (true, _neg_id(k), la.identity(k)) if m is not None])
+    return psi, s, make_involution(s.induced_lattice(), theta), true
+
+
+def test_is_type_matches_the_restriction_read_by_columns():
+    rng = random.Random(83)
+    answers = {True: 0, False: 0}
+    skewed = over_q = 0
+    for _ in range(1500):
+        psi, s, theta, true = _type_triple(rng)
+        got = is_type(psi, s, theta)
+        assert got == (true == theta.matrix), (psi, s.basis, theta.matrix)
+        answers[got] += 1
+        skewed += got and theta.matrix != la.transpose(theta.matrix)
+        if true is None:
+            images = [la.mat_vec(psi.matrix, b) for b in s.basis]
+            over_q += la.integer_rank(la.transpose(list(s.basis) + images)) == s.rank
+    assert min(answers.values()) >= 300 and skewed >= 30 and over_q >= 10, \
+        (answers, skewed, over_q)
 
 
 # --- period-domain data ---

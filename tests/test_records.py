@@ -136,5 +136,3 @@ def test_properties_and_methods_survive():
     assert DiscriminantGroup((), (), U).order == 1
     assert DegeneracyScanResult("degenerate", (1,), (2,), (0,)).status == "degenerate"
     assert DegeneracyScanResult("no-witness", None, None, None).status != "degenerate"
-    psi = IntegralInvolution(U, SWAP, None, None)
-    assert psi((1, 0)) == (0, 1)
