@@ -42,7 +42,6 @@ class DiscriminantGroup(NamedTuple):
 
     invariant_factors: tuple[int, ...]
     generators: tuple[QVec, ...]
-    lattice: Lattice
 
     @property
     def order(self) -> int:
@@ -70,7 +69,7 @@ def _glue_classes(L: Lattice) -> list[tuple[int, Vec]]:
 def discriminant_group(L: Lattice) -> DiscriminantGroup:
     classes = _glue_classes(L)
     gens = tuple(tuple(Fraction(x, d) for x in a) for d, a in classes)
-    return DiscriminantGroup(tuple(d for d, _ in classes), gens, L)
+    return DiscriminantGroup(tuple(d for d, _ in classes), gens)
 
 
 def discriminant_form_value(L: Lattice, g) -> Fraction:

@@ -143,18 +143,25 @@ def is_type(psi: IntegralInvolution, s: SublatticeEmbedding, theta: IntegralInvo
 
 
 def involution_rank_sum_check(psi: IntegralInvolution) -> bool:
-    """Sanity wrapper: eigenlattice ranks sum to the full rank and twice any
-    basis vector splits integrally into its fixed and anti parts."""
+    """Sanity check of the eigenlattices' own invariants: their ranks sum
+    to n, psi fixes the basis of fixed and negates that of anti (B psi^t =
+    +-B, the sparse basis on the left, as _images takes it), and both are
+    primitive, which saturate decides by returning its argument unchanged.
+    Two Hermite reductions, one per eigenlattice.
+
+    These give the integral split 2 e_j = (e_j + psi e_j) + (e_j - psi e_j)
+    with each part in its eigenlattice.  fixed and anti lie in the +1 and
+    -1 eigenspaces, which meet in 0, so ranks summing to n make them span
+    the two eigenspaces over Q.  As psi^2 = id, e_j + psi e_j lies in the
+    +1 eigenspace and in Z^n; a primitive fixed is (fixed (x) Q) meet Z^n,
+    so it holds the vector; likewise anti holds e_j - psi e_j.
+    """
     fixed, anti = psi.fixed, psi.anti
     if fixed.rank + anti.rank != psi.ambient.rank:
         return False
-    # column j of psi is the image of e_j
-    for j, img in enumerate(zip(*psi.matrix)):
-        plus = tuple(c + (i == j) for i, c in enumerate(img))
-        minus = tuple((i == j) - c for i, c in enumerate(img))
-        if not fixed.contains(plus) or not anti.contains(minus):
-            return False
-    return True
+    return (_images(psi, fixed) == fixed.basis
+            and _images(psi, anti) == tuple(tuple(-c for c in b) for b in anti.basis)
+            and saturate(fixed) is fixed and saturate(anti) is anti)
 
 
 class PeriodDomainSummary(NamedTuple):
@@ -308,23 +315,6 @@ class DegeneracyScanResult(NamedTuple):
     __dataclass_fields__ = _DataclassFields()
 
 
-def _doubled_projector(sat: SublatticeEmbedding, gs: la.Mat, den: int) -> la.Mat:
-    """P with 2 proj_S(v) = P v / den for every ambient vector v.
-
-    S and its saturation sat span the same space; with B the basis rows of
-    sat, gs = B G B^t nondegenerate and den = |det gs|, proj_S(v) = B^t
-    gs^{-1} B G v, and adj = den gs^{-1} is an integer matrix whose column i
-    is the one integer solution of gs x = den e_i.  So P = 2 B^t adj B G is
-    integral, and 2 proj_S(v) is integral exactly when den divides every
-    entry of P v.  sat has rank > 0: the glue obstruction answers rank 0.
-    """
-    # adj is symmetric, so its columns serve as its rows
-    adj = tuple(la.solve_int(gs, tuple(den * x for x in e)) for e in la.identity(len(gs)))
-    pair_rows = tuple(la.mat_vec(sat.ambient.gram, b) for b in sat.basis)
-    p = la.mat_mul(sat.matrix, la.mat_mul(adj, pair_rows))
-    return tuple(tuple(2 * c for c in row) for row in p)
-
-
 def _glue_obstructed(sat: SublatticeEmbedding, gs: la.Mat, classes) -> bool:
     """Is a witness ruled out exactly?  sat, gs, classes: see da_degeneracy_scan.
 
@@ -343,27 +333,46 @@ def _glue_obstructed(sat: SublatticeEmbedding, gs: la.Mat, classes) -> bool:
         return False
 
 
+def _split(bg: la.Mat, adj: la.Mat, den: int, delta: Vec) -> tuple[Vec, Vec] | None:
+    """(y, z), y = B G delta and z the coordinates in sat of d1 = 2
+    proj_S(delta) = B^t z, or None when d1 is not integral.
+
+    B is the basis of sat, bg = B G, gs = B G B^t and adj = den gs^{-1}.
+    proj_S(delta) = B^t gs^{-1} B G delta, so z = 2 gs^{-1} y = 2 adj y /
+    den; sat is primitive, so d1 is integral exactly when z is.
+    """
+    y = la.mat_vec(bg, delta)
+    scaled = la.mat_vec(adj, y)
+    if any(2 * c % den for c in scaled):
+        return None
+    return y, tuple(2 * c // den for c in scaled)
+
+
 def _box_search(L: Lattice, sat: SublatticeEmbedding, gs: la.Mat, den: int,
                 bound: int) -> DegeneracyScanResult:
     """The coordinate-box search of da_degeneracy_scan, without the glue
-    obstruction in front: "degenerate" or "no-witness-within-bound".
+    obstruction in front: "degenerate" or "no-witness-within-bound".  sat
+    must be primitive and of rank > 0 (the glue obstruction answers rank
+    0); gs is its Gram and den = |det gs|.
 
     Witnesses are negation-closed (-delta splits as -d1, -d2), so only the
     representatives, the first half of the canonical list (no zero vector
     at norm -2), are tried smallest coordinate box first, then in canonical
-    order; the first that splits is the witness.  With d1 = 2 proj_S(delta),
+    order; the first that splits is the witness.  Each is split in sat's
+    own coordinates by _split.  With d1 = 2 proj_S(delta) = B^t z,
     delta.d1 = 2 proj_S(delta)^2 = d1^2/2, and d2 = 2 delta - d1 has d2^2 =
     4 delta^2 - d1^2 = -8 - d1^2; so d1^2 = d2^2 = -4 exactly when
-    delta.d1 = -2.
+    delta.d1 = (B G delta).z = y.z = -2.  adj is an integer matrix whose
+    column i is the one integer solution of gs x = den e_i.
     """
-    proj = _doubled_projector(sat, gs, den)
+    # adj is symmetric, so its columns serve as its rows
+    adj = tuple(la.solve_int(gs, tuple(den * x for x in e)) for e in la.identity(len(gs)))
+    bg = la.mat_mul(sat.basis, L.gram)
     found = bounded_vectors_of_norm(L, -2, bound)
     for delta in sorted(found.vectors[: found.count // 2], key=_box_radius):
-        scaled = la.mat_vec(proj, delta)
-        if any(c % den for c in scaled):
-            continue
-        d1 = tuple(c // den for c in scaled)
-        if sum(map(mul, la.mat_vec(L.gram, delta), d1)) == -2:
+        split = _split(bg, adj, den, delta)
+        if split and sum(map(mul, *split)) == -2:
+            d1 = sat.to_ambient(split[1])
             d2 = tuple(2 * a - b for a, b in zip(delta, d1))
             return DegeneracyScanResult("degenerate", delta, d1, d2)
     return DegeneracyScanResult("no-witness-within-bound", None, None, None)
@@ -382,7 +391,7 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     holds the answer is an exact "no-witness" and no box is built.
     Otherwise _box_search tries the box's representatives (first nonzero
     coordinate positive), smallest coordinate box first, then in canonical
-    order, against one integer projector: the first hit is the witness
+    order, splitting each in sat's coordinates: the first hit is the witness
     minimizing (coordinate box, lexicographic), so the result is stable
     when bound grows.
     """

@@ -105,9 +105,6 @@ class SublatticeEmbedding(NamedTuple):
             return () if not any(v) else None
         return la.solve_int(self.matrix, v)
 
-    def contains(self, v) -> bool:
-        return self.from_ambient(v) is not None
-
 
 def make_lattice(gram, name: str | None = None) -> Lattice:
     """Check outside input: a square, symmetric integer Gram matrix."""

@@ -47,7 +47,8 @@ def same_sublattice(a, b) -> bool:
     lattice?  Each basis must lie in the other span, at equal ranks."""
     if a.ambient.gram != b.ambient.gram or a.rank != b.rank:
         return False
-    return all(a.contains(v) for v in b.basis) and all(b.contains(v) for v in a.basis)
+    return (all(a.from_ambient(v) is not None for v in b.basis)
+            and all(b.from_ambient(v) is not None for v in a.basis))
 
 
 def lk3() -> Lattice:

@@ -138,6 +138,34 @@ MUTANTS = (
     ("is-type-theta-untransposed", INVOLUTIONS,
      "la.mat_mul(la.transpose(theta.matrix), s.basis)",
      "la.mat_mul(theta.matrix, s.basis)"),
+    # the eigenlattices' own invariants (involutions.involution_rank_sum_check)
+    ("rank-sum-always-true", INVOLUTIONS,
+     "    fixed, anti = psi.fixed, psi.anti\n"
+     "    if fixed.rank + anti.rank != psi.ambient.rank:\n",
+     "    return True\n"
+     "    fixed, anti = psi.fixed, psi.anti\n"
+     "    if fixed.rank + anti.rank != psi.ambient.rank:\n"),
+    ("rank-sum-skips-primitivity", INVOLUTIONS,
+     "and saturate(fixed) is fixed and saturate(anti) is anti)",
+     "and True)"),
+    ("rank-sum-anti-not-negated", INVOLUTIONS,
+     "_images(psi, anti) == tuple(tuple(-c for c in b) for b in anti.basis)",
+     "_images(psi, anti) == anti.basis"),
+    # the split in the saturation's coordinates (involutions._split) and
+    # the guards in front of the two searches
+    ("split-reads-c-mod-den", INVOLUTIONS,
+     "2 * c % den",
+     "c % den"),
+    ("scan-skips-embedding-check", INVOLUTIONS,
+     "    if s.ambient.gram != L.gram:\n"
+     "        raise EmbeddingMismatch(\"sublattice is embedded in a different lattice\")\n"
+     "    sat = saturate(s)\n",
+     "    sat = saturate(s)\n"),
+    ("coset-sign-mismatch-unknown", INVOLUTIONS,
+     "    except SignMismatch:\n"
+     "        return MembershipResult(\"no\", None)\n",
+     "    except SignMismatch:\n"
+     "        return MembershipResult(\"unknown\", None)\n"),
     ("ints-accepts-bool", LATTICES,
      "<= {int}",
      "<= {int, bool}"),

@@ -221,6 +221,26 @@ def test_exit2_paths(files, capsys):
         assert code == 2 and out == "" and err.startswith("error:"), path
 
 
+SWAP_FILE = {"gram": [[0, 1], [1, 0]], "matrix": [[0, 1], [1, 0]]}
+MODEL_FILE = {"gram": [[-2, 2, 1], [2, -2, 0], [1, 0, -2]],
+              "a0": [0, 0, 1], "e": [1, 0, 0], "f": [0, 1, 0]}
+
+
+@pytest.mark.parametrize("verb, data, message", [
+    ("invariants", {"gram": 5}, '"gram" must be a list of rows'),
+    ("invariants", {"gram": [[2]], "name": 3}, '"name" must be a string'),
+    ("involution", {**SWAP_FILE, "matrix": [0, 1]}, '"matrix" must be a list of rows'),
+    ("involution", {**SWAP_FILE, "s_basis": "1,1"}, '"s_basis" must be a list of vectors'),
+    ("k3-check", [MODEL_FILE], "expected an object"),
+    ("k3-check", {**MODEL_FILE, "e": 1}, '"e" must be a list of integers'),
+])
+def test_exit2_shape_errors(tmp_path, capsys, verb, data, message):
+    # a file of the wrong JSON shape names the offending key on one line
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert invoke(capsys, verb, str(path)) == (2, "", f"error: {message}\n")
+
+
 # --- exit code 3: precondition violations ---
 
 

@@ -10,6 +10,7 @@ import oracles
 from helpers import _conjugate, skewed_block_sum
 from zlattice import (
     DegenerateLattice,
+    EmbeddingMismatch,
     NotEven,
     NotInDualLattice,
     NotTwoElementary,
@@ -453,6 +454,8 @@ def test_delta_via_involution_small_examples():
     swap = make_involution(U, ((0, 1), (1, 0)))
     assert delta_via_involution(U, ident) == 0
     assert delta_via_involution(U, swap) == 1
+    with pytest.raises(EmbeddingMismatch, match="involution acts on a different lattice"):
+        delta_via_involution(make_lattice(((2, 1), (1, 2))), swap)
     # random involutions, against the parity of z.sigma(z) over {0,1}^n,
     # which covers every z since the parity depends on z mod 2 only
     from helpers import random_involution

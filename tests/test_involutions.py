@@ -27,6 +27,7 @@ from helpers import (
 from zlattice import (
     DegeneracyScanResult,
     DegenerateSublattice,
+    DimensionMismatch,
     EmbeddingMismatch,
     NotInSublattice,
     NotInvolution,
@@ -56,7 +57,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la, involutions
-from zlattice.involutions import MembershipResult, _box_search, _doubled_projector
+from zlattice.involutions import MembershipResult, _box_search, _split
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -258,6 +259,36 @@ def test_eigenlattice_properties_random():
             assert idx > 0 and (idx & (idx - 1)) == 0
 
 
+def test_rank_sum_check_rejects_records_built_by_hand():
+    # make_involution's records pass, psi_minus with a rank-0 fixed part
+    # included; each record below breaks one invariant the check reads
+    psi = psi_split()
+    assert all(map(involution_rank_sum_check, (psi, psi_minus(), sigma_s311_fixed())))
+    assert not involution_rank_sum_check(psi._replace(fixed=psi.anti, anti=psi.fixed))
+    dropped = psi.anti._replace(basis=psi.anti.basis[1:])
+    assert not involution_rank_sum_check(psi._replace(anti=dropped))
+    # psi = id on U: each 2 e_j lies in 2U, so 2U splits every column,
+    # but 2U is not primitive
+    ident = make_involution(U, la.identity(2))
+    doubled = ident._replace(fixed=make_sublattice(U, ((2, 0), (0, 2))))
+    assert not involution_rank_sum_check(doubled)
+
+
+def test_rank_sum_check_runs_two_hermite_reductions(monkeypatch):
+    # one saturate per eigenlattice, not one solve per column and side
+    psi = psi_split()
+    calls = []
+    hnf = la.hnf_with_transform
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return hnf(*args, **kwargs)
+
+    monkeypatch.setattr(la, "hnf_with_transform", counted)
+    assert involution_rank_sum_check(psi)
+    assert len(calls) == 2
+
+
 # --- typed involutions ---
 
 
@@ -291,6 +322,28 @@ def test_is_type_checks_restriction_not_just_stability():
     line = make_sublattice(U, ((1, 0),))
     theta_neg = make_involution(line.induced_lattice(), ((-1,),))
     assert not is_type(psi, line, theta_neg)
+
+
+def test_pieces_of_another_lattice_are_refused():
+    # S311 pieces handed to an involution of U, or to a scan over U
+    swap = make_involution(U, ((0, 1), (1, 0)))
+    on_s = make_sublattice(S, ((1, 0, 0),))
+    theta = make_involution(on_s.induced_lattice(), ((-1,),))
+    other = "sublattice is embedded in a different lattice"
+    with pytest.raises(EmbeddingMismatch, match=other):
+        is_type(swap, on_s, theta)
+    with pytest.raises(EmbeddingMismatch, match=other):
+        period_domain_summary(swap, on_s)
+    # S311's <-2> would be obstructed: the check comes first
+    with pytest.raises(EmbeddingMismatch, match=other):
+        da_degeneracy_scan(U, on_s, 1)
+    assert da_degeneracy_scan(S, on_s, 1).status == "no-witness"
+
+
+def test_make_involution_rejects_a_matrix_of_the_wrong_shape():
+    for m in (la.identity(3), ((1, 0), (0,)), ((1, 0),)):
+        with pytest.raises(DimensionMismatch, match="matrix is not 2 x 2"):
+            make_involution(U, m)
 
 
 def test_is_type_embedding_mismatch():
@@ -531,6 +584,18 @@ def test_delta4_validation():
         delta4_membership(L, other, (1, 0), 3)
 
 
+def test_positive_definite_complement_answers_an_exact_no():
+    # the coset test passes, d1 = (1, 0) = 2 (0, 1) + (1, -2), but the
+    # complement <4> is positive definite and holds no norm -4 vector
+    L = make_lattice(((-4, -2), (-2, 0)))
+    s = make_sublattice(L, ((1, 0),))
+    comp = orthogonal_complement(s)
+    assert comp.induced_gram() == ((4,),)
+    assert all((a - b) % 2 == 0 for a, b in zip((1, 0), comp.basis[0]))
+    for bound in (1, 3):
+        assert delta4_membership(L, s, (1, 0), bound) == MembershipResult("no", None)
+
+
 # --- degeneracy scan ---
 
 
@@ -567,6 +632,8 @@ def test_da_scan_witness_stable_under_larger_bound():
 
 
 def test_integer_split_matches_fraction_split():
+    # _split decides d1 = 2 proj_S(delta) in the coordinates of S's
+    # saturation; the oracle splits over S's own basis by Fractions
     rng = random.Random(29)
     accepted = rejected = 0
     while accepted + rejected < 1200:
@@ -579,12 +646,13 @@ def test_integer_split_matches_fraction_split():
         basis = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
         if la.integer_rank(la.transpose(basis)) != len(basis):
             continue
-        s = make_sublattice(L, basis)
-        gs = s.induced_gram()
+        sat = saturate(make_sublattice(L, basis))
+        gs = sat.induced_gram()
         den = abs(la.bareiss_det(gs))
         if den in (0, 1, 2):
             continue
-        proj = _doubled_projector(s, gs, den)
+        adj = tuple(tuple(int(den * x) for x in row) for row in la.rational_inverse(gs))
+        bg = la.mat_mul(sat.basis, L.gram)
         perp = la.kernel([la.mat_vec(L.gram, b) for b in basis], ncols=n)
         for _ in range(40):
             if rng.random() < 0.5:
@@ -594,12 +662,14 @@ def test_integer_split_matches_fraction_split():
                 parts = [rng.randint(-2, 2) for _ in basis + list(perp)]
                 delta = tuple(sum(c * v[i] for c, v in zip(parts, basis + list(perp)))
                               for i in range(n))
-            scaled = la.mat_vec(proj, delta)
-            if any(c % den for c in scaled):
+            split = _split(bg, adj, den, delta)
+            if split is None:
                 got = None
                 rejected += 1
             else:
-                d1 = tuple(c // den for c in scaled)
+                y, z = split
+                assert y == tuple(inner_product(L, b, delta) for b in sat.basis)
+                d1 = sat.to_ambient(z)
                 got = d1, tuple(2 * a - b for a, b in zip(delta, d1))
                 accepted += 1
             assert got == oracles.fraction_split(g, basis, delta), (g, basis, delta)
@@ -616,9 +686,11 @@ def test_integer_split_matches_fraction_split():
 
 
 def _box(L, s, bound):
-    # the box search on S's own basis: its projector reads only S's span
-    gs = s.induced_gram()
-    return _box_search(L, s, gs, abs(la.bareiss_det(gs)), bound)
+    # the box search as da_degeneracy_scan calls it, on S's saturation:
+    # _split reads d1's integrality from its coordinates there
+    sat = saturate(s)
+    gs = sat.induced_gram()
+    return _box_search(L, sat, gs, abs(la.bareiss_det(gs)), bound)
 
 
 def _random_even_gram(rng):
@@ -740,7 +812,8 @@ def test_scan_reads_one_gram_of_s(monkeypatch):
         assert da_degeneracy_scan(L, s, bound).status == status
         assert (len(dets), len(set(dets))) == (calls, distinct), (s.basis, dets)
         sat = saturate(s)
-        assert sum(g.rank == s.rank and all(map(sat.contains, g.basis)) for g in grams) == 1
+        assert sum(g.rank == s.rank and all(sat.from_ambient(v) is not None for v in g.basis)
+                   for g in grams) == 1
 
 
 def test_glue_decisions_build_no_fraction(monkeypatch):
@@ -930,14 +1003,25 @@ def test_glue_obstruction_on_both_sides(k):
 
 def test_rank_zero_sublattice_is_obstructed_before_the_box(monkeypatch):
     # a rank-0 S has a trivial discriminant group, so the glue obstruction
-    # answers exactly and the box and its projector are never built
-    def refuse(sat, gs, den):
+    # answers exactly and the box search never runs
+    def refuse(*args):
         raise AssertionError("the box search ran")
 
-    monkeypatch.setattr(involutions, "_doubled_projector", refuse)
+    monkeypatch.setattr(involutions, "_box_search", refuse)
     for L in (S, standard_lattice("LK3")):
         got = da_degeneracy_scan(L, make_sublattice(L, []), 1)
         assert got == DegeneracyScanResult("no-witness", None, None, None)
+
+
+def test_degenerate_complement_falls_through_to_the_box():
+    # S = <-4> has the class e0/2 with q = 1, and S-perp = <-4> + <0> is
+    # degenerate, with no discriminant form: nothing is ruled out, so the
+    # box runs and, finding no norm -2 vector, answers within its bound
+    L = make_lattice(((-4, 0, 0), (0, -4, 0), (0, 0, 0)))
+    s = make_sublattice(L, ((1, 0, 0),))
+    for bound in (1, 2):
+        assert da_degeneracy_scan(L, s, bound) == DegeneracyScanResult(
+            "no-witness-within-bound", None, None, None)
 
 
 def test_da_scan_rejects_degenerate_sublattice():

@@ -335,8 +335,7 @@ def test_sublattice_embedding_basics():
     assert u.induced_gram() == ((-2, 1), (1, 0))
     assert determinant(u.induced_lattice()) == -1
     assert is_even(u.induced_lattice())
-    assert u.contains((1, 1, 0))
-    assert not u.contains(F_T)
+    assert u.from_ambient(F_T) is None
     assert u.from_ambient((1, 1, 0)) == (0, 1)
     assert u.to_ambient((0, 1)) == (1, 1, 0)
 

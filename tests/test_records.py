@@ -25,7 +25,6 @@ from zlattice.roots import EnumerationResult
 U = Lattice(gram=((0, 1), (1, 0)), name="U")
 A1 = Lattice(gram=((2,),))
 U_TEXT = "Lattice(gram=((0, 1), (1, 0)), name='U')"
-A1_TEXT = "Lattice(gram=((2,),), name=None)"
 S311 = Lattice(((-2, 2, 1), (2, -2, 0), (1, 0, -2)), "S311")
 S311_TEXT = "Lattice(gram=((-2, 2, 1), (2, -2, 0), (1, 0, -2)), name='S311')"
 SWAP = ((0, 1), (1, 0))
@@ -39,10 +38,9 @@ CASES = [
      dict(ambient=A1, basis=((1, -1),)),
      f"SublatticeEmbedding(ambient={U_TEXT}, basis=((1, 1),))"),
     (DiscriminantGroup,
-     dict(invariant_factors=(2,), generators=((Fraction(1, 2),),), lattice=A1),
-     dict(invariant_factors=(4,), generators=((Fraction(1, 4),),), lattice=U),
-     f"DiscriminantGroup(invariant_factors=(2,), generators=((Fraction(1, 2),),), "
-     f"lattice={A1_TEXT})"),
+     dict(invariant_factors=(2,), generators=((Fraction(1, 2),),)),
+     dict(invariant_factors=(4,), generators=((Fraction(1, 4),),)),
+     "DiscriminantGroup(invariant_factors=(2,), generators=((Fraction(1, 2),),))"),
     (EnumerationResult, dict(vectors=((1,), (-1,)), count=2, complete=True),
      dict(vectors=((1,), (0,)), count=3, complete=False),
      "EnumerationResult(vectors=((1,), (-1,)), count=2, complete=True)"),
@@ -132,7 +130,7 @@ def test_properties_and_methods_survive():
     assert s.rank == 2 and s.matrix == ((1, 1), (1, -1))
     assert s.induced_lattice() == Lattice(((2, 0), (0, -2)))
     assert U.rank == 2
-    assert DiscriminantGroup((2, 6), (), A1).order == 12
-    assert DiscriminantGroup((), (), U).order == 1
+    assert DiscriminantGroup((2, 6), ()).order == 12
+    assert DiscriminantGroup((), ()).order == 1
     assert DegeneracyScanResult("degenerate", (1,), (2,), (0,)).status == "degenerate"
     assert DegeneracyScanResult("no-witness", None, None, None).status != "degenerate"
