@@ -9,6 +9,12 @@ Each verb has one executor, which computes every fact once and returns one
 result document, and one text renderer, which reads only that document.
 --json prints the document as sorted-key JSON; otherwise the rendered text
 is printed, one fact per line.  Both are byte-deterministic.
+
+The command line reads the library only through the package's public names:
+a verb names its file parser (exit 2 territory) as one, and its executor
+calls `_package.<name>`.  The package loads a name's submodule on first read
+(PEP 562), so a verb loads only the modules it runs, and `zlattice._EXPORTS`
+is the one table of which submodule defines which name.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ import os
 import sys
 
 from .errors import InvalidInputFile, LatticeError
+
+# a read is one dict lookup once the package has bound the name
+_package = sys.modules[__package__]
 
 
 class _UsageError(Exception):
@@ -84,43 +93,18 @@ def _load_json_file(path: str):
         raise InvalidInputFile(f"{path}: JSON nested too deeply") from None
 
 
-# --- per-verb file parsers (exit 2 territory); each verb's functions import
-# the modules they use when they run, so a verb loads only what it needs ---
-
-
-def _parse_lattice(data):
-    from .lattices import lattice_from_json_dict
-
-    return lattice_from_json_dict(data)
-
-
-def _parse_involution(data):
-    from .involutions import involution_from_json_dict
-
-    return involution_from_json_dict(data)
-
-
-def _parse_model(data):
-    from .k3 import model_from_json_dict
-
-    return model_from_json_dict(data)
-
-
 # --- per-verb executors (exit 3 territory) and text renderers ---
 
 
 def _exec_invariants(args, L):
-    from .discriminant import two_elementary_invariants
-    from .lattices import determinant, is_even, signature
-
     doc = {
         "rank": L.rank,
-        "determinant": determinant(L),
-        "signature": signature(L),
-        "even": is_even(L),
+        "determinant": _package.determinant(L),
+        "signature": _package.signature(L),
+        "even": _package.is_even(L),
     }
     try:
-        doc["two_elementary"] = two_elementary_invariants(L)
+        doc["two_elementary"] = _package.two_elementary_invariants(L)
     except LatticeError:
         doc["two_elementary"] = None
     return doc
@@ -139,14 +123,12 @@ def _text_invariants(doc):
 
 
 def _exec_discriminant(args, L):
-    from .discriminant import discriminant_form_value, discriminant_group
-
-    dg = discriminant_group(L)
+    dg = _package.discriminant_group(L)
     return {
         "order": dg.order,
         "invariant_factors": dg.invariant_factors,
         "generators": [
-            {"coords": [str(c) for c in g], "q": str(discriminant_form_value(L, g))}
+            {"coords": [str(c) for c in g], "q": str(_package.discriminant_form_value(L, g))}
             for g in dg.generators
         ],
     }
@@ -161,14 +143,12 @@ def _text_discriminant(doc):
 
 
 def _exec_roots(args, L):
-    from .roots import bounded_vectors_of_norm, constrained_roots, vectors_of_norm
-
     if args.bound is not None:
-        result = bounded_vectors_of_norm(L, args.norm, args.bound)
+        result = _package.bounded_vectors_of_norm(L, args.norm, args.bound)
     elif args.ortho is not None:
-        result = constrained_roots(L, args.ortho, args.norm)
+        result = _package.constrained_roots(L, args.ortho, args.norm)
     else:
-        result = vectors_of_norm(L, args.norm)
+        result = _package.vectors_of_norm(L, args.norm)
     return result._asdict()
 
 
@@ -178,22 +158,19 @@ def _text_roots(doc):
 
 
 def _exec_involution(args, loaded):
-    from .involutions import eigenlattices, involution_rank_sum_check, period_domain_summary
-    from .lattices import is_hyperbolic, make_sublattice
-
     psi, s = loaded
     if args.s_basis is not None:
-        s = make_sublattice(psi.ambient, args.s_basis)
-    pd = period_domain_summary(psi, s) if s is not None else None
-    fixed, anti = eigenlattices(psi)
+        s = _package.make_sublattice(psi.ambient, args.s_basis)
+    pd = _package.period_domain_summary(psi, s) if s is not None else None
+    fixed, anti = _package.eigenlattices(psi)
     doc = {
         "rank": psi.ambient.rank,
         "fixed_rank": fixed.rank,
-        "fixed_hyperbolic": (is_hyperbolic(fixed.induced_lattice()) if pd is None
+        "fixed_hyperbolic": (_package.is_hyperbolic(fixed.induced_lattice()) if pd is None
                              else pd.fixed_hyperbolic),
         "anti_rank": anti.rank,
-        "anti_hyperbolic": is_hyperbolic(anti.induced_lattice()),
-        "rank_sum_check": involution_rank_sum_check(psi),
+        "anti_hyperbolic": _package.is_hyperbolic(anti.induced_lattice()),
+        "rank_sum_check": _package.involution_rank_sum_check(psi),
     }
     if pd is not None:
         doc["period_domain"] = pd._asdict()
@@ -221,9 +198,7 @@ def _text_involution(doc):
 
 
 def _exec_k3_check(args, model):
-    from .k3 import is_nondegenerate
-
-    ok, witnesses = is_nondegenerate(model)
+    ok, witnesses = _package.is_nondegenerate(model)
     names = {model.f: "+f", tuple(-c for c in model.f): "-f"}
     return {
         "nondegenerate": ok,
@@ -238,15 +213,11 @@ def _text_k3_check(doc):
 
 
 def _exec_da_scan(args, model):
-    from .involutions import da_degeneracy_scan
-    from .k3 import model_degeneracy_scan
-    from .lattices import make_sublattice
-
     if args.s_basis is not None:
-        s = make_sublattice(model.lattice, args.s_basis)
-        result = da_degeneracy_scan(model.lattice, s, args.bound)
+        s = _package.make_sublattice(model.lattice, args.s_basis)
+        result = _package.da_degeneracy_scan(model.lattice, s, args.bound)
     else:
-        result = model_degeneracy_scan(model, args.bound)
+        result = _package.model_degeneracy_scan(model, args.bound)
     return result._asdict()
 
 
@@ -257,11 +228,9 @@ def _text_da_scan(doc):
 
 
 def _exec_demo(args, _):
-    from .k3 import RECORDED_COVERING_DATA_311, f4_checks, s311_selfcheck
-
-    checks = [item._asdict() for item in s311_selfcheck() + f4_checks()]
+    checks = [item._asdict() for item in _package.s311_selfcheck() + _package.f4_checks()]
     return {"checks": checks, "all_ok": all(c["ok"] for c in checks),
-            "recorded_covering_data": RECORDED_COVERING_DATA_311}
+            "recorded_covering_data": _package.RECORDED_COVERING_DATA_311}
 
 
 def _text_demo(doc):
@@ -287,13 +256,13 @@ def _build_parser() -> _Parser:
         return p
 
     add("invariants", "rank, determinant, signature, parity data of a lattice file",
-        _parse_lattice, _exec_invariants, _text_invariants)
+        "lattice_from_json_dict", _exec_invariants, _text_invariants)
 
     add("discriminant", "invariant factors and quadratic form values of the discriminant group",
-        _parse_lattice, _exec_discriminant, _text_discriminant)
+        "lattice_from_json_dict", _exec_discriminant, _text_discriminant)
 
     p = add("roots", "enumerate vectors of a given norm",
-            _parse_lattice, _exec_roots, _text_roots)
+            "lattice_from_json_dict", _exec_roots, _text_roots)
     p.add_argument("--norm", type=int, required=True, help="target self-intersection")
     exclusive = p.add_mutually_exclusive_group()
     exclusive.add_argument("--ortho", type=_vector_list, default=None, metavar="V;V;...",
@@ -302,17 +271,17 @@ def _build_parser() -> _Parser:
                            help="scan a coordinate box instead of exact enumeration")
 
     p = add("involution", "eigenlattice data of an involution file",
-            _parse_involution, _exec_involution, _text_involution)
+            "involution_from_json_dict", _exec_involution, _text_involution)
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",
                    help="marked sublattice basis for the period-domain summary "
                         "(overrides the file's s_basis)")
 
     add("k3-check", "decide double-point nondegeneracy for a Picard model file",
-        _parse_model, _exec_k3_check, _text_k3_check)
+        "model_from_json_dict", _exec_k3_check, _text_k3_check)
 
     p = add("da-scan", "search for a degeneracy witness in a Picard model file: an exact "
                        "answer when the glue obstruction applies, box-bounded otherwise",
-            _parse_model, _exec_da_scan, _text_da_scan)
+            "model_from_json_dict", _exec_da_scan, _text_da_scan)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="max |coordinate| of scanned vectors")
     p.add_argument("--s-basis", type=_vector_list, default=None, metavar="V;V;...",
@@ -335,7 +304,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         return _error(exc, 4)
     try:
-        loaded = args.parse(_load_json_file(args.file)) if args.parse else None
+        loaded = getattr(_package, args.parse)(_load_json_file(args.file)) if args.parse else None
     except LatticeError as exc:
         return _error(exc, 2)
     try:

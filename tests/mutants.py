@@ -74,6 +74,13 @@ MUTANTS = (
     ("fp-c01-dropped", ROOTS,
      "t0 = base0 + c01 * x1",
      "t0 = base0"),
+    ("fp-x1-loop-cap-dropped", ROOTS,
+     "                    nodes += 1\n"
+     "                    if nodes > cap:\n"
+     "                        raise _node_overflow(nodes, n)\n"
+     "                    y = s1 * x1 + ti\n",
+     "                    nodes += 1\n"
+     "                    y = s1 * x1 + ti\n"),
     ("fp-x1-range-ends-at-hi-1", ROOTS,
      "for x1 in range(lo, hi[1] + 1):",
      "for x1 in range(lo, hi[1]):"),

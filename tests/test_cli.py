@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from helpers import child_env
 
+import zlattice
 import zlattice.cli as cli
 import zlattice.intlinalg as la
 import zlattice.involutions as inv
@@ -178,15 +179,17 @@ def test_text_is_rendered_from_the_json_document(files, capsys, name):
 def test_involution_computes_each_fact_once(files, capsys, monkeypatch):
     calls = collections.Counter()
 
-    def count(module, fname):
+    def count(module, fname, *readers):
         def counted(*a, _orig=getattr(module, fname), **kw):
             calls[fname] += 1
             return _orig(*a, **kw)
-        monkeypatch.setattr(module, fname, counted)
+        for m in (module, *readers):
+            monkeypatch.setattr(m, fname, counted)
 
-    # the verb imports these from involutions when it runs
+    # defined in involutions, which calls them by its own names; the verb
+    # reads them through the package
     for fname in ("eigenlattices", "involution_rank_sum_check"):
-        count(inv, fname)
+        count(inv, fname, zlattice)
     # each eigenlattice is one kernel, built with the involution; the
     # period domain adds one for the anti-invariant part orthogonal to S
     count(la, "kernel")
@@ -292,6 +295,16 @@ def test_exit4_paths(files, capsys):
         code, out, err = invoke(capsys, *argv)
         assert code == 4, argv
         assert err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--ortho", "1,0;;0,1"), "argument --ortho: empty vector in list"),
+    (("--bound", "x"), "argument --bound: 'x' is not an integer"),
+    (("--bound", "1.5"), "argument --bound: '1.5' is not an integer"),
+])
+def test_exit4_names_the_bad_argument(files, capsys, flags, message):
+    expected = (4, "", f"error: {message}\n")
+    assert invoke(capsys, "roots", files["u"], "--norm", "2", *flags) == expected
 
 
 # --- console entry point ---

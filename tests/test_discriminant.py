@@ -137,6 +137,9 @@ def test_form_value_requires_dual_membership():
         discriminant_form_value(U, (Fraction(1, 2), 1.0))
     assert discriminant_form_value(L, (Fraction(1, 2),)) == Fraction(1, 2)
     assert discriminant_form_value(L, (1,)) == 0
+    with pytest.raises(NotInDualLattice) as err:
+        discriminant_form_value(U, (0,))
+    assert str(err.value) == "vector length 1 does not match rank 2"
 
 
 def test_form_values_land_in_canonical_windows():

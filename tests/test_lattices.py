@@ -338,6 +338,10 @@ def test_sublattice_embedding_basics():
     assert u.from_ambient(F_T) is None
     assert u.from_ambient((1, 1, 0)) == (0, 1)
     assert u.to_ambient((0, 1)) == (1, 1, 0)
+    # rank 0: the zero vector alone is a member, with no coordinates
+    zero = SublatticeEmbedding(U, ())
+    assert zero.from_ambient((0, 0)) == ()
+    assert zero.from_ambient((1, 0)) is None
 
 
 def test_induced_gram_matches_triple_loop():

@@ -8,11 +8,14 @@ assignment and any docstring or comment that mentions it do not count, so a
 function that only its tests call fails here.  Every exported error class
 but the base class must be raised somewhere in the package, and every
 method or property an exported class defines (dunders aside) must be read
-as an attribute or given as a string on one of those paths.
+as an attribute or given as a string on one of those paths.  No function
+of the package imports a module of the package: a body reads the package's
+names, so they are the one way a submodule is loaded on first use.
 """
 
 import ast
 import inspect
+import sys
 import typing
 from pathlib import Path
 
@@ -137,3 +140,26 @@ def test_every_public_annotation_resolves():
             except NameError as err:
                 unresolved.append(f"{target.__qualname__}: {err}")
     assert not unresolved, unresolved
+
+
+def test_no_function_imports_a_module_of_the_package():
+    found = set()  # (file:line, imported module) inside a function body
+    for path in PACKAGE.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    modules = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                found.update((f"{path.name}:{node.lineno}", m) for m in modules)
+    own = sorted(where for where, module in found
+                 if module.startswith(".") or module.split(".")[0] == "zlattice")
+    assert not own, f"imports of the package inside a function: {own}"
+    # the standard library may still load late, where one function needs it
+    # (rational_inverse's fractions, the record fields' dataclasses)
+    late = {module.split(".")[0] for _, module in found}
+    assert late and late <= sys.stdlib_module_names, late

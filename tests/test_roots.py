@@ -486,6 +486,10 @@ def test_node_cap_raises_overflow(monkeypatch):
     assert vectors_of_norm(E8M, -2).count == 240
     with pytest.raises(EnumerationOverflow, match="reached 1001 nodes"):
         vectors_of_norm(E8M, -4)
+    # in rank 2 the x_1 loop is the whole walk, so only its own check stops
+    # it early: the check after a hit would first see about 2800 nodes
+    with pytest.raises(EnumerationOverflow, match=r"reached 1001 nodes in rank 2 \(limit 1000\)"):
+        vectors_of_norm(direct_sum(A1M, A1M), -2 * 10**8)
     roots_basis = make_lattice(tuple(tuple(-c for c in row) for row in E8_CARTAN))
     e8_2a1 = direct_sum(direct_sum(E8M, A1M), A1M)
     N = direct_sum(S, E8M)
