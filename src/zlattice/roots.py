@@ -9,11 +9,14 @@ scaled multipliers of that factorization, so it runs on Python ints only
 with it the part of the x_0 centre fixed above level 1, is a running sum:
 each step of a coordinate adds its share to the centres below it, and
 leaving its level takes that share back out and resets it to 0.  The last
-two levels run as one loop over x_1 that solves for x_0.  Without LLL a
-vector of the lattice is its coefficient vector, written as it is found;
-after LLL, or in the ambient coordinates of an orthogonal complement, the
-search keeps partial sums of the basis vectors and writes every vector
-directly in the caller's basis.
+two levels run as one loop over x_1 that solves for x_0.  Below rank
+_LLL_MIN_RANK the walk runs over the coordinates in reverse, so in the
+identity basis it writes each vector of the lattice as its coefficient
+vector, reversed back as it is found, and emits exactly the canonical
+representatives (first nonzero coordinate positive), already in ascending
+order.  After LLL, or in the ambient coordinates of an orthogonal
+complement, the search keeps partial sums of the basis vectors and writes
+every vector directly in the caller's basis.
 Each coordinate value fixed at a level above the first and each emitted
 solution counts as a node, and a search that passes _MAX_FP_NODES nodes
 raises EnumerationOverflow.  A norm that is not an int, or a box bound that
@@ -22,9 +25,12 @@ can only be scanned inside an explicit coordinate box, and the result says
 so.
 The box scan runs on Python ints too: the same walk, ended the same way
 by solving for x_0, inside the box.  Both searches emit one member of
-each +-v pair, and canonical_order alone writes the negatives, after the
-representatives; a negation-closed witness set has its first hit among
-those, so the witness searches try only them.
+each +-v pair.  One ordering routine, shared by canonical_order and every
+search result, normalises their signs, sorts them (one linear pass on
+the already sorted output of a definite search in the identity basis) and
+alone writes the negatives, after the representatives.  A
+negation-closed witness set has its first hit among those, so the
+witness searches try only them.
 """
 
 from __future__ import annotations
@@ -85,27 +91,31 @@ def canonical_order(vectors) -> tuple[Vec, ...]:
 
     Representatives (first nonzero coordinate positive) in ascending
     lexicographic order, then the zero vector if present, then the negated
-    representatives in descending order; only here are negatives written.
-    Reversing the list then negating every entry reproduces it exactly.
+    representatives in descending order.  Reversing the list then negating
+    every entry reproduces it exactly.
     """
     vs = list(map(tuple, vectors))
     zero = (0,) * len(vs[0]) if vs else ()
-    # representative -> its negative.  A tuple exceeds zero exactly when its
-    # first nonzero coordinate is positive; an input below zero is the
-    # negative itself, so each input is negated once, to give the other one.
-    negative = {}
-    for v in vs:
-        if v < zero:
-            negative[tuple(map(neg, v))] = v
-        else:
-            negative[v] = tuple(map(neg, v))
-    mid = [zero] if negative.pop(zero, None) is not None else []
-    reps = sorted(negative)
-    return tuple(reps + mid + [negative[v] for v in reversed(reps)])
+    # dedupe in first-seen order, so that already ordered input sorts linearly
+    return _closure(dict.fromkeys(v if v > zero else tuple(map(neg, v)) for v in vs), zero)
+
+
+def _closure(reps, zero) -> tuple[Vec, ...]:
+    """The canonical list of distinct representatives, each above zero
+    (first nonzero coordinate positive) or zero itself; the only place the
+    negatives are written.  Zero, if present, sorts first and moves to the
+    middle."""
+    reps = sorted(reps)
+    mid = [reps.pop(0)] if reps and reps[0] == zero else []
+    return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
 
 
 def _make_result(vectors, complete: bool) -> EnumerationResult:
-    ordered = canonical_order(vectors)
+    # a search emits one member of each pair, once; the sort is one linear
+    # pass over the ascending representatives of a definite search in the
+    # identity basis
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    ordered = _closure([v if v > zero else tuple(map(neg, v)) for v in vectors], zero)
     return EnumerationResult(ordered, len(ordered), complete)
 
 
@@ -120,7 +130,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     """All v = sum_i x_i basis[i] over integer x with x^t G x = target,
     where (d, lam) = ldl(G) for a definite G (no d[i] is zero and every
     d[i - 1] d[i] has G's sign) and target is positive (the absolute norm).
-    basis None stands for the identity: v is x itself.
+    basis None writes v as x reversed, (x_{n-1}, ..., x_1, x_0).
 
     With mu[j][i] = lam[j][i] / d[i] and pivots p_i = d[i] / d[i - 1],
     |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
@@ -137,13 +147,19 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     sum_{j>i} c_ji x_j over the current x and is ready when level i is
     entered.  Levels 1 and 0 share one loop: on entering level 1, t_0
     holds the part fixed by x_2..; each x_1 adds c01 x_1 (c01 = c_10) to
-    it and solves w_0 y_0^2 = rem for x_0.  Only x whose last nonzero
-    coordinate is positive are visited, so one v per +-v pair is emitted
-    (canonical_order writes the negatives); nz[i] records whether some
-    x_j, j >= i, is nonzero, and only then may x_{i-1} go negative.
-    In the identity basis v is written from x directly; otherwise the
-    levels >= 2 keep the partial sums part[i] = sum_{j>=i} x_j basis[j]
-    and v = part[2] + x_1 basis[1] + x_0 basis[0].  Every coordinate value
+    it and solves w_0 y_0^2 = rem for x_0, trying its roots y_0 = -r, r
+    in ascending order.  Only x whose last nonzero coordinate is positive
+    are visited, so one v per +-v pair is emitted (_make_result writes the
+    negatives); nz[i] records whether some x_j, j >= i, is nonzero, and
+    only then may x_{i-1} go negative.  Every level, x_0 included, runs
+    upwards, so x is visited in ascending lexicographic order of
+    (x_{n-1}, ..., x_1, x_0), and that tuple is v when basis is None: the
+    caller factors its Gram matrix with the coordinates reversed, so v is
+    the coefficient vector in the caller's order, its first nonzero
+    coordinate positive, and the output is already canonical and
+    ascending.  With a basis the levels >= 2 keep the partial sums
+    part[i] = sum_{j>=i} x_j basis[j] and
+    v = part[2] + x_1 basis[1] + x_0 basis[0].  Every coordinate value
     fixed at a level >= 1 and every emitted x_0 counts as a node; past
     _MAX_FP_NODES the search raises EnumerationOverflow.  Rank 1 solves
     for x_0 alone: it finds at most one x and counts no nodes.
@@ -190,11 +206,11 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
             lo = -((r + ti) // s[i]) if free else 0
             hi[i] = (r - ti) // s[i]
             if i == 1:
-                # x_1 runs and x_0 is solved for; v is (x_0, x_1, *xs) or
-                # xs + x_1 basis[1] + x_0 basis[0]
+                # x_1 runs and x_0 is solved for; v is x reversed,
+                # (*xs, x_1, x_0), or xs + x_1 basis[1] + x_0 basis[0]
                 base0 = t[0]
                 rem2 = rem[2]
-                xs = tuple(x[2:]) if part is None else part[2]
+                xs = x[:1:-1] if part is None else part[2]
                 for x1 in range(lo, hi[1] + 1):
                     nodes += 1
                     if nodes > cap:
@@ -207,12 +223,12 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                     if r * r != r2:
                         continue
                     t0 = base0 + c01 * x1
-                    for y in (r, -r) if r else (0,):
+                    for y in (-r, r) if r else (0,):
                         x0, k = divmod(y - t0, s0)
                         if not k and (x0 > 0 or x1 or free):
                             nodes += 1
                             if part is None:
-                                found.append((x0, x1, *xs))
+                                found.append((*xs, x1, x0))
                             else:
                                 found.append(tuple(
                                     a + x1 * b + x0 * c for a, b, c in zip(xs, basis[1], basis[0])))
@@ -255,19 +271,29 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
 
 
 def _definite_vectors(gram, m: int, basis) -> list[Vec]:
-    """One of each +-pair of v = sum_i x_i basis[i], x^t gram x = m, unordered.
+    """One of each +-pair of v = sum_i x_i basis[i], x^t gram x = m.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data, which serves a negative definite
     form as it is.  basis[i] is the image of the i-th unit vector; basis
-    None is the identity, and the search then writes each x as it is.  From
-    rank _LLL_MIN_RANK on, lll_reduce_gram first reduces that same (d, lam)
-    in place, of either sign, and the reduced unit vectors map to
-    transpose(T) basis.
+    None is the identity.  Below rank _LLL_MIN_RANK the Gram matrix is
+    factored with its coordinates reversed, and the basis rows reversed
+    with it, so the walk's rule "last nonzero coordinate positive" is the
+    canonical "first nonzero coordinate positive" and its level order is
+    lexicographic: with basis None (or the identity) the list is the
+    canonical representatives in ascending order.  From rank
+    _LLL_MIN_RANK on, lll_reduce_gram first reduces the (d, lam) of the
+    given order in place, of either sign, and the reduced unit vectors map
+    to transpose(T) basis; that list, like one written in another basis,
+    is unordered and its signs are arbitrary.
     """
     n = len(gram)
     if n == 0:
         return []
+    lll = n >= _LLL_MIN_RANK
+    if not lll:
+        gram = [row[::-1] for row in gram[::-1]]
+        basis = None if basis is None else basis[::-1]
     d, lam = la.ldl(gram)
     p, nneg, z = la.sign_counts(d)
     if z > 0 or (p > 0 and nneg > 0):
@@ -277,7 +303,7 @@ def _definite_vectors(gram, m: int, basis) -> list[Vec]:
         raise SignMismatch(
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
-    if n >= _LLL_MIN_RANK:
+    if lll:
         trans = la.transpose(la.lll_reduce_gram(d, lam))
         basis = trans if basis is None else la.mat_mul(trans, basis)
     return _fp_enumerate(d, lam, abs(m), basis)
@@ -328,7 +354,7 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     """Every x with max |x_i| <= bound and x^t gram x = m that is zero or
     has its last nonzero coordinate positive (one of each +-pair),
-    unordered; canonical_order writes the negatives.
+    unordered; _make_result writes the negatives.
 
     The multiples x_0 e_0 come first: g00 x_0^2 = m, x_0 >= 0.  The rest
     are walked over x_{n-1}..x_2 with the loop of _fp_enumerate, each

@@ -35,6 +35,30 @@ LATTICES = "src/zlattice/lattices.py"
 DISCRIMINANT = "src/zlattice/discriminant.py"
 INVOLUTIONS = "src/zlattice/involutions.py"
 
+# the level-1 loop of roots._fp_enumerate, from the x_2.. it writes back
+# to the append of v in the identity basis
+_X1_LOOP = (
+    "                xs = x[:1:-1] if part is None else part[2]\n"
+    "                for x1 in range(lo, hi[1] + 1):\n"
+    "                    nodes += 1\n"
+    "                    if nodes > cap:\n"
+    "                        raise _node_overflow(nodes, n)\n"
+    "                    y = s1 * x1 + ti\n"
+    "                    r2, k = divmod(rem2 - w1 * y * y, w0)\n"
+    "                    if k:\n"
+    "                        continue\n"
+    "                    r = isqrt(r2)\n"
+    "                    if r * r != r2:\n"
+    "                        continue\n"
+    "                    t0 = base0 + c01 * x1\n"
+    "                    for y in (-r, r) if r else (0,):\n"
+    "                        x0, k = divmod(y - t0, s0)\n"
+    "                        if not k and (x0 > 0 or x1 or free):\n"
+    "                            nodes += 1\n"
+    "                            if part is None:\n"
+    "                                found.append((*xs, x1, x0))\n"
+)
+
 # (name, file, old text, new text); each old text occurs once in its file
 MUTANTS = (
     # LLL swap and size reduction (intlinalg.lll_reduce_gram)
@@ -88,11 +112,17 @@ MUTANTS = (
      "for x1 in range(lo, hi[1] + 1):",
      "for x1 in range(lo, hi[1] + 2):"),
     ("fp-root-minus-r-dropped", ROOTS,
-     "for y in (r, -r) if r else (0,):",
+     "for y in (-r, r) if r else (0,):",
      "for y in (r,) if r else (0,):"),
     ("fp-root-plus-r-dropped", ROOTS,
-     "for y in (r, -r) if r else (0,):",
+     "for y in (-r, r) if r else (0,):",
      "for y in (-r,) if r else (0,):"),
+    # the reversed walk: x_0's roots ascending, x written back reversed
+    ("fp-x0-roots-descending", ROOTS,
+     "for y in (-r, r) if r else (0,):",
+     "for y in (r, -r) if r else (0,):"),
+    ("fp-writes-x-unreversed", ROOTS, _X1_LOOP,
+     _X1_LOOP.replace("x[:1:-1]", "x[2:]").replace("(*xs, x1, x0)", "(x0, x1, *xs)")),
     # Fincke-Pohst running centres and sign flags (roots._fp_enumerate)
     ("fp-centre-exit-revert-dropped", ROOTS,
      "                for j, c in rows[i]:\n"

@@ -433,6 +433,28 @@ def test_enumeration_equals_a_priori_box_oracle(sign, monkeypatch):
     assert fractional >= 6
 
 
+def test_definite_search_emits_canonical_order():
+    # below rank 10 the walk runs over reversed coordinates, so it emits
+    # exactly the representatives (first nonzero coordinate positive) in
+    # ascending order; a sort would hide a wrong order, so read it raw
+    rng = random.Random(4321)
+    pairs = 0
+    for trial in range(220):
+        n = 1 + trial % 9
+        sign = 1 if trial % 2 else -1
+        gram = _skewed_definite(rng, n, sign)
+        zero = (0,) * n
+        least = min((gram[i][i] for i in range(n)), key=abs)
+        for target in (least, 2 * least) if n <= 6 else (least,):
+            raw = roots._definite_vectors(gram, target, None)
+            assert raw or target != least
+            assert all(v > zero for v in raw)
+            assert all(a < b for a, b in zip(raw, raw[1:]))
+            assert roots._definite_vectors(gram, target, la.identity(n)) == raw
+            pairs += len(raw) > 1
+    assert pairs >= 100
+
+
 def test_definite_path_builds_no_fraction(monkeypatch):
     made = []
     new = Fraction.__new__
@@ -476,12 +498,13 @@ def test_enumeration_leaves_no_reference_cycles(monkeypatch):
 
 
 def test_node_cap_raises_overflow(monkeypatch):
-    # every x_i fixed at a level >= 1 and every emitted x_0 is one node:
-    # E8(-1) in the dual basis visits 416 nodes at norm -2 and 3048 at -4,
-    # in the simple-root basis (the negated Cartan matrix) 378 and 2695;
-    # off the identity path, E8(-1) + A1(-1)^2 goes through LLL (rank 10),
-    # the S311 + E8(-1) complement is written in the ambient basis (rank 9)
-    # and the E8(-1)^2 complement does both (rank 15)
+    # every x_i fixed at a level >= 1 and every emitted x_0 is one node.
+    # Below rank 10 the walk runs over reversed coordinates: E8(-1) in the
+    # dual basis visits 369 nodes at norm -2 and 2614 at -4, in the
+    # simple-root basis (the negated Cartan matrix) 370 and 2620, and the
+    # S311 + E8(-1) complement, written in the ambient basis, 379 (rank 9).
+    # E8(-1) + A1(-1)^2 goes through LLL in the given order (rank 10), and
+    # the E8(-1)^2 complement does both (rank 15)
     monkeypatch.setattr(roots, "_MAX_FP_NODES", 1000)
     assert vectors_of_norm(E8M, -2).count == 240
     with pytest.raises(EnumerationOverflow, match="reached 1001 nodes"):
@@ -496,12 +519,12 @@ def test_node_cap_raises_overflow(monkeypatch):
     n_ortho = ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8)
     E8E8 = direct_sum(E8M, E8M)
     cases = (
-        (lambda: vectors_of_norm(E8M, -2), 240, 416, 8),
-        (lambda: vectors_of_norm(E8M, -4), 2160, 3048, 8),
-        (lambda: vectors_of_norm(roots_basis, -2), 240, 378, 8),
-        (lambda: vectors_of_norm(roots_basis, -4), 2160, 2695, 8),
+        (lambda: vectors_of_norm(E8M, -2), 240, 369, 8),
+        (lambda: vectors_of_norm(E8M, -4), 2160, 2614, 8),
+        (lambda: vectors_of_norm(roots_basis, -2), 240, 370, 8),
+        (lambda: vectors_of_norm(roots_basis, -4), 2160, 2620, 8),
         (lambda: vectors_of_norm(e8_2a1, -2), 244, 389, 10),
-        (lambda: constrained_roots(N, n_ortho, -2), 242, 538, 9),
+        (lambda: constrained_roots(N, n_ortho, -2), 242, 379, 9),
         (lambda: constrained_roots(E8E8, ((1,) + (0,) * 15,), -2), 324, 1343, 15),
     )
     for call, count, nodes, rank in cases:
