@@ -436,6 +436,17 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     return hits
 
 
+def _check_cells(n: int, bound: int) -> None:
+    """Refuse a box |x_i| <= bound in rank n of more than _MAX_BOX_CELLS cells."""
+    side = 2 * bound + 1
+    cells = side ** n
+    if cells > _MAX_BOX_CELLS:
+        raise EnumerationOverflow(
+            f"box of side {side} in rank {n} has {cells} cells "
+            f"(limit {_MAX_BOX_CELLS}); lower the bound"
+        )
+
+
 def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult:
     """All vectors with max |coordinate| <= bound and norm m.
 
@@ -445,12 +456,5 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
     """
     _check_norm(m)
     _check_bound(bound)
-    n = L.rank
-    side = 2 * bound + 1
-    cells = side ** n
-    if cells > _MAX_BOX_CELLS:
-        raise EnumerationOverflow(
-            f"box of side {side} in rank {n} has {cells} cells "
-            f"(limit {_MAX_BOX_CELLS}); lower the bound"
-        )
+    _check_cells(L.rank, bound)
     return _make_result(_box_scan(L.gram, m, bound), False)

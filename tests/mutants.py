@@ -163,6 +163,13 @@ MUTANTS = (
     ("coset-sign-min", INVOLUTIONS,
      "max(w, tuple(-x for x in w))",
      "min(w, tuple(-x for x in w))"),
+    # the growing boxes of both searches (involutions._growing_boxes)
+    ("radii-full-box-first", INVOLUTIONS,
+     "radius = min(2 * done or 1, bound)",
+     "radius = bound"),
+    ("radii-no-sort-in-step", INVOLUTIONS,
+     "yield from sorted(fresh, key=_box_radius)",
+     "yield from fresh"),
     # products with the sparse factor on the left (involutions) and the
     # one-test integer boundary (lattices._ints)
     ("isometry-reads-psi-g", INVOLUTIONS,

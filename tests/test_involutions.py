@@ -29,6 +29,7 @@ from zlattice import (
     DegenerateSublattice,
     DimensionMismatch,
     EmbeddingMismatch,
+    EnumerationOverflow,
     NotInSublattice,
     NotInvolution,
     NotIsometry,
@@ -902,6 +903,149 @@ def test_box_search_is_the_key_minimal_split():
     assert found >= 50 and several >= 20
 
 
+def _unimodular(rng, n, ops):
+    """(t, tinv): a product of `ops` random column operations col_j += +-col_i
+    and its inverse, as lists of rows."""
+    t = [list(row) for row in la.identity(n)]
+    tinv = [list(row) for row in la.identity(n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        for row in t:
+            row[j] += c * row[i]
+        tinv[i] = [a - c * b for a, b in zip(tinv[i], tinv[j])]
+    return t, tinv
+
+
+def _rebased(L, s, t, tinv, *vectors):
+    """L, s and vectors in the basis given by the columns of t: Gram t^t G t,
+    coordinates tinv v."""
+    g = la.mat_mul(la.transpose(t), la.mat_mul(L.gram, t))
+    L2 = make_lattice(g)
+    return (L2, make_sublattice(L2, [la.mat_vec(tinv, b) for b in s.basis]),
+            *(la.mat_vec(tinv, v) for v in vectors))
+
+
+def _deep_planted_case(rng):
+    """N = <-2> + <-2>, plus <-4> or <-6> two times in three, and S = Z(e0 +
+    e1), plus Z e2 half the time there, in a random basis.  The norm -2
+    vectors are +-e0 and +-e1, and both split, with d1 = e0 + e1; the basis
+    puts them at radius 3 or 4, in either lexicographic order."""
+    n = rng.choice((2, 3, 3))
+    L = make_lattice(tuple(tuple(-2 * (1 + (i == 2) * rng.randint(1, 2)) * (i == j)
+                                 for j in range(n)) for i in range(n)))
+    basis = [(1, 1, 0)[:n]] + ([(0, 0, 1)] if n == 3 and rng.random() < 0.5 else [])
+    while True:
+        t, tinv = _unimodular(rng, n, rng.randint(3, 8))
+        if all(max(abs(row[j]) for row in tinv) in (3, 4) for j in (0, 1)):
+            return _rebased(L, make_sublattice(L, basis), t, tinv)
+
+
+def _radii(bound):
+    # the box radii of the searches: 1, 2, 4, ..., capped at bound
+    out = [1]
+    while out[-1] < bound:
+        out.append(min(2 * out[-1], bound))
+    return out
+
+
+def _same_step(v, bound):
+    """The range of box radii that the search's box holding v adds."""
+    radii = [0, *_radii(bound)]
+    k = next(k for k, r in enumerate(radii) if r >= max(map(abs, v)))
+    return range(radii[k - 1] + 1, radii[k] + 1)
+
+
+def test_growing_boxes_keep_the_key_minimal_split_where_radii_mix():
+    # bounds 3-5, where one box adds several radii (4 adds 3 and 4): the
+    # witness is still the _scan_key minimum of the brute box.  One case in
+    # three is planted with its only witnesses at radius 3 or 4; the others
+    # are the random and planted cases above in a random basis.  A box past
+    # 2 10^4 cells is skipped only to keep the brute oracle quick
+    rng = random.Random(71)
+    cases = found = deep = mixed = 0
+    while cases < 150:
+        kind = cases % 3
+        if kind == 0:
+            case = _deep_planted_case(rng)
+        else:
+            case = _planted_case(rng) if kind == 1 else _random_even_case(rng)
+            if case is not None:
+                case = _rebased(*case[:2], *_unimodular(rng, case[0].rank, rng.randint(0, 6)))
+        if case is None:
+            continue
+        L, s = case
+        bound = rng.randint(3, 5)
+        if (2 * bound + 1) ** L.rank > 2 * 10**4:
+            continue
+        cases += 1
+        hits = []
+        for delta in oracles.brute_box_vectors(L.gram, -2, bound):
+            split = oracles.fraction_split(L.gram, s.basis, delta)
+            if split and all(_plain_norm(L.gram, d) == -4 for d in split):
+                hits.append((delta, *split))
+        got = _box(L, s, bound)
+        if not hits:
+            assert got.status == "no-witness-within-bound", (L.gram, s.basis, bound)
+            continue
+        found += 1
+        best = min(hits, key=lambda h: _scan_key(h[0]))
+        assert got == DegeneracyScanResult("degenerate", *best), (L.gram, s.basis, bound)
+        deep += max(map(abs, best[0])) >= 3
+        # the first hit of best's box in canonical order is another vector:
+        # without the sort by radius that box would answer with it
+        step = _same_step(best[0], bound)
+        mixed += min(h[0] for h in hits
+                     if h[0] > (0,) * L.rank and max(map(abs, h[0])) in step) != best[0]
+    assert found >= 80 and deep >= 30 and mixed >= 5, (found, deep, mixed)
+
+
+def test_growing_boxes_scan_only_up_to_the_witness(monkeypatch):
+    # the boxes the searches ask for: the witness of N4 with S' lies at
+    # radius 1, DEEP's partner at radius 2, and a miss scans every radius
+    radii = []
+    box = involutions.bounded_vectors_of_norm
+
+    def recorded(L, m, bound):
+        radii.append(bound)
+        return box(L, m, bound)
+
+    monkeypatch.setattr(involutions, "bounded_vectors_of_norm", recorded)
+    assert da_degeneracy_scan(n4_model().lattice, n4_sprime(), 6).delta == (0, 0, 1, -1)
+    assert radii == [1]
+    radii.clear()
+    L = make_lattice(DEEP_GRAM)
+    assert delta4_membership(L, make_sublattice(L, (DEEP_D1,)), DEEP_D1, 4) == \
+        MembershipResult("yes", DEEP_WITNESS)
+    assert radii == [1, 2]
+    radii.clear()
+    # S = <-4> with S-perp = <-4> + <0>, which holds no norm -2 vector
+    L = make_lattice(((-4, 0, 0), (0, -4, 0), (0, 0, 0)))
+    assert da_degeneracy_scan(L, make_sublattice(L, ((1, 0, 0),)), 5).status == \
+        "no-witness-within-bound"
+    assert radii == [1, 2, 4, 5]
+
+
+def test_growing_boxes_refuse_the_full_box_before_the_first(monkeypatch):
+    # N4 + A1(-1)^8 at bound 4 has 9^12 cells, past _MAX_BOX_CELLS, though
+    # the unit box holds the N4 witness: the search raises, as the single
+    # full box did, and scans nothing
+    n4 = n4_model().lattice
+    L = direct_sum(n4, make_lattice(tuple(tuple(-2 * (i == j) for j in range(8))
+                                          for i in range(8))))
+    s = make_sublattice(L, [v + (0,) * 8 for v in n4_sprime().basis])
+    # the glue obstruction passes: at bound 1 the box answers
+    assert da_degeneracy_scan(L, s, 1).delta == (0, 0, 1, -1) + (0,) * 8
+    scanned = []
+    monkeypatch.setattr(involutions, "bounded_vectors_of_norm",
+                        lambda *args: scanned.append(args))
+    with pytest.raises(EnumerationOverflow) as exc:
+        da_degeneracy_scan(L, s, 4)
+    assert str(exc.value) == ("box of side 9 in rank 12 has 282429536481 cells "
+                              "(limit 200000000); lower the bound")
+    assert scanned == []
+
+
 def _glue_hits(L, comp, d1, candidates):
     """The (c, w) with c among candidates, in the complement's coordinates,
     w its ambient image summed entry by entry, and d1 + w in 2L."""
@@ -952,6 +1096,36 @@ def test_delta4_bounded_witness_is_the_key_minimal_glue():
         several += len(hits) > 2
         assert got == MembershipResult("yes", _key_minimal(hits)), (L.gram, s.basis, d1, bound)
     assert found >= 50 and several >= 20
+
+
+def test_delta4_bounded_witness_is_the_key_minimal_glue_at_bounds_3_4():
+    # the same oracle at bounds 3-4, whose boxes add radius 3, or 3 and 4;
+    # half the cases are taken in a random basis of N
+    rng = random.Random(67)
+    cases = found = deep = 0
+    while cases < 80:
+        case = _planted_case(rng)
+        if case is None:
+            continue
+        L, s, d1 = case
+        if rng.random() < 0.5:
+            L, s, d1 = _rebased(L, s, *_unimodular(rng, L.rank, rng.randint(1, 6)), d1)
+        comp = orthogonal_complement(s)
+        p, q, _ = signature(comp.induced_lattice())
+        if not (p and q):
+            continue
+        cases += 1
+        bound = rng.randint(3, 4)
+        hits = _glue_hits(L, comp, d1, oracles.brute_box_vectors(comp.induced_gram(), -4, bound))
+        got = delta4_membership(L, s, d1, bound)
+        assert got.status != "no", (L.gram, s.basis, d1, bound)
+        if not hits:
+            assert got == MembershipResult("unknown", None)
+            continue
+        found += 1
+        deep += max(map(abs, min(hits, key=lambda h: _scan_key(h[0]))[0])) >= 3
+        assert got == MembershipResult("yes", _key_minimal(hits)), (L.gram, s.basis, d1, bound)
+    assert found >= 50 and deep >= 5, (found, deep)
 
 
 def test_delta4_definite_witness_is_the_key_minimal_glue():
