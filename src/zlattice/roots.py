@@ -12,11 +12,15 @@ leaving its level takes that share back out and resets it to 0.  The last
 two levels run as one loop over x_1 that solves for x_0.  Below rank
 _LLL_MIN_RANK the walk runs over the coordinates in reverse, so in the
 identity basis it writes each vector of the lattice as its coefficient
-vector, reversed back as it is found, and emits exactly the canonical
-representatives (first nonzero coordinate positive), already in ascending
-order.  After LLL, or in the ambient coordinates of an orthogonal
-complement, the search keeps partial sums of the basis vectors and writes
-every vector directly in the caller's basis.
+vector, reversed back as it is found, and visits exactly the canonical
+representatives (first nonzero coordinate positive), in ascending order.
+It writes each one's negative in the same step, from a tail negated once
+per x_1 loop, and hands back the finished canonical list.  After LLL, or
+in the ambient coordinates of an orthogonal complement, the search keeps
+partial sums of the basis vectors, each a map of add over the one above
+and a multiple of a basis row (the one above itself when the coordinate
+is 0), and writes one member of each +-v pair directly in the caller's
+basis.
 Each coordinate value fixed at a level above the first and each emitted
 solution counts as a node, and a search that passes _MAX_FP_NODES nodes
 raises EnumerationOverflow.  A norm that is not an int, or a box bound that
@@ -24,13 +28,12 @@ is not a positive one, is refused before any search.  Indefinite lattices
 can only be scanned inside an explicit coordinate box, and the result says
 so.
 The box scan runs on Python ints too: the same walk, ended the same way
-by solving for x_0, inside the box.  Both searches emit one member of
-each +-v pair.  One ordering routine, shared by canonical_order and every
-search result, normalises their signs, sorts them (one linear pass on
-the already sorted output of a definite search in the identity basis) and
-alone writes the negatives, after the representatives.  A
-negation-closed witness set has its first hit among those, so the
-witness searches try only them.
+by solving for x_0, inside the box, where a definite plane of the first
+two coordinates bounds x_1 with one isqrt.  It emits one member of each
++-v pair.  One ordering routine, shared by canonical_order, the box scans
+and the walks in a basis, normalises their signs, sorts them and writes
+the negatives, after the representatives.  A negation-closed witness set
+has its first hit among those, so the witness searches try only them.
 """
 
 from __future__ import annotations
@@ -102,18 +105,19 @@ def canonical_order(vectors) -> tuple[Vec, ...]:
 
 def _closure(reps, zero) -> tuple[Vec, ...]:
     """The canonical list of distinct representatives, each above zero
-    (first nonzero coordinate positive) or zero itself; the only place the
-    negatives are written.  Zero, if present, sorts first and moves to the
-    middle."""
+    (first nonzero coordinate positive) or zero itself: the ordering
+    routine of canonical_order, the box scans and the definite walks in a
+    basis, which writes their negatives.  (The definite walk in the
+    identity basis writes its list in this order itself.)  Zero, if
+    present, sorts first and moves to the middle."""
     reps = sorted(reps)
     mid = [reps.pop(0)] if reps and reps[0] == zero else []
     return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
 
 
 def _make_result(vectors, complete: bool) -> EnumerationResult:
-    # a search emits one member of each pair, once; the sort is one linear
-    # pass over the ascending representatives of a definite search in the
-    # identity basis
+    # a box scan or a definite walk in a basis emits one member of each
+    # pair, once, of either sign; _closure writes the negatives
     zero = (0,) * len(vectors[0]) if vectors else ()
     ordered = _closure([v if v > zero else tuple(map(neg, v)) for v in vectors], zero)
     return EnumerationResult(ordered, len(ordered), complete)
@@ -130,7 +134,9 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     """All v = sum_i x_i basis[i] over integer x with x^t G x = target,
     where (d, lam) = ldl(G) for a definite G (no d[i] is zero and every
     d[i - 1] d[i] has G's sign) and target is positive (the absolute norm).
-    basis None writes v as x reversed, (x_{n-1}, ..., x_1, x_0).
+    basis None writes v as x reversed, (x_{n-1}, ..., x_1, x_0), and
+    returns the finished canonical list (see below); with a basis the list
+    holds one member of each +-v pair.
 
     With mu[j][i] = lam[j][i] / d[i] and pivots p_i = d[i] / d[i - 1],
     |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
@@ -149,20 +155,28 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     holds the part fixed by x_2..; each x_1 adds c01 x_1 (c01 = c_10) to
     it and solves w_0 y_0^2 = rem for x_0, trying its roots y_0 = -r, r
     in ascending order.  Only x whose last nonzero coordinate is positive
-    are visited, so one v per +-v pair is emitted (_make_result writes the
-    negatives); nz[i] records whether some x_j, j >= i, is nonzero, and
-    only then may x_{i-1} go negative.  Every level, x_0 included, runs
-    upwards, so x is visited in ascending lexicographic order of
-    (x_{n-1}, ..., x_1, x_0), and that tuple is v when basis is None: the
-    caller factors its Gram matrix with the coordinates reversed, so v is
-    the coefficient vector in the caller's order, its first nonzero
-    coordinate positive, and the output is already canonical and
-    ascending.  With a basis the levels >= 2 keep the partial sums
-    part[i] = sum_{j>=i} x_j basis[j] and
-    v = part[2] + x_1 basis[1] + x_0 basis[0].  Every coordinate value
+    are visited, so one v per +-v pair is emitted; nz[i] records whether
+    some x_j, j >= i, is nonzero, and only then may x_{i-1} go negative.
+    Every level, x_0 included, runs upwards, so x is visited in ascending
+    lexicographic order of (x_{n-1}, ..., x_1, x_0), and that tuple is v
+    when basis is None: the caller factors its Gram matrix with the
+    coordinates reversed, so v is the coefficient vector in the caller's
+    order, its first nonzero coordinate positive, and the representatives
+    come out canonical and ascending.  Each x_1 loop then negates the tail
+    xs = (x_{n-1}, ..., x_2) once, into nxs, and each v = (*xs, x_1, x_0)
+    is written with its negative (*nxs, -x_1, -x_0); the negatives,
+    reversed, follow the representatives, which is the canonical list, so
+    no ordering routine runs on this path.  With a basis the levels >= 2
+    keep the partial sums part[i] = sum_{j>=i} x_j basis[j], a map of add
+    over part[i + 1] and x_i basis[i] on entering level i (part[i + 1]
+    itself when x_i starts at 0) and over part[i] and basis[i] at each
+    step; an x_1 with a root adds x_1 basis[1] to part[2] when x_1 is not
+    0, and each x_0 adds x_0 basis[0] to that when x_0 is not 0.  The
+    caller orders that list with _make_result.  Every coordinate value
     fixed at a level >= 1 and every emitted x_0 counts as a node; past
     _MAX_FP_NODES the search raises EnumerationOverflow.  Rank 1 solves
-    for x_0 alone: it finds at most one x and counts no nodes.
+    for x_0 alone: it finds at most one x, writes its negative too when
+    basis is None, and counts no nodes.
     """
     n = len(d)
     # g[i] carries the sign of d[i], so s[i] > 0
@@ -179,7 +193,10 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
         r = isqrt(scale * target // w[0])
         if w[0] * r * r == scale * target and not r % s[0]:
             x0 = r // s[0]
-            found.append((x0,) if basis is None else tuple(x0 * b for b in basis[0]))
+            if basis is None:
+                found += [(x0,), (-x0,)]
+            else:
+                found.append(tuple(x0 * b for b in basis[0]))
         return found
     s0, s1, w0, w1 = s[0], s[1], w[0], w[1]
     c01 = lam[1][0] // g[0]
@@ -195,6 +212,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     nz = [False] * (n + 1)
     rem = [0] * n + [scale * target]
     part = None if basis is None else [None] * n + [(0,) * len(basis[0])]
+    negs: list[Vec] = []
     nodes = 0
     i = n - 1
     enter = True
@@ -207,10 +225,15 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
             hi[i] = (r - ti) // s[i]
             if i == 1:
                 # x_1 runs and x_0 is solved for; v is x reversed,
-                # (*xs, x_1, x_0), or xs + x_1 basis[1] + x_0 basis[0]
+                # (*xs, x_1, x_0), written with its negative, or
+                # p1 + x_0 basis[0] with p1 = xs + x_1 basis[1]
                 base0 = t[0]
                 rem2 = rem[2]
-                xs = x[:1:-1] if part is None else part[2]
+                if part is None:
+                    xs = x[:1:-1]
+                    nxs = [-c for c in xs]
+                else:
+                    xs, b1, b0 = part[2], basis[1], basis[0]
                 for x1 in range(lo, hi[1] + 1):
                     nodes += 1
                     if nodes > cap:
@@ -223,15 +246,17 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                     if r * r != r2:
                         continue
                     t0 = base0 + c01 * x1
+                    if part is not None:
+                        p1 = tuple(map(add, xs, [x1 * b for b in b1])) if x1 else xs
                     for y in (-r, r) if r else (0,):
                         x0, k = divmod(y - t0, s0)
                         if not k and (x0 > 0 or x1 or free):
                             nodes += 1
                             if part is None:
                                 found.append((*xs, x1, x0))
+                                negs.append((*nxs, -x1, -x0))
                             else:
-                                found.append(tuple(
-                                    a + x1 * b + x0 * c for a, b, c in zip(xs, basis[1], basis[0])))
+                                found.append(tuple(map(add, p1, [x0 * c for c in b0])) if x0 else p1)
                     if nodes > cap:
                         raise _node_overflow(nodes, n)
                 i = 2
@@ -245,7 +270,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
             for j, c in rows[i]:
                 t[j] += c * lo
             if part is not None:
-                part[i] = tuple(a + lo * b for a, b in zip(part[i + 1], basis[i]))
+                part[i] = tuple(map(add, part[i + 1], [lo * b for b in basis[i]])) if lo else part[i + 1]
         else:
             xi = x[i]
             if xi == hi[i]:
@@ -267,11 +292,14 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
         rem[i] = rem[i + 1] - w[i] * y * y
         i -= 1
         enter = True
+    if basis is None:
+        found.extend(reversed(negs))
     return found
 
 
-def _definite_vectors(gram, m: int, basis) -> list[Vec]:
-    """One of each +-pair of v = sum_i x_i basis[i], x^t gram x = m.
+def _definite_vectors(gram, m: int, basis) -> EnumerationResult:
+    """The complete, canonically ordered v = sum_i x_i basis[i] with
+    x^t gram x = m.
 
     One ldl of the Gram matrix gives the signature, the NotDefinite
     verdict, and the Fincke-Pohst data, which serves a negative definite
@@ -280,16 +308,16 @@ def _definite_vectors(gram, m: int, basis) -> list[Vec]:
     factored with its coordinates reversed, and the basis rows reversed
     with it, so the walk's rule "last nonzero coordinate positive" is the
     canonical "first nonzero coordinate positive" and its level order is
-    lexicographic: with basis None (or the identity) the list is the
-    canonical representatives in ascending order.  From rank
-    _LLL_MIN_RANK on, lll_reduce_gram first reduces the (d, lam) of the
-    given order in place, of either sign, and the reduced unit vectors map
-    to transpose(T) basis; that list, like one written in another basis,
-    is unordered and its signs are arbitrary.
+    lexicographic: with basis None the walk writes the canonical list
+    itself.  From rank _LLL_MIN_RANK on, lll_reduce_gram first reduces
+    the (d, lam) of the given order in place, of either sign, and the
+    reduced unit vectors map to transpose(T) basis; a walk in that basis,
+    like one in any other, emits one member of each pair, unordered and
+    of arbitrary sign, and _make_result orders it.
     """
     n = len(gram)
     if n == 0:
-        return []
+        return _make_result([], True)
     lll = n >= _LLL_MIN_RANK
     if not lll:
         gram = [row[::-1] for row in gram[::-1]]
@@ -306,7 +334,10 @@ def _definite_vectors(gram, m: int, basis) -> list[Vec]:
     if lll:
         trans = la.transpose(la.lll_reduce_gram(d, lam))
         basis = trans if basis is None else la.mat_mul(trans, basis)
-    return _fp_enumerate(d, lam, abs(m), basis)
+    found = _fp_enumerate(d, lam, abs(m), basis)
+    if basis is None:
+        return EnumerationResult(tuple(found), len(found), True)
+    return _make_result(found, True)
 
 
 def _check_norm(m) -> None:
@@ -329,7 +360,7 @@ def vectors_of_norm(L: Lattice, m: int) -> EnumerationResult:
     rank _LLL_MIN_RANK on the Gram matrix is LLL-reduced first.
     """
     _check_norm(m)
-    return _make_result(_definite_vectors(L.gram, m, None), True)
+    return _definite_vectors(L.gram, m, None)
 
 
 def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
@@ -342,13 +373,12 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
     _check_norm(m)
     comp = orthogonal_complement(SublatticeEmbedding(L, [check_vector(L, o) for o in ortho]))
     try:
-        vecs = _definite_vectors(comp.induced_gram(), m, comp.basis)
+        return _definite_vectors(comp.induced_gram(), m, comp.basis)
     except NotDefinite as exc:
         raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:
         # wrong-sign norm in a definite complement: simply no solutions
-        vecs = []
-    return _make_result(vecs, True)
+        return _make_result([], True)
 
 
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
@@ -366,6 +396,16 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     and solves g00 x_0^2 + 2 p x_0 = rest: x_0 = (-p +- isqrt(p^2 +
     g00 rest)) / g00, or rest / 2p when g00 = 0, or, when p and rest are
     both 0, every x_0 of the box.
+    When the head [[g00, g01], [g01, g11]] is definite, a = g00 g11 - g01^2
+    > 0 bounds x_1 first.  With p = p_0 + g01 x_1 and rest = r_0 -
+    2 p_1 x_1 - g11 x_1^2 (p_0, p_1 = part[2], r_0 = m - tail[2]), the
+    discriminant is p^2 + g00 rest = -a x_1^2 + 2 b x_1 + c for
+    b = g01 p_0 - g00 p_1 and c = p_0^2 + g00 r_0, so
+    a (p^2 + g00 rest) = D - (a x_1 - b)^2 with D = b^2 + a c.  An x_0
+    needs it >= 0, that is (a x_1 - b)^2 <= D (dd): no x_1 when D < 0, and
+    otherwise, as a x_1 - b is an integer, |a x_1 - b| <= s = isqrt(D),
+    i.e. ceil((b - s) / a) = -((s - b) // a) <= x_1 <= (b + s) // a.
+    The x_1 loop runs over that interval cut to the box.
     """
     n = len(gram)
     if n == 0:
@@ -381,6 +421,8 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     if n == 1:
         return hits
     g01, g11 = gram[0][1], gram[1][1]
+    # a > 0: the head [[g00, g01], [g01, g11]] is definite
+    a = g00 * g11 - g01 * g01
     cols = [tuple(gram[j][i] for j in range(i)) for i in range(n)]
     # level i >= 2: tail[i + 1] = norm of x_{>i}, part[i + 1] = (gram x_{>i})_{<=i}
     x = [0] * n
@@ -392,11 +434,21 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     while i < n:
         if i == 1:
             lo = -bound if nz[2] else 1
+            hi = bound
             p, p1 = part[2]
+            if a > 0:
+                b = g01 * p - g00 * p1
+                dd = b * b + a * (p * p + g00 * (m - tail[2]))
+                if dd < 0:
+                    hi = lo - 1
+                else:
+                    s = isqrt(dd)
+                    lo = max(lo, -((s - b) // a))
+                    hi = min(hi, (b + s) // a)
             p += g01 * lo
             rest = m - tail[2] - lo * (2 * p1 + g11 * lo)
             drest = -2 * p1 - g11 * (2 * lo + 1)
-            for x1 in range(lo, bound + 1):
+            for x1 in range(lo, hi + 1):
                 if g00:
                     disc = p * p + g00 * rest
                     if disc >= 0:

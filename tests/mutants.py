@@ -36,9 +36,13 @@ DISCRIMINANT = "src/zlattice/discriminant.py"
 INVOLUTIONS = "src/zlattice/involutions.py"
 
 # the level-1 loop of roots._fp_enumerate, from the x_2.. it writes back
-# to the append of v in the identity basis
+# to the appends of v and its negative in the identity basis
 _X1_LOOP = (
-    "                xs = x[:1:-1] if part is None else part[2]\n"
+    "                if part is None:\n"
+    "                    xs = x[:1:-1]\n"
+    "                    nxs = [-c for c in xs]\n"
+    "                else:\n"
+    "                    xs, b1, b0 = part[2], basis[1], basis[0]\n"
     "                for x1 in range(lo, hi[1] + 1):\n"
     "                    nodes += 1\n"
     "                    if nodes > cap:\n"
@@ -51,12 +55,15 @@ _X1_LOOP = (
     "                    if r * r != r2:\n"
     "                        continue\n"
     "                    t0 = base0 + c01 * x1\n"
+    "                    if part is not None:\n"
+    "                        p1 = tuple(map(add, xs, [x1 * b for b in b1])) if x1 else xs\n"
     "                    for y in (-r, r) if r else (0,):\n"
     "                        x0, k = divmod(y - t0, s0)\n"
     "                        if not k and (x0 > 0 or x1 or free):\n"
     "                            nodes += 1\n"
     "                            if part is None:\n"
     "                                found.append((*xs, x1, x0))\n"
+    "                                negs.append((*nxs, -x1, -x0))\n"
 )
 
 # (name, file, old text, new text); each old text occurs once in its file
@@ -122,7 +129,19 @@ MUTANTS = (
      "for y in (-r, r) if r else (0,):",
      "for y in (r, -r) if r else (0,):"),
     ("fp-writes-x-unreversed", ROOTS, _X1_LOOP,
-     _X1_LOOP.replace("x[:1:-1]", "x[2:]").replace("(*xs, x1, x0)", "(x0, x1, *xs)")),
+     _X1_LOOP.replace("x[:1:-1]", "x[2:]").replace("(*xs, x1, x0)", "(x0, x1, *xs)")
+     .replace("(*nxs, -x1, -x0)", "(-x0, -x1, *nxs)")),
+    # the negatives the identity walk writes itself, and the partial sums
+    # of the walk in a basis
+    ("fp-negative-keeps-x0-sign", ROOTS,
+     "negs.append((*nxs, -x1, -x0))",
+     "negs.append((*nxs, -x1, x0))"),
+    ("fp-rank1-negative-dropped", ROOTS,
+     "found += [(x0,), (-x0,)]",
+     "found += [(x0,)]"),
+    ("fp-basis-zero-share-always", ROOTS,
+     "part[i] = tuple(map(add, part[i + 1], [lo * b for b in basis[i]])) if lo else part[i + 1]",
+     "part[i] = part[i + 1]"),
     # Fincke-Pohst running centres and sign flags (roots._fp_enumerate)
     ("fp-centre-exit-revert-dropped", ROOTS,
      "                for j, c in rows[i]:\n"
@@ -228,6 +247,9 @@ MUTANTS = (
     ("box-rest-step-constant", ROOTS,
      "                drest -= 2 * g11\n",
      ""),
+    ("box-definite-head-x1-top-one-short", ROOTS,
+     "hi = min(hi, (b + s) // a)",
+     "hi = min(hi, (b + s) // a - 1)"),
 )
 
 # the list check fails on every mutated copy, so it cannot kill a mutant

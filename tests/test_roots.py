@@ -1,6 +1,7 @@
 import collections
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import mul, neg
@@ -256,6 +257,15 @@ def test_box_scan_e8_radius_three():
     boxed = bounded_vectors_of_norm(E8M, -2, 3)
     assert boxed.count == 240
     assert boxed.vectors == exact.vectors
+    # E8(-1) has a definite head in the dual and the simple-root basis;
+    # at bound 3 the box answer is the exact one cut to the box (in the
+    # simple-root basis some roots lie outside it)
+    for gram in (E8M.gram, tuple(tuple(-c for c in row) for row in E8_CARTAN)):
+        L = make_lattice(gram)
+        for target in (-2, -4):
+            exact = vectors_of_norm(L, target).vectors
+            boxed = bounded_vectors_of_norm(L, target, 3).vectors
+            assert boxed == tuple(v for v in exact if max(map(abs, v)) <= 3)
 
 
 def test_box_scan_matches_bruteforce_oracle():
@@ -293,6 +303,42 @@ def test_box_scan_matches_bruteforce_oracle():
         reps = sorted(max(v, tuple(-c for c in v)) for v in roots._box_scan(L.gram, target, bound))
         assert reps == [v for v in expect if v >= zero]
     assert any(target == 0 for _, target, _ in cases)
+
+
+def test_box_scan_with_a_definite_head_matches_bruteforce_oracle():
+    # a definite head [[g00, g01], [g01, g11]] bounds x_1 by one isqrt per
+    # tail; the rest of the form is random, mostly indefinite.  The norm of
+    # a box vector puts hits on the ends of that x_1 interval
+    rng = random.Random(2024)
+    cases = edge = 0
+    while cases < 600:
+        n = rng.randint(2, 5)
+        bound = rng.randint(1, 4 if n == 2 else 3 if n <= 3 else 2)
+        sign = rng.choice((-1, 1))
+        top = rng.choice((3, 3, 40))
+        m = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+        m[0][0], m[1][1] = sign * rng.randint(1, top), sign * rng.randint(1, top)
+        if m[0][0] * m[1][1] <= m[0][1] ** 2:
+            continue
+        v = [rng.randint(-bound, bound) for _ in range(n)]
+        target = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
+        expect = oracles.brute_box_vectors(m, target, bound)
+        L = make_lattice(tuple(map(tuple, m)))
+        assert bounded_vectors_of_norm(L, target, bound).vectors == canonical_order(expect), (m, target)
+        cases += 1
+        # a hit whose x_1 is an end of the interval the head allows
+        a = m[0][0] * m[1][1] - m[0][1] ** 2
+        for x in expect:
+            p = sum(m[0][j] * x[j] for j in range(2, n))
+            p1 = sum(m[1][j] * x[j] for j in range(2, n))
+            tail = sum(x[i] * m[i][j] * x[j] for i in range(2, n) for j in range(2, n))
+            b = m[0][1] * p - m[0][0] * p1
+            s = math.isqrt(b * b + a * (p * p + m[0][0] * (target - tail)))
+            edge += x[1] in (-((s - b) // a), (b + s) // a)
+    assert edge >= 100
 
 
 def test_box_scan_equals_enumeration_on_skewed_definite_forms():
@@ -373,15 +419,24 @@ def test_exact_enumeration_equals_box_oracle():
         assert exact.vectors == boxed.vectors
 
 
-def _skew(rng, gram, ops):
-    # T^t G T for T a product of `ops` column operations col_i += +-col_j
-    n = len(gram)
+def _unimodular(rng, n, ops):
+    # a product T of `ops` column operations col_i += +-col_j
     t = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(ops):
         i, j = rng.sample(range(n), 2)
         c = rng.choice((-1, 1))
         for row in t:
             row[i] += c * row[j]
+    return t
+
+
+def _skew(rng, gram, ops):
+    # T^t G T for T = _unimodular(rng, n, ops)
+    return _congruent(gram, _unimodular(rng, len(gram), ops))
+
+
+def _congruent(gram, t):
+    n = len(gram)
     return tuple(
         tuple(sum(t[k][i] * gram[k][l] * t[l][j] for k in range(n) for l in range(n))
               for j in range(n))
@@ -396,6 +451,24 @@ def _skewed_definite(rng, n, sign):
     g = [[sign * (sum(a[k][i] * a[k][j] for k in range(n)) + (i == j)) for j in range(n)]
          for i in range(n)]
     return _skew(rng, g, min(n - 1, 3))
+
+
+_FP_ENUMERATE = roots._fp_enumerate
+
+
+def _walk(monkeypatch, gram, target, basis):
+    # the list the Fincke-Pohst walk itself returns inside
+    # _definite_vectors(gram, target, basis), before any ordering routine
+    out = []
+
+    def spy(*args):
+        out.append(_FP_ENUMERATE(*args))
+        return out[-1]
+
+    monkeypatch.setattr(roots, "_fp_enumerate", spy)
+    roots._definite_vectors(gram, target, basis)
+    monkeypatch.setattr(roots, "_fp_enumerate", _FP_ENUMERATE)
+    return out[0]
 
 
 @pytest.mark.parametrize("sign", (1, -1))
@@ -420,23 +493,30 @@ def test_enumeration_equals_a_priori_box_oracle(sign, monkeypatch):
                 for lll in (False, True):
                     _use_lll(monkeypatch, lll)
                     assert vectors_of_norm(L, target).vectors == expect
-                    # the search emits one member of each pair, the same
-                    # list whether it writes x itself or maps it through
-                    # the identity basis
-                    raw = roots._definite_vectors(gram, target, None)
+                    # through a basis the walk emits one member of each
+                    # pair; in the identity basis below rank 10 it writes
+                    # those same representatives, then their negatives
+                    own = _walk(monkeypatch, gram, target, None)
+                    raw = _walk(monkeypatch, gram, target, la.identity(n))
                     assert len(set(raw)) == len(raw) == len(expect) // 2
                     assert not set(raw) & {tuple(map(neg, v)) for v in raw}
-                    assert roots._definite_vectors(gram, target, la.identity(n)) == raw
+                    if lll:
+                        assert own == raw
+                    else:
+                        assert own == raw + [tuple(map(neg, v)) for v in reversed(raw)]
+                    assert roots._definite_vectors(gram, target, la.identity(n)) == \
+                        roots._definite_vectors(gram, target, None)
                 monkeypatch.undo()
                 perp = [v for v in expect if inner_product(L, v, ortho) == 0]
                 assert constrained_roots(L, (ortho,), target).vectors == canonical_order(perp)
     assert fractional >= 6
 
 
-def test_definite_search_emits_canonical_order():
+def test_definite_search_emits_canonical_order(monkeypatch):
     # below rank 10 the walk runs over reversed coordinates, so it emits
     # exactly the representatives (first nonzero coordinate positive) in
-    # ascending order; a sort would hide a wrong order, so read it raw
+    # ascending order, each negative written with it, and hands back the
+    # finished list: no ordering routine runs, so a wrong order would show
     rng = random.Random(4321)
     pairs = 0
     for trial in range(220):
@@ -446,13 +526,50 @@ def test_definite_search_emits_canonical_order():
         zero = (0,) * n
         least = min((gram[i][i] for i in range(n)), key=abs)
         for target in (least, 2 * least) if n <= 6 else (least,):
-            raw = roots._definite_vectors(gram, target, None)
-            assert raw or target != least
-            assert all(v > zero for v in raw)
-            assert all(a < b for a, b in zip(raw, raw[1:]))
-            assert roots._definite_vectors(gram, target, la.identity(n)) == raw
-            pairs += len(raw) > 1
+            raw = roots._definite_vectors(gram, target, None).vectors
+            assert list(raw) == _walk(monkeypatch, gram, target, None)
+            assert len(raw) % 2 == 0
+            reps, negs = raw[: len(raw) // 2], raw[len(raw) // 2 :]
+            assert reps or target != least
+            assert all(v > zero for v in reps)
+            assert all(a < b for a, b in zip(reps, reps[1:]))
+            assert negs == tuple(tuple(map(neg, v)) for v in reversed(reps))
+            assert _walk(monkeypatch, gram, target, la.identity(n)) == list(reps)
+            pairs += len(reps) > 1
     assert pairs >= 100
+
+
+def test_definite_output_is_canonical_whichever_way_it_is_reached(monkeypatch):
+    # 3000 random definite forms of ranks 1-12, both signs, with and
+    # without LLL: the list vectors_of_norm hands back, written by the walk
+    # itself in the identity basis or ordered from a basis walk, equals
+    # canonical_order of the same set found the other way, by the other
+    # LLL setting or in a random unimodular basis mapped back
+    rng = random.Random(3434)
+    rank_one = zero_start = 0
+    for trial in range(3000):
+        n = 1 + trial % 12
+        sign = 1 if trial // 12 % 2 else -1
+        lll = bool(trial // 24 % 2)
+        gram = _skewed_definite(rng, n, sign)
+        least = min((gram[i][i] for i in range(n)), key=abs)
+        target = least * rng.choice((1, 1, 2)) if n <= 8 else least
+        _use_lll(monkeypatch, lll)
+        got = vectors_of_norm(make_lattice(gram), target).vectors
+        if trial % 2:
+            _use_lll(monkeypatch, not lll)
+            other = vectors_of_norm(make_lattice(gram), target).vectors
+        else:
+            t = _unimodular(rng, n, rng.randint(0, 2 * n) if n > 1 else 0)
+            moved = vectors_of_norm(make_lattice(_congruent(gram, t)), target).vectors
+            other = [tuple(sum(map(mul, row, x)) for row in t) for x in moved]
+        monkeypatch.undo()
+        assert got == canonical_order(other), (gram, target, lll)
+        assert got or target != least
+        rank_one += n == 1
+        # the basis walk's top level starts at 0 with a nonzero row of T
+        zero_start += lll and n >= 3 and len(got) > 2
+    assert rank_one == 250 and zero_start >= 900
 
 
 def test_definite_path_builds_no_fraction(monkeypatch):
