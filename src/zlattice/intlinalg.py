@@ -13,21 +13,22 @@ nnz(A) * cols(B), and the mostly-zero Gram and involution matrices of the
 K3 lattice multiply at a fraction of n^3.  The cost is not symmetric in
 the factors, so callers put the sparse factor on the left, rewriting with
 G = G^t and (AB)^t = B^t A^t where they must.  The routines this package
-leans on are a fraction-free Bareiss determinant, a column-style Hermite
-normal form with recorded transform, a Smith normal form with its column
-transform, and one fraction-free symmetric LDL^t elimination (ldl).  The
-first three pay only for live rows: a Bareiss step updates the rows with a
-nonzero in its column and brings a skipped row current when it is next
-read (the skipped scalings telescope), the Hermite sweeps visit the
-nonzero columns of the pivot row and skip the rows where both columns are
-zero, and the Smith form takes a unit pivot, found by list membership,
-whenever its block has one.  Each
-returns exactly what the dense elimination returns: the same determinant,
-(H, U) and (D, Q).  The leading minors of ldl give the inertia, and on a
-definite Gram matrix they and its scaled multipliers are the integral
-Gram-Schmidt data.  The Gram-only LLL factors nothing: it keeps the
-caller's (d, lam) of a definite form of either sign current for the
-Fincke-Pohst search in roots; neither uses rationals.
+leans on are one fraction-free symmetric LDL^t elimination (ldl), a
+column-style Hermite normal form with recorded transform, and a Smith
+normal form with its column transform.  All three pay only for live rows:
+an ldl step updates the rows with a nonzero in its column and brings a
+skipped row current when it is next read (the skipped scalings
+telescope), the Hermite sweeps visit the nonzero columns of the pivot row
+and skip the rows where both columns are zero, and the Smith form takes a
+unit pivot, found by list membership, whenever its block has one.  Each
+returns exactly what the dense elimination returns: the same (d, lam),
+(H, U) and (D, Q).  The leading minors of ldl give the inertia, and the
+last of them the determinant of a symmetric matrix (bareiss_det, a name
+the perfbench span tracer reads); on a definite Gram matrix they and its
+scaled multipliers are the integral Gram-Schmidt data.  The Gram-only
+LLL factors nothing: it keeps the caller's (d, lam) of a definite form of
+either sign current for the Fincke-Pohst search in roots; neither uses
+rationals.
 """
 
 from __future__ import annotations
@@ -93,60 +94,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def bareiss_det(m: Mat) -> int:
-    """Determinant of a square integer matrix, fraction-free.
-
-    The empty 0x0 matrix has determinant 1.  Step k of Bareiss's
-    elimination (Math. Comp. 22, 1968), with pivots p[0] = 1 and
-    p[k + 1] = a_kk, sets a_ij <- (p[k + 1] a_ij - a_ik a_kj) // p[k] for
-    i, j > k, and every a_ij is then a minor of M.  It updates only the
-    rows with a nonzero in column k, each with one comprehension over the
-    row tail.  On any other row the step would be the scaling
-    a_ij <- a_ij p[k + 1] / p[k], and a run of them from step s to step k
-    telescopes to p[k] / p[s].  So such a row keeps the minors of step s
-    (seen[i] = s) until it is next read, and is brought current then with
-    one sweep x * p[k] // p[s]: exact, because the current value is itself
-    a minor.  Every stored entry is a minor of some step, so Bareiss's size
-    bound holds.  A scaling keeps zeros zero, so the pivot tests may read a
-    row that is behind.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    seen = [0] * n
-    p = [1]
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            seen[k], seen[pivot] = seen[pivot], seen[k]
-            sign = -sign
-        prev = p[k]
-        row = a[k][k:]
-        if seen[k] != k:
-            g = p[seen[k]]
-            row = [x * prev // g for x in row]
-        pk, top = row[0], row[1:]
-        for i in range(k + 1, n):
-            row = a[i]
-            x = row[k]
-            if x:
-                s = seen[i]
-                if s == k:
-                    row[k + 1 :] = [(y * pk - x * z) // prev
-                                    for y, z in zip(row[k + 1 :], top)]
-                else:
-                    # catch up from step s, then take step k
-                    g = p[s]
-                    x = x * prev // g
-                    row[k + 1 :] = [(y * prev // g * pk - x * z) // prev
-                                    for y, z in zip(row[k + 1 :], top)]
-                seen[i] = k + 1
-        p.append(pk)
-    return sign * (a[n - 1][n - 1] * p[n - 1] // p[seen[n - 1]])
+    """Determinant of a symmetric integer matrix: the last leading minor of
+    ldl, and 1 for the 0x0 matrix.  Each repair step of ldl is a congruence
+    by a unimodular matrix, so that minor is det m.  m must be symmetric,
+    since ldl reads only its lower triangle.  The name stays because the
+    perfbench span tracer reads intlinalg.bareiss_det."""
+    d = ldl(m)[0]
+    return d[-1] if d else 1
 
 
 def hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
@@ -378,73 +332,120 @@ def rational_inverse(m):
 
 def ldl(gram) -> tuple[list[int], list[list[int]]]:
     """Symmetric fraction-free (Bareiss) elimination of a symmetric integer
-    matrix.
+    matrix; the input must be symmetric, since only its lower triangle is
+    read.
 
     Returns fresh lists (d, lam) of ints for the basis B the elimination
     ended up using: d[i] is the leading principal minor of order i + 1 of
     B^t G B, and lam is lower triangular with lam[i][i] = d[i] and
     lam[i][j] = d[j] mu[i][j], where B^t G B = mu diag(p) mu^t with mu unit
     lower triangular and pivots p[i] = d[i] / d[i - 1] (d[-1] = 1).  Step t
-    updates a_ij <- (d[t] a_ij - a_it a_jt) // d[t - 1] for i, j > t, and
+    updates a_ij <- (d[t] a_ij - a_it a_jt) // d[t - 1] for t < j <= i, and
     every division is exact (Sylvester's identity): before step t, a_ij
     (i, j >= t) is the minor of rows 0..t-1, i and columns 0..t-1, j, so
     a_tt = d[t] and a_it = lam[i][t].
 
-    A zero pivot is repaired as in a rational congruence reduction: a
-    symmetric swap with a later basis vector of nonzero square, or, when
-    every remaining diagonal entry is zero, b_j += b_i for a pair with
-    b_i.b_j != 0.  Both act linearly on the bordered minors the matrix
-    holds.  A block that is entirely zero leaves zero minors.  By
-    Sylvester's law the signs of the pivots, read by sign_counts, are the
-    inertia.
+    Step t updates only the rows with a nonzero in column t, in one pass
+    that builds the column as it goes.  On any other row the step would be
+    the scaling a_ij <- a_ij d[t] / d[t - 1], and a run of them from step s
+    to step t telescopes to d[t - 1] / d[s - 1].  So such a row keeps the
+    minors of step s (seen[i] = s) until it is next read, as a live row, as
+    the pivot or before a repair, and is brought current then with one
+    sweep x * d[t - 1] // d[s - 1]: exact, because the current value is
+    itself a minor.  A scaling keeps zeros zero, so the zero tests may read
+    a row that is behind, and the entries of a skipped row left of t are
+    final: zeros of the columns it skipped, multipliers before them.
+
+    A zero pivot is repaired as in a rational congruence reduction, on the
+    lower triangle: a symmetric swap with the first later basis vector
+    b_piv of nonzero square.  When every remaining diagonal entry is zero,
+    b_piv += b_i for the first pair with b_i.b_piv != 0 first gives b_piv
+    the square 2 b_i.b_piv.  Rows t..piv are brought current first; a row
+    below piv only moves or adds entries within itself, so it stays at its
+    step.  Both act linearly on the bordered minors the matrix holds.  A
+    block that is entirely zero leaves zero minors.  By Sylvester's law the
+    signs of the pivots, read by sign_counts, are the inertia, and d[-1] is
+    det G (bareiss_det).
 
     When every pivot has the same strict sign, G is definite, so no repair
     step ran (a definite form has no zero diagonal entry at any stage): B is
     the given basis and (d, lam) are its integral Gram-Schmidt data (de
     Weger): d[j] = d[j - 1] b*_j.b*_j and lam[i][j] = d[j - 1] b_i.b*_j.
-    Only the lower triangle is kept current; a repair step first mirrors it
-    into the upper one, which is never read otherwise.
     """
     n = len(gram)
     a = [list(row[: i + 1]) + [0] * (n - i - 1) for i, row in enumerate(gram)]
-    d: list[int] = []
-    prev = 1
+    p = [1]  # p[t] = d[t - 1]
+    seen = [0] * n
     t = 0
     while t < n:
-        piv = t if a[t][t] else next((i for i in range(t + 1, n) if a[i][i]), None)
-        if piv != t:
-            for i in range(t, n):
-                for j in range(t, i):
-                    a[j][i] = a[i][j]
+        prev = p[t]
+        if not a[t][t]:
+            piv = next((i for i in range(t + 1, n) if a[i][i]), None)
             if piv is None:
                 pair = next(
-                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]),
+                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[j][i]),
                     None,
                 )
                 if pair is None:
-                    d.extend([0] * (n - t))
+                    p += [0] * (n - t)
                     break
-                i, j = pair
-                # b_j += b_i; columns left of t hold the multipliers of b_j
-                for k in range(n):
-                    a[j][k] += a[i][k]
-                for k in range(t, n):
-                    a[k][j] += a[k][i]
-                continue
-            a[t], a[piv] = a[piv], a[t]
-            for row in a[t:]:
+                i, piv = pair
+            # the repair mixes rows t..piv: bring them current; a row below
+            # piv only moves or adds entries within itself
+            for k in range(t, piv + 1):
+                s = seen[k]
+                if s != t:
+                    g, row = p[s], a[k]
+                    row[t : k + 1] = [y * prev // g for y in row[t : k + 1]]
+                    seen[k] = t
+            rt, rp = a[t], a[piv]
+            if not rp[piv]:
+                # b_piv += b_i; columns left of t hold the multipliers of
+                # b_piv, and b_piv.b_k sits in row piv for k < piv, in
+                # column piv for k > piv
+                ri = a[i]
+                rp[piv] += 2 * rp[i] + ri[i]
+                rp[: i + 1] = [x + y for x, y in zip(rp, ri[: i + 1])]
+                for k in range(i + 1, piv):
+                    rp[k] += a[k][i]
+                for row in a[piv + 1 :]:
+                    row[piv] += row[i]
+            # swap b_t and b_piv: their multipliers and squares trade rows,
+            # and b_t.b_k moves between row piv (t < k < piv) and column t
+            rt[:t], rp[:t] = rp[:t], rt[:t]
+            rt[t], rp[piv] = rp[piv], rt[t]
+            for k in range(t + 1, piv):
+                row = a[k]
+                row[t], rp[k] = rp[k], row[t]
+            for row in a[piv + 1 :]:
                 row[t], row[piv] = row[piv], row[t]
-        p = a[t][t]
-        d.append(p)
-        col = [a[i][t] for i in range(t + 1, n)]
-        for i, ci in enumerate(col, t + 1):
+        pk = a[t][t]
+        s = seen[t]
+        if s != t:
+            pk = a[t][t] = pk * prev // p[s]
+        col = []
+        for i in range(t + 1, n):
             row = a[i]
-            row[t + 1 : i + 1] = [(p * x - ci * cj) // prev
-                                  for x, cj in zip(row[t + 1 : i + 1], col)]
-        prev = p
+            x = row[t]
+            if x:
+                s = seen[i]
+                if s == t:
+                    col.append(x)
+                    row[t + 1 : i + 1] = [(y * pk - x * z) // prev
+                                          for y, z in zip(row[t + 1 : i + 1], col)]
+                else:
+                    # catch up from step s, then take step t
+                    g = p[s]
+                    x = row[t] = x * prev // g
+                    col.append(x)
+                    row[t + 1 : i + 1] = [(y * prev // g * pk - x * z) // prev
+                                          for y, z in zip(row[t + 1 : i + 1], col)]
+                seen[i] = t + 1
+            else:
+                col.append(0)
+        p.append(pk)
         t += 1
-    lam = [row[: i + 1] + [0] * (n - i - 1) for i, row in enumerate(a)]
-    return d, lam
+    return p[1:], a
 
 
 def sign_counts(d) -> tuple[int, int, int]:

@@ -142,6 +142,8 @@ def norm(L: Lattice, x) -> int:
 
 
 def determinant(L: Lattice) -> int:
+    """det G, exactly: the last leading minor of the one ldl elimination of
+    the symmetric Gram matrix, read through la.bareiss_det."""
     return la.bareiss_det(L.gram)
 
 

@@ -89,15 +89,40 @@ MUTANTS = (
      "        elif s:\n"
      "            return None\n",
      "            col += 1\n"),
-    # lazily rescaled Bareiss and first-unit Smith pivots (intlinalg)
+    # the live rows of ldl, its zero-pivot repairs, and first-unit Smith
+    # pivots (intlinalg)
     ("bareiss-catch-up-dropped", INTLINALG,
      "                    g = p[s]\n"
-     "                    x = x * prev // g\n"
-     "                    row[k + 1 :] = [(y * prev // g * pk - x * z) // prev\n",
-     "                    row[k + 1 :] = [(y * pk - x * z) // prev\n"),
+     "                    x = row[t] = x * prev // g\n"
+     "                    col.append(x)\n"
+     "                    row[t + 1 : i + 1] = [(y * prev // g * pk - x * z) // prev\n",
+     "                    col.append(x)\n"
+     "                    row[t + 1 : i + 1] = [(y * pk - x * z) // prev\n"),
     ("bareiss-seen-not-advanced", INTLINALG,
-     "                seen[i] = k + 1\n",
+     "                seen[i] = t + 1\n",
      ""),
+    ("ldl-pivot-read-behind", INTLINALG,
+     "            pk = a[t][t] = pk * prev // p[s]\n",
+     "            pass\n"),
+    ("ldl-repair-catch-up-by-d[t-1]", INTLINALG,
+     "row[t : k + 1] = [y * prev // g for y in row[t : k + 1]]",
+     "row[t : k + 1] = [y * prev for y in row[t : k + 1]]"),
+    ("ldl-repair-catch-up-stops-short", INTLINALG,
+     "for k in range(t, piv + 1):",
+     "for k in range(t, piv):"),
+    ("ldl-swap-skips-middle-rows", INTLINALG,
+     "                row[t], rp[k] = rp[k], row[t]\n",
+     "                pass\n"),
+    ("ldl-pair-cross-term-once", INTLINALG,
+     "rp[piv] += 2 * rp[i] + ri[i]",
+     "rp[piv] += rp[i] + ri[i]"),
+    ("ldl-pair-skips-rows-below-piv", INTLINALG,
+     "                for row in a[piv + 1 :]:\n"
+     "                    row[piv] += row[i]\n",
+     ""),
+    ("ldl-zero-block-one-minor-short", INTLINALG,
+     "p += [0] * (n - t)",
+     "p += [0] * (n - t - 1)"),
     ("snf-unit-search-prefers-minus-one", INTLINALG,
      "return i, r.index(-1) if -1 in r[:j] else j",
      "return i, r.index(-1) if -1 in r else j"),

@@ -351,6 +351,77 @@ def dense_bareiss_det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def dense_ldl(gram) -> tuple[list[int], list[list[int]]]:
+    """Symmetric fraction-free (Bareiss) elimination of a symmetric integer
+    matrix.
+
+    Returns fresh lists (d, lam) of ints for the basis B the elimination
+    ended up using: d[i] is the leading principal minor of order i + 1 of
+    B^t G B, and lam is lower triangular with lam[i][i] = d[i] and
+    lam[i][j] = d[j] mu[i][j], where B^t G B = mu diag(p) mu^t with mu unit
+    lower triangular and pivots p[i] = d[i] / d[i - 1] (d[-1] = 1).  Step t
+    updates a_ij <- (d[t] a_ij - a_it a_jt) // d[t - 1] for i, j > t, and
+    every division is exact (Sylvester's identity): before step t, a_ij
+    (i, j >= t) is the minor of rows 0..t-1, i and columns 0..t-1, j, so
+    a_tt = d[t] and a_it = lam[i][t].
+
+    A zero pivot is repaired as in a rational congruence reduction: a
+    symmetric swap with a later basis vector of nonzero square, or, when
+    every remaining diagonal entry is zero, b_j += b_i for a pair with
+    b_i.b_j != 0.  Both act linearly on the bordered minors the matrix
+    holds.  A block that is entirely zero leaves zero minors.  By
+    Sylvester's law the signs of the pivots, read by sign_counts, are the
+    inertia.
+
+    When every pivot has the same strict sign, G is definite, so no repair
+    step ran (a definite form has no zero diagonal entry at any stage): B is
+    the given basis and (d, lam) are its integral Gram-Schmidt data (de
+    Weger): d[j] = d[j - 1] b*_j.b*_j and lam[i][j] = d[j - 1] b_i.b*_j.
+    Only the lower triangle is kept current; a repair step first mirrors it
+    into the upper one, which is never read otherwise.
+    """
+    n = len(gram)
+    a = [list(row[: i + 1]) + [0] * (n - i - 1) for i, row in enumerate(gram)]
+    d: list[int] = []
+    prev = 1
+    t = 0
+    while t < n:
+        piv = t if a[t][t] else next((i for i in range(t + 1, n) if a[i][i]), None)
+        if piv != t:
+            for i in range(t, n):
+                for j in range(t, i):
+                    a[j][i] = a[i][j]
+            if piv is None:
+                pair = next(
+                    ((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j]),
+                    None,
+                )
+                if pair is None:
+                    d.extend([0] * (n - t))
+                    break
+                i, j = pair
+                # b_j += b_i; columns left of t hold the multipliers of b_j
+                for k in range(n):
+                    a[j][k] += a[i][k]
+                for k in range(t, n):
+                    a[k][j] += a[k][i]
+                continue
+            a[t], a[piv] = a[piv], a[t]
+            for row in a[t:]:
+                row[t], row[piv] = row[piv], row[t]
+        p = a[t][t]
+        d.append(p)
+        col = [a[i][t] for i in range(t + 1, n)]
+        for i, ci in enumerate(col, t + 1):
+            row = a[i]
+            row[t + 1 : i + 1] = [(p * x - ci * cj) // prev
+                                  for x, cj in zip(row[t + 1 : i + 1], col)]
+        prev = p
+        t += 1
+    lam = [row[: i + 1] + [0] * (n - i - 1) for i, row in enumerate(a)]
+    return d, lam
+
+
 def dense_hnf_with_transform(m, ncols: int | None = None) -> tuple[Mat, Mat]:
     """Column-style Hermite normal form.
 

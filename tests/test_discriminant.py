@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -66,6 +67,27 @@ def test_unimodular_discriminant_group_needs_no_smith_form(monkeypatch):
     # |det| = 2 is not trivial and still goes through the Smith form
     with pytest.raises(RuntimeError, match="Smith form computed"):
         discriminant_group(A1M)
+
+
+def test_determinant_signature_and_triple_each_run_one_ldl(monkeypatch):
+    # the determinant is the last minor of ldl and the signature the signs
+    # of its pivots, so each of the three reads one elimination of the
+    # Gram matrix; a second elimination would show as a missing or an
+    # extra call.  U's zero diagonal makes ldl repair its first pivot, and
+    # |det| = 4 sends the triple on to the Smith form
+    calls = collections.Counter()
+
+    def counted(*a, _orig=la.ldl):
+        calls["ldl"] += 1
+        return _orig(*a)
+
+    monkeypatch.setattr(la, "ldl", counted)
+    L = direct_sum(direct_sum(U, A1M), A1M)
+    for f, value in ((determinant, -4), (signature, (1, 3, 0)),
+                     (two_elementary_invariants, (4, 2, 1))):
+        calls.clear()
+        assert f(L) == value
+        assert calls == {"ldl": 1}, f.__name__
 
 
 def test_discriminant_group_order_equals_det():

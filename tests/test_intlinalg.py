@@ -96,19 +96,19 @@ def test_det_trivial_cases():
 
 
 def test_det_matches_cofactor_and_sympy():
+    # bareiss_det is the last minor of ldl, so it takes symmetric matrices
     rng = random.Random(11)
     for _ in range(150):
         n = rng.randint(1, 5)
-        m = rand_matrix(rng, n, n)
+        m = rand_symmetric(rng, n)
         d = la.bareiss_det(m)
         assert d == oracles.cofactor_det([list(r) for r in m])
         assert d == oracles.sympy_det(m)
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-       st.integers(-50, 50))
-def test_det_2x2_formula(a, b, c, d):
-    assert la.bareiss_det(((a, b), (c, d))) == a * d - b * c
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
+def test_det_2x2_formula(a, b, d):
+    assert la.bareiss_det(((a, b), (b, d))) == a * d - b * b
 
 
 # --- HNF ---
@@ -122,7 +122,7 @@ def test_hnf_structure():
         m = rand_matrix(rng, rows, cols)
         h, u = la.hnf_with_transform(m)
         # U unimodular, H = M U
-        assert abs(la.bareiss_det(u)) == 1
+        assert abs(oracles.dense_bareiss_det(u)) == 1
         assert la.mat_mul(m, u) == h
         # pivots positive, entries to the left of a pivot reduced into [0, pivot)
         r = la.integer_rank(m)
@@ -252,7 +252,7 @@ def test_snf_transforms_and_divisibility():
             m = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols))
                       for i in range(rows))
         d, q = la.snf_with_transforms(m)
-        assert abs(la.bareiss_det(q)) == 1
+        assert abs(oracles.dense_bareiss_det(q)) == 1
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -295,7 +295,8 @@ def _dense_rank_and_kernel(m, ncols=None):
 
 
 def _assert_same_as_dense(m, ncols=None):
-    if len(m) == (len(m[0]) if m else ncols):
+    if len(m) == (len(m[0]) if m else ncols) and m == la.transpose(m):
+        # bareiss_det is the last minor of ldl, so it takes symmetric matrices
         assert la.bareiss_det(m) == oracles.dense_bareiss_det(m), m
     assert la.hnf_with_transform(m, ncols) == oracles.dense_hnf_with_transform(m, ncols), m
     rank, ker = _dense_rank_and_kernel(m, ncols)
@@ -362,7 +363,7 @@ def test_rational_inverse_roundtrip():
     while done < 60:
         n = rng.randint(1, 5)
         m = rand_matrix(rng, n, n)
-        if la.bareiss_det(m) == 0:
+        if oracles.dense_bareiss_det(m) == 0:
             continue
         inv = la.rational_inverse(m)
         prod = tuple(
@@ -447,6 +448,70 @@ def test_ldl_reconstructs_definite_and_signs_match_inertia():
         assert posdef == (oracles.sympy_inertia(g) == (n, 0, 0))
 
 
+def _random_symmetric_case(rng):
+    """A random symmetric integer matrix of rank 0-22, of density 0.05-1.0:
+    hollow (every pivot search starts with the b_j += b_i repair), with
+    some zero diagonal entries (the symmetric swap), with a trailing zero
+    block, or singular as B^t A B through an inner rank below n."""
+    n = rng.randint(0, 22)
+    kind = rng.randrange(5)
+    lim = rng.choice((1, 1, 2, 9, 100))
+    if kind == 4 and n:
+        r = rng.randint(0, n - 1)
+        b = rand_matrix(rng, r, n, -3, 3)
+        a = rand_symmetric(rng, r, -lim, lim)
+        return la.mat_mul(la.mat_mul(la.transpose(b), a), b) if r else ((0,) * n,) * n
+    density = rng.uniform(0.05, 1.0)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() < density:
+                m[i][j] = m[j][i] = rng.randint(-lim, lim)
+    if kind == 1:
+        for i in range(n):
+            m[i][i] = 0
+    elif kind == 2:
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            m[i][i] = 0
+    elif kind == 3 and n:
+        z = rng.randint(1, n)
+        for row in m[n - z :]:
+            row[n - z :] = [0] * z
+    return la.freeze(m)
+
+
+def test_ldl_equals_the_dense_elimination():
+    # ldl updates only the rows with a nonzero in the pivot column and
+    # rescales a skipped row when it is next read; its (d, lam) must be the
+    # dense code's exactly, since LLL and Fincke-Pohst read them.  Every
+    # zero in d comes from the all-zero block, so the singular cases run it
+    rng = random.Random(3535)
+    hits = collections.Counter()
+    blocks = (((0, 1), (1, 0)), standard_lattice("E8(-1)").gram, ((-2,),), ((-4,),),
+              standard_lattice("LK3").gram)
+    for k in range(3300):
+        if k < 3000:
+            g = _random_symmetric_case(rng)
+        else:
+            # skewed sums of U, E8(-1), A1(-1), <-4> and LK3 up to rank 22;
+            # a light skew keeps some of U's zero diagonal entries
+            chosen = []
+            for b in rng.choices(blocks, k=rng.randint(1, 8)):
+                if sum(map(len, chosen)) + len(b) <= 22:
+                    chosen.append(b)
+            n = sum(map(len, chosen))
+            g = la.freeze(skewed_block_sum(rng, chosen, rng.randint(0, n)))
+        d, lam = la.ldl(g)
+        assert (d, lam) == oracles.dense_ldl(g), g
+        n = len(g)
+        hits["swap"] += n > 1 and not g[0][0] and any(g[i][i] for i in range(n))
+        hits["pair"] += n > 1 and not any(g[i][i] for i in range(n)) and any(map(any, g))
+        hits["singular"] += n > 0 and d[-1] == 0
+        if k % 10 == 0 and n <= 12:
+            assert la.bareiss_det(g) == oracles.sympy_det(g), g
+    assert min(hits["swap"], hits["pair"], hits["singular"]) >= 300, hits
+
+
 # --- LLL on Gram matrices ---
 
 
@@ -469,7 +534,7 @@ def test_lll_preserves_lattice_and_reduces():
         n = rng.randint(1, 6)
         g = _random_posdef_gram(rng, n)
         g2, t = _lll_checked(g)
-        assert abs(la.bareiss_det(t)) == 1
+        assert abs(oracles.dense_bareiss_det(t)) == 1
         assert la.bareiss_det(g2) == la.bareiss_det(g)
         assert la.inertia(g2) == (n, 0, 0)
         # size-reduced and Lovasz-reduced with delta = 3/4, in Fractions
