@@ -9,12 +9,8 @@ check, the rank/hyperbolicity bookkeeping for period domains, and two
 searches for norm -4 "glue partner" configurations.  Both decide an exact
 obstruction first and search a coordinate box only when it passes; the
 degeneracy scan reads S through one Smith read-out of its saturation.
-The box grows: radius 1, 2, 4, ..., doubling up to the requested bound,
-and a search stops in the first box that holds a witness, so it pays
-about the box of its witness, not the box of its bound.  Within each box
-the radii no smaller box held are sorted into place, so the witness is
-the one the full box gives.  A search that finds nothing scans the inner
-boxes as well as the full one.
+The order in which candidates are tried, and the growing boxes they come
+from, are roots' (_witness_candidates, _growing_boxes).
 """
 
 from __future__ import annotations
@@ -31,11 +27,9 @@ from .errors import (
     DimensionMismatch,
     EmbeddingMismatch,
     InvalidInputFile,
-    NotDefinite,
     NotInSublattice,
     NotInvolution,
     NotIsometry,
-    SignMismatch,
     SNotInAntiFixed,
     WrongNorm,
 )
@@ -53,13 +47,7 @@ from .lattices import (
     orthogonal_complement,
     saturate,
 )
-from .roots import (
-    _check_bound,
-    _check_cells,
-    _DataclassFields,
-    bounded_vectors_of_norm,
-    vectors_of_norm,
-)
+from .roots import _check_bound, _DataclassFields, _growing_boxes, _witness_candidates
 
 
 class IntegralInvolution(NamedTuple):
@@ -236,68 +224,19 @@ class MembershipResult(NamedTuple):
     __dataclass_fields__ = _DataclassFields()
 
 
-def _box_radius(v: Vec) -> int:
-    # the smallest coordinate box holding v.  Both searches sort the
-    # representatives, which canonical_order lists in lexicographic order,
-    # and a stable sort keeps that order within a box: the first hit is
-    # minimal for (box, lexicographic), so it stays the witness when the
-    # box grows
-    return max(map(abs, v))
-
-
-def _growing_boxes(L: Lattice, m: int, bound: int):
-    """The representatives of norm m in the box |x_i| <= bound (first
-    nonzero coordinate positive), smallest coordinate box first, then in
-    canonical order, read from boxes of radius 1, 2, 4, ... and last bound.
-
-    The radius doubles, capped at bound, and the next box is scanned only
-    when the caller reads past the last one.  Each box lists its
-    representatives in canonical (lexicographic) order; those with a
-    _box_radius above the previous radius, the ones no inner box held,
-    are sorted by it, and the sort is stable.  So the steps concatenate
-    to the full box's representatives sorted by box, and a search that
-    stops at its first hit returns the witness the full box would give,
-    for about the cost of the box that holds it: the inner boxes of a
-    doubling schedule are a fixed share of the last one.  A search that
-    reads to the end pays for the inner boxes on top of the full one:
-    (2r + 1)^n cells for each inner radius r in rank n.  The cell cap is
-    checked for bound itself, before the first box, so a bound whose box
-    is too large raises EnumerationOverflow even when a smaller box holds
-    a witness.
-    """
-    _check_cells(L.rank, bound)
-    done = 0
-    while done < bound:
-        radius = min(2 * done or 1, bound)
-        found = bounded_vectors_of_norm(L, m, radius)
-        fresh = [v for v in found.vectors[: found.count // 2] if _box_radius(v) > done]
-        yield from sorted(fresh, key=_box_radius)
-        done = radius
-
-
 def _coset_vector(M: Lattice, x: Vec, bound: int) -> MembershipResult:
     """Does the coset x + 2M hold a vector of norm -4?  "yes" with the
-    first such c, smallest coordinate box first, then canonical order, in
-    M's coordinates; "no"; or "unknown".
+    first such c in the order of roots._witness_candidates (smallest
+    coordinate box first, then canonical order), in M's coordinates; "no";
+    or "unknown".
 
     The one search for the norm -4 vectors of M: a definite M is
     enumerated completely (a positive definite one holds none), any other
     inside the coordinate box |c_i| <= bound, and a fruitless box answers
     "unknown".  The coset is negation-closed (-c = c - 2c), so only the
-    representatives, the first half of the canonical list, are tried.
-    The box grows by _growing_boxes, radius 1, 2, 4, ... up to bound, and
-    the search stops in the first box that holds a partner; the new radii
-    of each box are sorted into place, so the partner is the one the full
-    box gives.  An "unknown" has scanned the inner boxes too.
+    representatives are tried.
     """
-    try:
-        found = vectors_of_norm(M, -4)
-    except SignMismatch:
-        return MembershipResult("no", None)
-    except NotDefinite:
-        candidates, complete = _growing_boxes(M, -4, bound), False
-    else:
-        candidates, complete = sorted(found.vectors[: found.count // 2], key=_box_radius), True
+    candidates, complete = _witness_candidates(M, -4, bound)
     for c in candidates:
         if all((a - b) % 2 == 0 for a, b in zip(c, x)):
             return MembershipResult("yes", c)
@@ -404,20 +343,13 @@ def _box_search(L: Lattice, sat: SublatticeEmbedding, gs: la.Mat, den: int,
     0); gs is its Gram and den = |det gs|.
 
     Witnesses are negation-closed (-delta splits as -d1, -d2), so only the
-    representatives, the first half of the canonical list (no zero vector
-    at norm -2), are tried smallest coordinate box first, then in canonical
-    order; the first that splits is the witness.  Each is split in sat's
-    own coordinates by _split.  With d1 = 2 proj_S(delta) = B^t z,
+    representatives are tried, in the order of roots._growing_boxes, even
+    on a definite L; the first that splits is the witness.  Each is split
+    in sat's own coordinates by _split.  With d1 = 2 proj_S(delta) = B^t z,
     delta.d1 = 2 proj_S(delta)^2 = d1^2/2, and d2 = 2 delta - d1 has d2^2 =
     4 delta^2 - d1^2 = -8 - d1^2; so d1^2 = d2^2 = -4 exactly when
     delta.d1 = (B G delta).z = y.z = -2.  adj is an integer matrix whose
     column i is the one integer solution of gs x = den e_i.
-
-    _growing_boxes reads the representatives from boxes of radius 1, 2, 4,
-    ... up to bound and sorts each box's new radii into place, so the
-    search stops in the first box that holds a witness and returns the one
-    the full box gives; a miss scans the inner boxes as well as the full
-    one.
     """
     # adj is symmetric, so its columns serve as its rows
     adj = tuple(la.solve_int(gs, tuple(den * x for x in e)) for e in la.identity(len(gs)))
@@ -443,14 +375,9 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     |det gs|, the product of the invariant factors.  When the obstruction
     holds the answer is an exact "no-witness" and no box is built.
     Otherwise _box_search tries the box's representatives (first nonzero
-    coordinate positive), smallest coordinate box first, then in canonical
-    order, splitting each in sat's coordinates: the first hit is the witness
-    minimizing (coordinate box, lexicographic), so the result is stable
-    when bound grows.  The box grows, radius 1, 2, 4, ... up to bound, and
-    the search stops in the first one that holds a witness: the new radii
-    of each box are sorted into place, so the witness is the full box's,
-    at about the cost of the box that holds it.  A "no-witness-within-bound"
-    has scanned the inner boxes too, on top of the full one.
+    coordinate positive) and splits each in sat's coordinates: the first
+    hit is the witness minimizing (coordinate box, lexicographic), so the
+    result is stable when bound grows.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")

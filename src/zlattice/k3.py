@@ -32,7 +32,6 @@ from .lattices import (
     Vec,
     check_vector,
     determinant,
-    inner_product,
     is_even,
     lattice_from_json_dict,
     orthogonal_complement,
@@ -90,18 +89,17 @@ def make_picard_model(N: Lattice, a0, e, f) -> PicardModel:
     sig = signature(N)
     if sig != (1, N.rank - 1, 0):
         raise NotHyperbolic(f"signature {sig} is not (1, {N.rank - 1}, 0)")
-    marked = (e, f, a0)
-    for i in range(3):
-        for j in range(3):
-            got = inner_product(N, marked[i], marked[j])
-            if got != MARKED_GRAM[i][j]:
-                names = ("e", "f", "a0")
-                raise WrongGramOnMarkedVectors(
-                    f"{names[i]}.{names[j]} = {got}, expected {MARKED_GRAM[i][j]}"
-                )
+    model = PicardModel(N, a0, e, f)
+    got = model.marked_sublattice().induced_gram()
+    if got != MARKED_GRAM:
+        i, j = next((i, j) for i in range(3) for j in range(3) if got[i][j] != MARKED_GRAM[i][j])
+        names = ("e", "f", "a0")
+        raise WrongGramOnMarkedVectors(
+            f"{names[i]}.{names[j]} = {got[i][j]}, expected {MARKED_GRAM[i][j]}"
+        )
     if N.rank > 20:
         raise RankExceeds20(f"rank {N.rank} exceeds 20")
-    return PicardModel(N, a0, e, f)
+    return model
 
 
 def is_nondegenerate(model: PicardModel) -> tuple[bool, tuple[Vec, ...]]:

@@ -19,21 +19,24 @@ per x_1 loop, and hands back the finished canonical list.  After LLL, or
 in the ambient coordinates of an orthogonal complement, the search keeps
 partial sums of the basis vectors, each a map of add over the one above
 and a multiple of a basis row (the one above itself when the coordinate
-is 0), and writes one member of each +-v pair directly in the caller's
-basis.
+is 0), and writes the representative of each +-v pair directly in the
+caller's basis, unordered.
 Each coordinate value fixed at a level above the first and each emitted
 solution counts as a node, and a search that passes _MAX_FP_NODES nodes
 raises EnumerationOverflow.  A norm that is not an int, or a box bound that
 is not a positive one, is refused before any search.  Indefinite lattices
 can only be scanned inside an explicit coordinate box, and the result says
 so.
-The box scan runs on Python ints too: the same walk, ended the same way
-by solving for x_0, inside the box, where a definite plane of the first
-two coordinates bounds x_1 with one isqrt.  It emits one member of each
-+-v pair.  One ordering routine, shared by canonical_order, the box scans
-and the walks in a basis, normalises their signs, sorts them and writes
-the negatives, after the representatives.  A negation-closed witness set
-has its first hit among those, so the witness searches try only them.
+The box scan runs on Python ints too: the same walk over the same
+reversed coordinates, ended the same way by solving for x_0, inside the
+box, where a definite plane of the last two coordinates bounds x_1 with
+one isqrt.  It emits the canonical representatives in ascending order,
+zero first.  One ordering routine, _closure, sorts the representatives
+of canonical_order, the box scans and the walks in a basis and writes
+the negatives after them.  This module alone decides vector order: a
+negation-closed witness set has its first hit among the representatives,
+and _witness_candidates hands the witness searches those, smallest
+coordinate box first, then in canonical order.
 """
 
 from __future__ import annotations
@@ -100,27 +103,21 @@ def canonical_order(vectors) -> tuple[Vec, ...]:
     vs = list(map(tuple, vectors))
     zero = (0,) * len(vs[0]) if vs else ()
     # dedupe in first-seen order, so that already ordered input sorts linearly
-    return _closure(dict.fromkeys(v if v > zero else tuple(map(neg, v)) for v in vs), zero)
+    return _closure(dict.fromkeys(v if v > zero else tuple(map(neg, v)) for v in vs))
 
 
-def _closure(reps, zero) -> tuple[Vec, ...]:
+def _closure(reps) -> tuple[Vec, ...]:
     """The canonical list of distinct representatives, each above zero
     (first nonzero coordinate positive) or zero itself: the ordering
     routine of canonical_order, the box scans and the definite walks in a
-    basis, which writes their negatives.  (The definite walk in the
-    identity basis writes its list in this order itself.)  Zero, if
-    present, sorts first and moves to the middle."""
+    basis, which sorts them and writes their negatives.  (The definite
+    walk in the identity basis writes its list in this order itself; the
+    box scan hands its representatives over already ascending, which the
+    sort passes in one run.)  Zero, if present, sorts first and moves to
+    the middle."""
     reps = sorted(reps)
-    mid = [reps.pop(0)] if reps and reps[0] == zero else []
+    mid = [reps.pop(0)] if reps and not any(reps[0]) else []
     return tuple(reps + mid + [tuple(map(neg, v)) for v in reversed(reps)])
-
-
-def _make_result(vectors, complete: bool) -> EnumerationResult:
-    # a box scan or a definite walk in a basis emits one member of each
-    # pair, once, of either sign; _closure writes the negatives
-    zero = (0,) * len(vectors[0]) if vectors else ()
-    ordered = _closure([v if v > zero else tuple(map(neg, v)) for v in vectors], zero)
-    return EnumerationResult(ordered, len(ordered), complete)
 
 
 def _node_overflow(nodes: int, n: int) -> EnumerationOverflow:
@@ -136,7 +133,8 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     d[i - 1] d[i] has G's sign) and target is positive (the absolute norm).
     basis None writes v as x reversed, (x_{n-1}, ..., x_1, x_0), and
     returns the finished canonical list (see below); with a basis the list
-    holds one member of each +-v pair.
+    holds the representative of each +-v pair (first nonzero coordinate
+    positive), unordered.
 
     With mu[j][i] = lam[j][i] / d[i] and pivots p_i = d[i] / d[i - 1],
     |x^t G x| = sum_i |p_i| (x_i + sum_{j>i} mu[j][i] x_j)^2.  For
@@ -171,12 +169,15 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
     over part[i + 1] and x_i basis[i] on entering level i (part[i + 1]
     itself when x_i starts at 0) and over part[i] and basis[i] at each
     step; an x_1 with a root adds x_1 basis[1] to part[2] when x_1 is not
-    0, and each x_0 adds x_0 basis[0] to that when x_0 is not 0.  The
-    caller orders that list with _make_result.  Every coordinate value
-    fixed at a level >= 1 and every emitted x_0 counts as a node; past
-    _MAX_FP_NODES the search raises EnumerationOverflow.  Rank 1 solves
+    0, and each x_0 adds x_0 basis[0] to that when x_0 is not 0.  The sum
+    is written as its representative, negated when it sorts below the
+    zero vector part[n], and the caller sorts that list with _closure.
+    Every coordinate value fixed at a level >= 1 and every emitted x_0
+    counts as a node; past _MAX_FP_NODES the search raises
+    EnumerationOverflow.  Rank 1 solves
     for x_0 alone: it finds at most one x, writes its negative too when
-    basis is None, and counts no nodes.
+    basis is None, and its representative with a basis, and counts no
+    nodes.
     """
     n = len(d)
     # g[i] carries the sign of d[i], so s[i] > 0
@@ -196,7 +197,8 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
             if basis is None:
                 found += [(x0,), (-x0,)]
             else:
-                found.append(tuple(x0 * b for b in basis[0]))
+                v = tuple(x0 * b for b in basis[0])
+                found.append(max(v, tuple(map(neg, v))))
         return found
     s0, s1, w0, w1 = s[0], s[1], w[0], w[1]
     c01 = lam[1][0] // g[0]
@@ -233,7 +235,7 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                     xs = x[:1:-1]
                     nxs = [-c for c in xs]
                 else:
-                    xs, b1, b0 = part[2], basis[1], basis[0]
+                    xs, b1, b0, zero = part[2], basis[1], basis[0], part[n]
                 for x1 in range(lo, hi[1] + 1):
                     nodes += 1
                     if nodes > cap:
@@ -256,7 +258,8 @@ def _fp_enumerate(d, lam, target: int, basis) -> list[Vec]:
                                 found.append((*xs, x1, x0))
                                 negs.append((*nxs, -x1, -x0))
                             else:
-                                found.append(tuple(map(add, p1, [x0 * c for c in b0])) if x0 else p1)
+                                v = tuple(map(add, p1, [x0 * c for c in b0])) if x0 else p1
+                                found.append(v if v > zero else tuple(map(neg, v)))
                     if nodes > cap:
                         raise _node_overflow(nodes, n)
                 i = 2
@@ -312,12 +315,12 @@ def _definite_vectors(gram, m: int, basis) -> EnumerationResult:
     itself.  From rank _LLL_MIN_RANK on, lll_reduce_gram first reduces
     the (d, lam) of the given order in place, of either sign, and the
     reduced unit vectors map to transpose(T) basis; a walk in that basis,
-    like one in any other, emits one member of each pair, unordered and
-    of arbitrary sign, and _make_result orders it.
+    like one in any other, emits the representative of each pair,
+    unordered, and _closure sorts it.
     """
     n = len(gram)
     if n == 0:
-        return _make_result([], True)
+        return EnumerationResult((), 0, True)
     lll = n >= _LLL_MIN_RANK
     if not lll:
         gram = [row[::-1] for row in gram[::-1]]
@@ -335,9 +338,9 @@ def _definite_vectors(gram, m: int, basis) -> EnumerationResult:
         trans = la.transpose(la.lll_reduce_gram(d, lam))
         basis = trans if basis is None else la.mat_mul(trans, basis)
     found = _fp_enumerate(d, lam, abs(m), basis)
-    if basis is None:
-        return EnumerationResult(tuple(found), len(found), True)
-    return _make_result(found, True)
+    if basis is not None:
+        found = _closure(found)
+    return EnumerationResult(tuple(found), len(found), True)
 
 
 def _check_norm(m) -> None:
@@ -378,14 +381,18 @@ def constrained_roots(L: Lattice, ortho, m: int) -> EnumerationResult:
         raise ComplementNotDefinite(f"complement: {exc}") from None
     except SignMismatch:
         # wrong-sign norm in a definite complement: simply no solutions
-        return _make_result([], True)
+        return EnumerationResult((), 0, True)
 
 
 def _box_scan(gram, m: int, bound: int) -> list[Vec]:
-    """Every x with max |x_i| <= bound and x^t gram x = m that is zero or
-    has its last nonzero coordinate positive (one of each +-pair),
-    unordered; _make_result writes the negatives.
+    """The canonical representatives (first nonzero coordinate positive)
+    of the v with max |v_i| <= bound and v^t gram v = m, in ascending
+    order, zero first when m is 0; _closure writes the negatives.
 
+    As in _definite_vectors, the walk runs over the coordinates reversed,
+    x_i = v_{n-1-i}, and writes each x back as v = (x_{n-1}, ..., x_0), so
+    its rule "last nonzero coordinate positive" is the canonical one and
+    its level order, every level upwards, is lexicographic order of v.
     The multiples x_0 e_0 come first: g00 x_0^2 = m, x_0 >= 0.  The rest
     are walked over x_{n-1}..x_2 with the loop of _fp_enumerate, each
     level keeping the tail norm and part = gram x_tail cut to the
@@ -395,7 +402,8 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     and rest = m - (norm of x_1..x_{n-1}) by finite differences (drest)
     and solves g00 x_0^2 + 2 p x_0 = rest: x_0 = (-p +- isqrt(p^2 +
     g00 rest)) / g00, or rest / 2p when g00 = 0, or, when p and rest are
-    both 0, every x_0 of the box.
+    both 0, every x_0 of the box.  The two roots are tried in the order
+    that makes x_0 ascend: -r first when g00 > 0, r first when g00 < 0.
     When the head [[g00, g01], [g01, g11]] is definite, a = g00 g11 - g01^2
     > 0 bounds x_1 first.  With p = p_0 + g01 x_1 and rest = r_0 -
     2 p_1 x_1 - g11 x_1^2 (p_0, p_1 = part[2], r_0 = m - tail[2]), the
@@ -410,17 +418,19 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
     n = len(gram)
     if n == 0:
         return [()] if m == 0 else []
+    gram = [row[::-1] for row in gram[::-1]]
     g00 = gram[0][0]
     zeros = (0,) * (n - 1)
     if not g00:
-        hits = [(x0, *zeros) for x0 in range(bound + 1)] if m == 0 else []
+        hits = [(*zeros, x0) for x0 in range(bound + 1)] if m == 0 else []
     else:
         q, k = divmod(m, g00)
         r = isqrt(q) if q > 0 else 0
-        hits = [(r, *zeros)] if not k and r * r == q and r <= bound else []
+        hits = [(*zeros, r)] if not k and r * r == q and r <= bound else []
     if n == 1:
         return hits
     g01, g11 = gram[0][1], gram[1][1]
+    sg = 1 if g00 > 0 else -1
     # a > 0: the head [[g00, g01], [g01, g11]] is definite
     a = g00 * g11 - g01 * g01
     cols = [tuple(gram[j][i] for j in range(i)) for i in range(n)]
@@ -448,23 +458,24 @@ def _box_scan(gram, m: int, bound: int) -> list[Vec]:
             p += g01 * lo
             rest = m - tail[2] - lo * (2 * p1 + g11 * lo)
             drest = -2 * p1 - g11 * (2 * lo + 1)
+            xs = x[:1:-1]
             for x1 in range(lo, hi + 1):
                 if g00:
                     disc = p * p + g00 * rest
                     if disc >= 0:
                         r = isqrt(disc)
                         if r * r == disc:
-                            for y in {r, -r}:
+                            for y in (-sg * r, sg * r) if r else (0,):
                                 x0, k = divmod(y - p, g00)
                                 if not k and -bound <= x0 <= bound:
-                                    hits.append((x0, x1, *x[2:]))
+                                    hits.append((*xs, x1, x0))
                 elif p:
                     if not rest % (2 * p):
                         x0 = rest // (2 * p)
                         if -bound <= x0 <= bound:
-                            hits.append((x0, x1, *x[2:]))
+                            hits.append((*xs, x1, x0))
                 elif not rest:
-                    hits.extend((x0, x1, *x[2:]) for x0 in range(-bound, bound + 1))
+                    hits.extend((*xs, x1, x0) for x0 in range(-bound, bound + 1))
                 p += g01
                 rest += drest
                 drest -= 2 * g11
@@ -509,4 +520,62 @@ def bounded_vectors_of_norm(L: Lattice, m: int, bound: int) -> EnumerationResult
     _check_norm(m)
     _check_bound(bound)
     _check_cells(L.rank, bound)
-    return _make_result(_box_scan(L.gram, m, bound), False)
+    found = _closure(_box_scan(L.gram, m, bound))
+    return EnumerationResult(found, len(found), False)
+
+
+def _box_radius(v: Vec) -> int:
+    # the smallest coordinate box holding v
+    return max(map(abs, v))
+
+
+def _growing_boxes(L: Lattice, m: int, bound: int):
+    """The representatives of norm m in the box |x_i| <= bound (first
+    nonzero coordinate positive), smallest coordinate box first, then in
+    canonical order, read from boxes of radius 1, 2, 4, ... and last bound.
+
+    This is the box schedule of both witness searches.  The radius
+    doubles, capped at bound, and the next box is read, through
+    bounded_vectors_of_norm, only when the caller reads past the last one.
+    Each box lists its representatives in canonical (lexicographic) order;
+    those with a _box_radius above the previous radius, the ones no inner
+    box held, are sorted by it, and the sort is stable (a doubling step
+    such as (2, 4] holds more than one radius).  So the steps concatenate
+    to the full box's representatives sorted by box, and a search that
+    stops at its first hit returns the witness the full box would give,
+    which stays the witness when the bound grows, for about the cost of
+    the box that holds it: the inner boxes of a doubling schedule are a
+    fixed share of the last one.  A search that reads to the end pays for
+    the inner boxes on top of the full one: (2r + 1)^n cells for each
+    inner radius r in rank n.  The cell cap is checked for bound itself,
+    before the first box, so a bound whose box is too large raises
+    EnumerationOverflow even when a smaller box holds a witness.
+    """
+    _check_cells(L.rank, bound)
+    done = 0
+    while done < bound:
+        radius = min(2 * done or 1, bound)
+        found = bounded_vectors_of_norm(L, m, radius)
+        fresh = [v for v in found.vectors[: found.count // 2] if _box_radius(v) > done]
+        yield from sorted(fresh, key=_box_radius)
+        done = radius
+
+
+def _witness_candidates(L: Lattice, m: int, bound: int):
+    """(candidates, complete): the representatives of norm m (first
+    nonzero coordinate positive), smallest coordinate box first, then in
+    canonical order, and whether they are all of L's representatives of
+    norm m.
+
+    A definite L is enumerated completely by vectors_of_norm and its
+    representatives, the first half of the canonical list, sorted by
+    _box_radius (stably); a norm of the wrong sign has none.  Any other L
+    is read from _growing_boxes up to bound, and complete is False.
+    """
+    try:
+        found = vectors_of_norm(L, m)
+    except SignMismatch:
+        return (), True
+    except NotDefinite:
+        return _growing_boxes(L, m, bound), False
+    return sorted(found.vectors[: found.count // 2], key=_box_radius), True

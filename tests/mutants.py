@@ -42,7 +42,7 @@ _X1_LOOP = (
     "                    xs = x[:1:-1]\n"
     "                    nxs = [-c for c in xs]\n"
     "                else:\n"
-    "                    xs, b1, b0 = part[2], basis[1], basis[0]\n"
+    "                    xs, b1, b0, zero = part[2], basis[1], basis[0], part[n]\n"
     "                for x1 in range(lo, hi[1] + 1):\n"
     "                    nodes += 1\n"
     "                    if nodes > cap:\n"
@@ -164,6 +164,9 @@ MUTANTS = (
     ("fp-rank1-negative-dropped", ROOTS,
      "found += [(x0,), (-x0,)]",
      "found += [(x0,)]"),
+    ("fp-basis-sign-not-normalised", ROOTS,
+     "found.append(v if v > zero else tuple(map(neg, v)))",
+     "found.append(v)"),
     ("fp-basis-zero-share-always", ROOTS,
      "part[i] = tuple(map(add, part[i + 1], [lo * b for b in basis[i]])) if lo else part[i + 1]",
      "part[i] = part[i + 1]"),
@@ -207,13 +210,22 @@ MUTANTS = (
     ("coset-sign-min", INVOLUTIONS,
      "max(w, tuple(-x for x in w))",
      "min(w, tuple(-x for x in w))"),
-    # the growing boxes of both searches (involutions._growing_boxes)
-    ("radii-full-box-first", INVOLUTIONS,
+    # the witness order of both searches (roots._growing_boxes and
+    # roots._witness_candidates)
+    ("radii-full-box-first", ROOTS,
      "radius = min(2 * done or 1, bound)",
      "radius = bound"),
-    ("radii-no-sort-in-step", INVOLUTIONS,
+    ("radii-no-sort-in-step", ROOTS,
      "yield from sorted(fresh, key=_box_radius)",
      "yield from fresh"),
+    ("coset-sign-mismatch-unknown", ROOTS,
+     "    except SignMismatch:\n"
+     "        return (), True\n",
+     "    except SignMismatch:\n"
+     "        return (), False\n"),
+    ("definite-candidates-sorted-without-radius", ROOTS,
+     "return sorted(found.vectors[: found.count // 2], key=_box_radius), True",
+     "return sorted(found.vectors[: found.count // 2]), True"),
     # products with the sparse factor on the left (involutions) and the
     # one-test integer boundary (lattices._ints)
     ("isometry-reads-psi-g", INVOLUTIONS,
@@ -249,15 +261,18 @@ MUTANTS = (
      "        raise EmbeddingMismatch(\"sublattice is embedded in a different lattice\")\n"
      "    sat = saturate(s)\n",
      "    sat = saturate(s)\n"),
-    ("coset-sign-mismatch-unknown", INVOLUTIONS,
-     "    except SignMismatch:\n"
-     "        return MembershipResult(\"no\", None)\n",
-     "    except SignMismatch:\n"
-     "        return MembershipResult(\"unknown\", None)\n"),
     ("ints-accepts-bool", LATTICES,
      "<= {int}",
      "<= {int, bool}"),
-    # box scan (roots._box_scan)
+    # box scan (roots._box_scan): the reversed walk, x_0's roots ascending
+    # for either sign of g00, and its finite differences
+    ("box-gram-unreversed", ROOTS,
+     "    gram = [row[::-1] for row in gram[::-1]]\n"
+     "    g00 = gram[0][0]\n",
+     "    g00 = gram[0][0]\n"),
+    ("box-x0-roots-one-order", ROOTS,
+     "for y in (-sg * r, sg * r) if r else (0,):",
+     "for y in (-r, r) if r else (0,):"),
     ("box-tail-norm-without-2", ROOTS,
      "tail[i] = tail[i + 1] + xi * (2 * part[i + 1][i] + gram[i][i] * xi)",
      "tail[i] = tail[i + 1] + xi * (part[i + 1][i] + gram[i][i] * xi)"),

@@ -57,7 +57,7 @@ from zlattice import (
     standard_lattice,
     two_elementary_invariants,
 )
-from zlattice import intlinalg as la, involutions
+from zlattice import intlinalg as la, involutions, roots
 from zlattice.involutions import MembershipResult, _box_search, _split
 
 U = standard_lattice("U")
@@ -1004,13 +1004,13 @@ def test_growing_boxes_scan_only_up_to_the_witness(monkeypatch):
     # the boxes the searches ask for: the witness of N4 with S' lies at
     # radius 1, DEEP's partner at radius 2, and a miss scans every radius
     radii = []
-    box = involutions.bounded_vectors_of_norm
+    box = roots.bounded_vectors_of_norm
 
     def recorded(L, m, bound):
         radii.append(bound)
         return box(L, m, bound)
 
-    monkeypatch.setattr(involutions, "bounded_vectors_of_norm", recorded)
+    monkeypatch.setattr(roots, "bounded_vectors_of_norm", recorded)
     assert da_degeneracy_scan(n4_model().lattice, n4_sprime(), 6).delta == (0, 0, 1, -1)
     assert radii == [1]
     radii.clear()
@@ -1037,7 +1037,7 @@ def test_growing_boxes_refuse_the_full_box_before_the_first(monkeypatch):
     # the glue obstruction passes: at bound 1 the box answers
     assert da_degeneracy_scan(L, s, 1).delta == (0, 0, 1, -1) + (0,) * 8
     scanned = []
-    monkeypatch.setattr(involutions, "bounded_vectors_of_norm",
+    monkeypatch.setattr(roots, "bounded_vectors_of_norm",
                         lambda *args: scanned.append(args))
     with pytest.raises(EnumerationOverflow) as exc:
         da_degeneracy_scan(L, s, 4)

@@ -30,7 +30,7 @@ from zlattice import (
     vectors_of_norm,
 )
 from zlattice import intlinalg as la
-from zlattice import involutions
+from zlattice import roots
 from zlattice.errors import InvalidInputFile
 
 S = standard_lattice("S311")
@@ -152,7 +152,7 @@ def test_model_scan_reaches_rank_20_without_a_box(monkeypatch):
     def no_box(*args):
         raise AssertionError("box search reached")
 
-    monkeypatch.setattr(involutions, "bounded_vectors_of_norm", no_box)
+    monkeypatch.setattr(roots, "bounded_vectors_of_norm", no_box)
     e8 = standard_lattice("E8(-1)")
     for extra in ((e8, e8), (e8, e8, standard_lattice("A1(-1)"))):
         N = S

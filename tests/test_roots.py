@@ -269,17 +269,24 @@ def test_box_scan_e8_radius_three():
 
 
 def test_box_scan_matches_bruteforce_oracle():
+    # the walk's head g00 is the last diagonal entry: zero, negative, or
+    # the whole diagonal zero (hollow)
     rng = random.Random(13)
     cases = []
-    for k in range(60):
+    for k in range(120):
         n = rng.randint(1, 5)
         top = 4 if k % 3 == 0 else 2 ** rng.randint(40, 62)
         m = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-top, top)
-        if k % 2:
-            m[0][0] = 0
+        if k % 4 == 1:
+            m[-1][-1] = 0
+        elif k % 4 == 2:
+            m[-1][-1] = -abs(m[-1][-1]) or -2
+        elif k % 4 == 3:
+            for i in range(n):
+                m[i][i] = 0
         bound = rng.randint(1, 3 if n <= 3 else 2)
         if top == 4:
             target = rng.choice((-4, -2, 0, 2, 4))
@@ -291,24 +298,33 @@ def test_box_scan_matches_bruteforce_oracle():
     # large bounds: a long x_1 loop in rank 2, and rank 1 solved at once
     cases.append(([[0, 3], [3, -2]], -2 * 129 * 129 + 6 * 5 * 129, 130))
     cases.append(([[-2]], -2 * 32900 * 32900, 33000))
+    both_roots = 0
     for m, target, bound in cases:
         L = make_lattice(tuple(tuple(r) for r in m))
         got = bounded_vectors_of_norm(L, target, bound)
         expect = oracles.brute_box_vectors(m, target, bound)
         assert set(got.vectors) == set(expect)
         assert got.count == len(expect)
-        # the scan itself emits each +- pair once, as either member, and
-        # the zero vector
+        # the scan itself emits the canonical representatives in
+        # ascending order, zero first
         zero = (0,) * len(m)
-        reps = sorted(max(v, tuple(-c for c in v)) for v in roots._box_scan(L.gram, target, bound))
-        assert reps == [v for v in expect if v >= zero]
+        ordered = canonical_order(expect)
+        reps = [zero] * (zero in expect) + list(ordered[: len(ordered) // 2])
+        assert roots._box_scan(L.gram, target, bound) == reps, (m, target, bound)
+        # two hits that differ only in the walk's x_0, the last coordinate,
+        # under a negative head: its two roots, in the order that ascends
+        if m[-1][-1] < 0:
+            both_roots += any(a[:-1] == b[:-1] for a, b in zip(reps, reps[1:]))
     assert any(target == 0 for _, target, _ in cases)
+    assert both_roots >= 3, both_roots
 
 
 def test_box_scan_with_a_definite_head_matches_bruteforce_oracle():
     # a definite head [[g00, g01], [g01, g11]] bounds x_1 by one isqrt per
-    # tail; the rest of the form is random, mostly indefinite.  The norm of
-    # a box vector puts hits on the ends of that x_1 interval
+    # tail; the walk runs over the coordinates reversed, so its head is the
+    # last two coordinates, x_0 = v_{n-1} and x_1 = v_{n-2}.  The rest of
+    # the form is random, mostly indefinite.  The norm of a box vector puts
+    # hits on the ends of that x_1 interval
     rng = random.Random(2024)
     cases = edge = 0
     while cases < 600:
@@ -320,8 +336,9 @@ def test_box_scan_with_a_definite_head_matches_bruteforce_oracle():
         for i in range(n):
             for j in range(i):
                 m[i][j] = m[j][i]
-        m[0][0], m[1][1] = sign * rng.randint(1, top), sign * rng.randint(1, top)
-        if m[0][0] * m[1][1] <= m[0][1] ** 2:
+        h0, h1 = n - 1, n - 2
+        m[h0][h0], m[h1][h1] = sign * rng.randint(1, top), sign * rng.randint(1, top)
+        if m[h0][h0] * m[h1][h1] <= m[h0][h1] ** 2:
             continue
         v = [rng.randint(-bound, bound) for _ in range(n)]
         target = sum(v[i] * m[i][j] * v[j] for i in range(n) for j in range(n))
@@ -330,14 +347,15 @@ def test_box_scan_with_a_definite_head_matches_bruteforce_oracle():
         assert bounded_vectors_of_norm(L, target, bound).vectors == canonical_order(expect), (m, target)
         cases += 1
         # a hit whose x_1 is an end of the interval the head allows
-        a = m[0][0] * m[1][1] - m[0][1] ** 2
+        a = m[h0][h0] * m[h1][h1] - m[h0][h1] ** 2
+        rest = range(n - 2)
         for x in expect:
-            p = sum(m[0][j] * x[j] for j in range(2, n))
-            p1 = sum(m[1][j] * x[j] for j in range(2, n))
-            tail = sum(x[i] * m[i][j] * x[j] for i in range(2, n) for j in range(2, n))
-            b = m[0][1] * p - m[0][0] * p1
-            s = math.isqrt(b * b + a * (p * p + m[0][0] * (target - tail)))
-            edge += x[1] in (-((s - b) // a), (b + s) // a)
+            p = sum(m[h0][j] * x[j] for j in rest)
+            p1 = sum(m[h1][j] * x[j] for j in rest)
+            tail = sum(x[i] * m[i][j] * x[j] for i in rest for j in rest)
+            b = m[h0][h1] * p - m[h0][h0] * p1
+            s = math.isqrt(b * b + a * (p * p + m[h0][h0] * (target - tail)))
+            edge += x[h1] in (-((s - b) // a), (b + s) // a)
     assert edge >= 100
 
 
@@ -364,6 +382,28 @@ def test_box_scan_equals_enumeration_on_skewed_definite_forms():
                 pairings = {tuple(sum(map(mul, gram[r][2:], x)) for r in (0, 1)) for x in tails}
                 distinct += len(pairings) == len(tails)
     assert checked >= 20 and distinct >= 5
+
+
+def test_witness_candidates_come_smallest_box_first():
+    # the order both witness searches try: the representatives, smallest
+    # coordinate box first, then canonical order; complete for a definite
+    # lattice, none at a norm of the wrong sign, growing boxes otherwise
+    def radius_order(vectors):
+        ordered = canonical_order(vectors)
+        return sorted(ordered[: len(ordered) // 2], key=lambda v: max(map(abs, v)))
+
+    for m in (-2, -4):
+        exact = vectors_of_norm(E8M, m).vectors
+        got, complete = roots._witness_candidates(E8M, m, 1)
+        assert complete and list(got) == radius_order(exact)
+        # canonical order alone puts a radius-2 vector before a radius-1 one
+        assert list(got) != list(exact[: len(exact) // 2])
+    assert roots._witness_candidates(E8M, 2, 1) == ((), True)
+    L = make_lattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
+    for bound in (1, 3, 5):
+        got, complete = roots._witness_candidates(L, -2, bound)
+        assert not complete
+        assert list(got) == radius_order(oracles.brute_box_vectors(L.gram, -2, bound))
 
 
 def test_box_scan_bound_validation():
