@@ -25,10 +25,10 @@ returns exactly what the dense elimination returns: the same (d, lam),
 (H, U) and (D, Q).  The leading minors of ldl give the inertia, and the
 last of them the determinant of a symmetric matrix (bareiss_det, a name
 the perfbench span tracer reads); on a definite Gram matrix they and its
-scaled multipliers are the integral Gram-Schmidt data.  The Gram-only
-LLL factors nothing: it keeps the caller's (d, lam) of a definite form of
-either sign current for the Fincke-Pohst search in roots; neither uses
-rationals.
+scaled multipliers are the integral Gram-Schmidt data.  LLL factors
+nothing: it reduces the basis rows it is handed, in the caller's
+coordinates, and keeps the caller's (d, lam) of a definite form of either
+sign current for the Fincke-Pohst search in roots; neither uses rationals.
 """
 
 from __future__ import annotations
@@ -463,21 +463,25 @@ def inertia(gram) -> tuple[int, int, int]:
     return sign_counts(ldl(gram)[0])
 
 
-def lll_reduce_gram(d, lam) -> Mat:
-    """LLL-reduce a definite Gram matrix G, given only (d, lam) = ldl(G).
+def lll_reduce_gram(d, lam, rows) -> Mat:
+    """LLL-reduce the basis vectors rows of a definite Gram matrix G, given
+    only (d, lam) = ldl(G).
 
-    Returns T unimodular and leaves (d, lam) = ldl(T^t G T) in place.  The
-    reduction (Cohen, Alg. 2.6.7, delta = 3/4) updates only T and (d, lam):
+    rows[i] is the basis vector b_i in whatever coordinates the caller
+    wants back, and may be wider than n.  Returns the reduced rows T^t rows,
+    for a unimodular T that is never formed, and leaves (d, lam) =
+    ldl(T^t G T) in place.  The reduction (Cohen, Alg. 2.6.7, delta = 3/4)
+    acts on the rows themselves, and every decision reads only (d, lam):
     mu = lam[k][j] / d[j] rounds to (2 lam[k][j] + d[j]) // (2 d[j]), the
     Lovasz test reads 4 (d[k] d[k-2] + lam[k][k-1]^2) >= 3 d[k-1]^2
-    (d[-1] = 1), size reduction changes row k of lam, and a swap of b_(k-1)
-    and b_k updates their rows and columns by exact divisions.  G may be
-    negative: ldl(-G) is ldl(G) with d[j] and column j of lam times
-    (-1)^(j+1), so each test reads the same values, each update keeps the
-    sign of its column, and T is that of -G.
+    (d[-1] = 1), size reduction b_k -= q b_j changes row k of lam, and a
+    swap of b_(k-1) and b_k updates their rows and columns by exact
+    divisions.  G may be negative: ldl(-G) is ldl(G) with d[j] and column j
+    of lam times (-1)^(j+1), so each test reads the same values, each
+    update keeps the sign of its column, and T is that of -G.
     """
     n = len(d)
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = list(rows)
     k = 1
     while k < n:
         lk = lam[k]
@@ -485,8 +489,7 @@ def lll_reduce_gram(d, lam) -> Mat:
             q = (2 * lk[j] + d[j]) // (2 * d[j])
             if q:
                 # b_k -= q b_j; lam[j][j] = d[j] takes q d[j] off lam[k][j]
-                for r in t:
-                    r[k] -= q * r[j]
+                rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
                 lk[: j + 1] = [x - q * y for x, y in zip(lk, lam[j][: j + 1])]
         prev = d[k - 2] if k > 1 else 1
         off = lk[k - 1]
@@ -494,8 +497,7 @@ def lll_reduce_gram(d, lam) -> Mat:
             k += 1
             continue
         # swap b_(k-1) and b_k; lam[k][k-1] and d[k] stay as they are
-        for r in t:
-            r[k], r[k - 1] = r[k - 1], r[k]
+        rows[k], rows[k - 1] = rows[k - 1], rows[k]
         above = lam[k - 1]
         lk[: k - 1], above[: k - 1] = above[: k - 1], lk[: k - 1]
         b = (prev * d[k] + off * off) // d[k - 1]
@@ -505,4 +507,4 @@ def lll_reduce_gram(d, lam) -> Mat:
             row[k - 1] = (b * s + off * row[k]) // d[k]
         d[k - 1] = above[k - 1] = b
         k = max(k - 1, 1)
-    return freeze(t)
+    return freeze(rows)

@@ -68,7 +68,12 @@ _MAX_BOX_CELLS = 200_000_000
 # norm -6 (1,050,240 vectors) stays below it; at norm -8 it does not.
 _MAX_FP_NODES = 10_000_000
 
-# Definite searches LLL-reduce from this rank on; below, it is not worth its cost.
+# Definite searches LLL-reduce from this rank on.  Below it the reduction
+# costs more than it saves on the bases seen so far: E8(-1) at norms -2 and
+# -4 takes 2.0 ms without it and 5.1 ms with it, three skews of it (8 column
+# operations each) 3.6-5.0 against 4.8-5.0 ms (best of 3, in-process,
+# Python 3.11, 2 shared cores).  The rank alone decides; see the
+# _LLL_MIN_RANK FOUND line of CHANGES.md for a rule read per input.
 _LLL_MIN_RANK = 10
 
 class _DataclassFields:
@@ -312,11 +317,11 @@ def _definite_vectors(gram, m: int, basis) -> EnumerationResult:
     with it, so the walk's rule "last nonzero coordinate positive" is the
     canonical "first nonzero coordinate positive" and its level order is
     lexicographic: with basis None the walk writes the canonical list
-    itself.  From rank _LLL_MIN_RANK on, lll_reduce_gram first reduces
-    the (d, lam) of the given order in place, of either sign, and the
-    reduced unit vectors map to transpose(T) basis; a walk in that basis,
-    like one in any other, emits the representative of each pair,
-    unordered, and _closure sorts it.
+    itself.  From rank _LLL_MIN_RANK on, lll_reduce_gram reduces the
+    basis rows themselves (the unit vectors when basis is None), of either
+    sign, and the (d, lam) of the given order in place with them; a walk
+    in the reduced basis, like one in any other, emits the representative
+    of each pair, unordered, and _closure sorts it.
     """
     n = len(gram)
     if n == 0:
@@ -335,8 +340,7 @@ def _definite_vectors(gram, m: int, basis) -> EnumerationResult:
             f"norm {m} cannot occur in a {'positive' if positive else 'negative'} definite lattice"
         )
     if lll:
-        trans = la.transpose(la.lll_reduce_gram(d, lam))
-        basis = trans if basis is None else la.mat_mul(trans, basis)
+        basis = la.lll_reduce_gram(d, lam, la.identity(n) if basis is None else basis)
     found = _fp_enumerate(d, lam, abs(m), basis)
     if basis is not None:
         found = _closure(found)

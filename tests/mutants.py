@@ -83,6 +83,13 @@ MUTANTS = (
     ("lll-mu-rounded-with-abs-d", INTLINALG,
      "q = (2 * lk[j] + d[j]) // (2 * d[j])",
      "q = (2 * lk[j] + abs(d[j])) // (2 * abs(d[j]))"),
+    # the basis rows LLL reduces in place of a transform
+    ("lll-size-reduces-row-j", INTLINALG,
+     "rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]",
+     "rows[j] = [x - q * y for x, y in zip(rows[j], rows[k])]"),
+    ("lll-row-swap-dropped", INTLINALG,
+     "        rows[k], rows[k - 1] = rows[k - 1], rows[k]\n",
+     ""),
     # one row pass of the HNF solve (intlinalg.solve_int)
     ("solve-skips-free-rows", INTLINALG,
      "            col += 1\n"

@@ -516,15 +516,20 @@ def test_ldl_equals_the_dense_elimination():
 
 
 def _lll_checked(g, sign=1):
-    # LLL reduces ldl(sign G) in place and returns T alone: form T^t G T
-    # here, compare (T^t G T, T) with the Fraction reference on G and the
-    # reduced (d, lam) with a fresh ldl of T^t (sign G) T
+    # LLL reduces ldl(sign G) in place and the rows it is handed: handed
+    # the identity rows it returns T^t, so form T^t G T here, compare
+    # (T^t G T, T) with the Fraction reference on G and the reduced
+    # (d, lam) with a fresh ldl of T^t (sign G) T.  Handed wider rows B
+    # that are not the identity, it returns T^t B
+    n = len(g)
     signed = tuple(tuple(sign * x for x in row) for row in g)
     d, lam = la.ldl(signed)
-    t = la.lll_reduce_gram(d, lam)
+    t = la.transpose(la.lll_reduce_gram(d, lam, la.identity(n)))
     g2 = la.mat_mul(la.mat_mul(la.transpose(t), g), t)
     assert (g2, t) == oracles.fraction_lll(g)
     assert (d, lam) == la.ldl(la.mat_mul(la.mat_mul(la.transpose(t), signed), t))
+    basis = tuple(tuple((3 * i + 5 * j) % 7 - 3 for j in range(n + 2)) for i in range(n))
+    assert la.lll_reduce_gram(*la.ldl(signed), basis) == la.mat_mul(la.transpose(t), basis)
     return g2, t
 
 
@@ -613,5 +618,5 @@ def test_lll_factors_once(monkeypatch):
     count(la, "ldl")
     oracles.fraction_lll(g)
     assert calls["fraction_gram_schmidt"] - 1 >= 20
-    la.lll_reduce_gram(d, lam)
+    la.lll_reduce_gram(d, lam, la.identity(len(g)))
     assert calls["ldl"] == 0

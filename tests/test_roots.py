@@ -26,6 +26,7 @@ from zlattice import (
     standard_lattice,
     vectors_of_norm,
 )
+from zlattice.lattices import SublatticeEmbedding, orthogonal_complement
 
 A1M = standard_lattice("A1(-1)")
 E8M = standard_lattice("E8(-1)")
@@ -90,16 +91,25 @@ def _use_lll(monkeypatch, lll):
 
 
 def test_lll_path_matches_plain(monkeypatch):
-    _use_lll(monkeypatch, False)
-    res_plain = vectors_of_norm(E8M, -2)
-    _use_lll(monkeypatch, True)
-    res_lll = vectors_of_norm(E8M, -2)
-    assert res_plain.vectors == res_lll.vectors
+    # in the identity basis, and in the ambient coordinates of complements
+    # of rank 7 and 9, whose basis rows LLL reduces itself
+    searches = (
+        lambda: vectors_of_norm(E8M, -2),
+        lambda: constrained_roots(E8M, ((1,) + (0,) * 7,), -2),
+        lambda: constrained_roots(direct_sum(S, E8M), ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2),
+    )
+    for search, count in zip(searches, (240, 84, 242)):
+        _use_lll(monkeypatch, False)
+        res_plain = search()
+        _use_lll(monkeypatch, True)
+        res_lll = search()
+        assert res_plain.count == count
+        assert res_plain.vectors == res_lll.vectors
 
 
 def _count_factorizations(monkeypatch):
     calls = collections.Counter()
-    for fname in ("ldl", "lll_reduce_gram"):
+    for fname in ("ldl", "lll_reduce_gram", "transpose", "mat_mul"):
         def counted(*a, _orig=getattr(la, fname), _name=fname):
             calls[_name] += 1
             return _orig(*a)
@@ -110,7 +120,8 @@ def _count_factorizations(monkeypatch):
 def test_rank_rule_picks_lll_and_hands_on_its_factorization(monkeypatch):
     # below rank 10 one ldl and no LLL; from it on, LLL once, on the one
     # negative definite factorization that decided the sign, and the search
-    # runs on what LLL left of it
+    # runs on what LLL left of it.  LLL reduces the rows it is handed, so
+    # no transpose and no product stands between it and the search
     calls = _count_factorizations(monkeypatch)
     assert roots._LLL_MIN_RANK == 10
     assert vectors_of_norm(E8M, -2).count == 240
@@ -119,9 +130,15 @@ def test_rank_rule_picks_lll_and_hands_on_its_factorization(monkeypatch):
     assert vectors_of_norm(direct_sum(E8M, E8M), -2).count == 480
     assert calls == {"ldl": 1, "lll_reduce_gram": 1}
     calls.clear()
-    # a rank-15 complement: kernel, one ldl and one LLL
-    assert constrained_roots(direct_sum(E8M, E8M), ((1,) + (0,) * 15,), -2).count == 324
-    assert calls == {"ldl": 1, "lll_reduce_gram": 1}
+    # a rank-15 complement: the products that build the complement and
+    # its Gram matrix, one ldl and one LLL
+    e8e8, ortho = direct_sum(E8M, E8M), ((1,) + (0,) * 15,)
+    orthogonal_complement(SublatticeEmbedding(e8e8, ortho)).induced_gram()
+    own = dict(calls)
+    assert own.keys() == {"mat_mul", "transpose"}
+    calls.clear()
+    assert constrained_roots(e8e8, ortho, -2).count == 324
+    assert calls == {**own, "ldl": 1, "lll_reduce_gram": 1}
 
 
 def test_indefinite_or_wrong_sign_search_never_reaches_lll(monkeypatch):
@@ -626,7 +643,7 @@ def test_definite_path_builds_no_fraction(monkeypatch):
     rng = random.Random(7)
     pos = _skewed_definite(rng, 6, 1)
     la.inertia(pos)
-    la.lll_reduce_gram(*la.ldl(pos))
+    la.lll_reduce_gram(*la.ldl(pos), la.identity(len(pos)))
     N = direct_sum(S, E8M)
     assert constrained_roots(N, ((0, 0, 1) + (0,) * 8, (1, 1, 0) + (0,) * 8), -2).count == 242
     for sign in (1, -1):
