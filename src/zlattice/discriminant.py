@@ -24,11 +24,10 @@ from . import intlinalg as la
 from .errors import (
     DegenerateLattice,
     EmbeddingMismatch,
-    NotEven,
     NotInDualLattice,
     NotTwoElementary,
 )
-from .lattices import Lattice, Vec, determinant, is_even
+from .lattices import Lattice, Vec, _check_even, determinant
 
 QVec = tuple[Fraction, ...]
 
@@ -142,9 +141,7 @@ def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
     2-elementary group because twice any element lies in L.  q(a/2) =
     a.a / 4 mod 2Z is an integer exactly when 4 divides a.a.
     """
-    if not is_even(L):
-        odd = next(i for i in range(L.rank) if L.gram[i][i] % 2)
-        raise NotEven(f"diagonal entry gram[{odd}][{odd}] = {L.gram[odd][odd]} is odd")
+    _check_even(L)
     classes = _glue_classes(L)
     bad = next((d for d, _ in classes if d != 2), None)
     if bad is not None:

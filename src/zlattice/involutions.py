@@ -53,10 +53,12 @@ from .roots import _check_bound, _DataclassFields, _growing_boxes, _witness_cand
 class IntegralInvolution(NamedTuple):
     """A matrix psi with psi^2 = id and psi^t G psi = G, acting on columns.
 
-    A plain frozen record, built by make_involution, which checks the
-    matrix and computes fixed and anti, the integer kernels of psi -+ id,
-    once.  An integer kernel is saturated, so both are primitive; being
-    derived, they take no part in equality, hashing or repr.
+    A plain frozen record, built by make_involution, which computes fixed
+    and anti, the integer kernels of psi -+ id, once and checks the matrix
+    on them: psi^2 = id exactly when their ranks sum to n, and given that,
+    psi^t G psi = G exactly when F G A^t = 0 for their basis rows F and A.
+    An integer kernel is saturated, so both are primitive; being derived,
+    they take no part in equality, hashing or repr.
     """
 
     ambient: Lattice
@@ -81,28 +83,33 @@ class IntegralInvolution(NamedTuple):
 def make_involution(L: Lattice, m) -> IntegralInvolution:
     """Check outside input: an integer isometry of L squaring to the identity.
 
-    psi^2 = id is checked first.  Given it, psi^t G psi = G holds exactly
-    when psi^t G is symmetric, so one product decides the isometry:
-    (psi^t G)^t = G psi, and multiplying psi^t G psi = G on the right by
-    psi = psi^-1 turns it into psi^t G = G psi, and back.  psi^t, as sparse
-    as psi, stands on the left.
+    Both checks read the integer kernels fixed and anti of psi -+ id,
+    computed first and stored.  psi^2 = id exactly when their ranks sum
+    to n: the two eigenspaces meet in 0, they span Q^n exactly when psi
+    is diagonalizable with eigenvalues +-1, and an integer kernel's rank
+    is the rational dimension.  Given that, psi^t G psi = G exactly when
+    F G A^t = 0, F and A the basis rows of fixed and anti: for x = f + a,
+    psi x = f - a, so x.y - psi x.psi y = 2 (f.a' + a.f').  Neither step
+    needs G nondegenerate.  The pairing is A (F G)^t, the sparse bases on
+    the left, as induced_gram takes them.  NotInvolution comes before
+    NotIsometry; a refused matrix has paid for both kernels.
     """
     n = L.rank
     m = tuple(map(_ints, m))
     if len(m) != n or any(len(row) != n for row in m):
         raise DimensionMismatch(f"matrix is not {n} x {n}")
-    if la.mat_mul(m, m) != la.identity(n):
-        raise NotInvolution("matrix squared is not the identity")
-    tg = la.mat_mul(la.transpose(m), L.gram)
-    if tg != la.transpose(tg):
-        raise NotIsometry("matrix does not preserve the Gram matrix")
-    eigen = []  # fixed, then anti
+    eigen = []
     for sign in (-1, 1):
         shifted = [list(row) for row in m]
         for i, row in enumerate(shifted):
             row[i] += sign
         eigen.append(SublatticeEmbedding(L, la.kernel(shifted, ncols=n)))
-    return IntegralInvolution(L, m, *eigen)
+    fixed, anti = eigen
+    if fixed.rank + anti.rank != n:
+        raise NotInvolution("matrix squared is not the identity")
+    if any(map(any, la.mat_mul(anti.basis, la.transpose(la.mat_mul(fixed.basis, L.gram))))):
+        raise NotIsometry("matrix does not preserve the Gram matrix")
+    return IntegralInvolution(L, m, fixed, anti)
 
 
 def eigenlattices(psi: IntegralInvolution) -> tuple[SublatticeEmbedding, SublatticeEmbedding]:
@@ -155,6 +162,10 @@ def involution_rank_sum_check(psi: IntegralInvolution) -> bool:
     the two eigenspaces over Q.  As psi^2 = id, e_j + psi e_j lies in the
     +1 eigenspace and in Z^n; a primitive fixed is (fixed (x) Q) meet Z^n,
     so it holds the vector; likewise anti holds e_j - psi e_j.
+
+    make_involution refuses a matrix whose kernel ranks do not sum to n,
+    which is exactly psi^2 != id, so the rank clause holds on every record
+    it built; it still catches a record altered with _replace.
     """
     fixed, anti = psi.fixed, psi.anti
     if fixed.rank + anti.rank != psi.ambient.rank:

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .errors import (
     InvalidInputFile,
-    NotEven,
     NotHyperbolic,
     RankExceeds20,
     WrongGramOnMarkedVectors,
@@ -30,6 +29,8 @@ from .lattices import (
     Lattice,
     SublatticeEmbedding,
     Vec,
+    _check_even,
+    _S311,
     check_vector,
     determinant,
     is_even,
@@ -47,7 +48,7 @@ _package = sys.modules[__package__]
 
 # Intersection table the marked vectors must realize, in the order
 # (e, f, a0); it is the Gram matrix of the standard "S311" lattice.
-MARKED_GRAM = ((-2, 2, 1), (2, -2, 0), (1, 0, -2))
+MARKED_GRAM = _S311
 
 # For the family with invariants (3,1,1) the group of isometries of S
 # preserving the marked data and the fundamental chamber is trivial.  This
@@ -83,9 +84,7 @@ class PicardModel(NamedTuple):
 def make_picard_model(N: Lattice, a0, e, f) -> PicardModel:
     """Check outside input: N even, hyperbolic, rank <= 20; (e, f, a0) on MARKED_GRAM."""
     a0, e, f = (check_vector(N, v) for v in (a0, e, f))
-    if not is_even(N):
-        odd = next(i for i in range(N.rank) if N.gram[i][i] % 2)
-        raise NotEven(f"diagonal entry gram[{odd}][{odd}] is odd")
+    _check_even(N)
     sig = signature(N)
     if sig != (1, N.rank - 1, 0):
         raise NotHyperbolic(f"signature {sig} is not (1, {N.rank - 1}, 0)")

@@ -20,6 +20,7 @@ from . import intlinalg as la
 from .errors import (
     DimensionMismatch,
     InvalidInputFile,
+    NotEven,
     NotIntegral,
     NotSquare,
     NotSymmetric,
@@ -154,6 +155,13 @@ def signature(L: Lattice) -> tuple[int, int, int]:
 
 def is_even(L: Lattice) -> bool:
     return all(L.gram[i][i] % 2 == 0 for i in range(L.rank))
+
+
+def _check_even(L: Lattice) -> None:
+    """Raise NotEven naming the first odd diagonal entry, if any."""
+    for i, row in enumerate(L.gram):
+        if row[i] % 2:
+            raise NotEven(f"diagonal entry gram[{i}][{i}] = {row[i]} is odd")
 
 
 def is_hyperbolic(L: Lattice) -> bool:

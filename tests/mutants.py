@@ -233,11 +233,16 @@ MUTANTS = (
     ("definite-candidates-sorted-without-radius", ROOTS,
      "return sorted(found.vectors[: found.count // 2], key=_box_radius), True",
      "return sorted(found.vectors[: found.count // 2]), True"),
+    # the two checks of make_involution, read off its eigenlattices: kernel
+    # ranks summing to n, and the pairing F G A^t of their bases
+    ("involution-rank-test-weakened", INVOLUTIONS,
+     "    if fixed.rank + anti.rank != n:\n",
+     "    if fixed.rank + anti.rank > n:\n"),
+    ("isometry-pairs-fixed-with-itself", INVOLUTIONS,
+     "la.mat_mul(anti.basis, la.transpose(la.mat_mul(fixed.basis, L.gram)))",
+     "la.mat_mul(fixed.basis, la.transpose(la.mat_mul(fixed.basis, L.gram)))"),
     # products with the sparse factor on the left (involutions) and the
     # one-test integer boundary (lattices._ints)
-    ("isometry-reads-psi-g", INVOLUTIONS,
-     "la.mat_mul(la.transpose(m), L.gram)",
-     "la.mat_mul(m, L.gram)"),
     ("images-read-psi-untransposed", INVOLUTIONS,
      "la.mat_mul(s.basis, la.transpose(psi.matrix))",
      "la.mat_mul(s.basis, psi.matrix)"),

@@ -404,7 +404,7 @@ def test_rejections():
         two_elementary_invariants(make_lattice(((-4,),)))
     with pytest.raises(NotTwoElementary):
         two_elementary_invariants(direct_sum(U, make_lattice(((-6,),))))
-    with pytest.raises(NotEven):
+    with pytest.raises(NotEven, match=r"^diagonal entry gram\[0\]\[0\] = -1 is odd$"):
         two_elementary_invariants(standard_lattice("PicY"))
 
 

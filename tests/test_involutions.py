@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -149,6 +150,25 @@ def _naive_rejection(gram, mat):
     return None
 
 
+_REJECTION_MESSAGES = {NotInvolution: "matrix squared is not the identity",
+                       NotIsometry: "matrix does not preserve the Gram matrix"}
+
+
+def _agrees_with_naive(L, mat, seen):
+    """make_involution on mat gives _naive_rejection's error with its
+    message, or a record of mat, which is returned; seen counts outcomes."""
+    expected = _naive_rejection(L.gram, mat)
+    seen[expected] += 1
+    if expected is None:
+        psi = make_involution(L, mat)
+        assert psi.matrix == tuple(map(tuple, mat))
+        return psi
+    with pytest.raises(expected) as exc:
+        make_involution(L, mat)
+    assert str(exc.value) == _REJECTION_MESSAGES[expected]
+    return None
+
+
 def _is_signed_unit(vec, i):
     return vec[i] in (1, -1) and not any(x for k, x in enumerate(vec) if k != i)
 
@@ -176,14 +196,52 @@ def test_make_involution_single_entry_mutants():
             c = -2 * mat[i][i] if i == j and rng.random() < 0.5 else rng.choice((-2, -1, 1, 2))
             bad = [row[:] for row in mat]
             bad[i][j] += c
-            expected = _naive_rejection(L.gram, bad)
-            seen[expected] += 1
-            if expected is None:
-                assert make_involution(L, bad).matrix == tuple(map(tuple, bad))
-            else:
-                with pytest.raises(expected):
-                    make_involution(L, bad)
+            _agrees_with_naive(L, bad, seen)
     assert all(seen.values()), seen
+
+
+def _signed_permutation_involutions(n):
+    """Every signed permutation matrix squaring to the identity, as lists:
+    column i is s_i e_p(i), with p an involution and s_i s_p(i) = 1."""
+    for perm in itertools.permutations(range(n)):
+        if any(perm[p] != i for i, p in enumerate(perm)):
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            if all(signs[i] == signs[p] for i, p in enumerate(perm)):
+                mat = [[0] * n for _ in range(n)]
+                for i, p in enumerate(perm):
+                    mat[p][i] = signs[i]
+                yield mat
+
+
+def test_make_involution_single_entry_changes_on_small_and_degenerate_grams():
+    # On a degenerate Gram the radical lies in every orthogonal complement,
+    # so anti can be smaller than fixed-perp; the checks read the pairing of
+    # the two bases and must still agree with the plain products.  Every
+    # signed-permutation involution of ranks 0-2 and of U + <0> + <-2>, and
+    # every single-entry change of it by +-1 or +-2, is compared.
+    grams = [(), ((0,),), ((-2,),), ((1,),), U.gram, ((0, 0), (0, 0)),
+             ((0, 0), (0, -2)), ((-2, 1), (1, 0)),
+             direct_sum(U, make_lattice(((0, 0), (0, -2)))).gram]
+    seen = {NotInvolution: 0, NotIsometry: 0, None: 0}
+    narrower_anti = 0
+    for gram in grams:
+        L = make_lattice(gram)
+        n = L.rank
+        for mat in _signed_permutation_involutions(n):
+            cases = [mat]
+            for i, j in itertools.product(range(n), repeat=2):
+                for c in (-2, -1, 1, 2):
+                    bad = [row[:] for row in mat]
+                    bad[i][j] += c
+                    cases.append(bad)
+            for case in cases:
+                psi = _agrees_with_naive(L, case, seen)
+                if psi is not None:
+                    assert involution_rank_sum_check(psi)
+                    narrower_anti += orthogonal_complement(psi.fixed).rank > psi.anti.rank
+    assert all(seen.values()), seen
+    assert narrower_anti
 
 
 def test_make_involution_rank22_non_isometry_squaring_to_identity():
