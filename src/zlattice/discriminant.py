@@ -5,12 +5,19 @@ the coordinates of L, L*/L is the cokernel of G: Z^n -> Z^n, so its
 invariant factors come from the Smith normal form P G Q = D, and the same
 transform gives its generators without a matrix inverse: column i of Q
 divided by d_i is the dual vector G^{-1} P^{-1} e_i.  _glue_classes stores
-a class as that integer column a_i mod d_i over d_i; every decision reads
-these integers, the degeneracy scan's check det G != 0 and denominator
-|det G| = prod d_i included.  Pairings: g = a/den is dual exactly when den
-divides every entry of G a, and then q(g) = (a^t G a mod 2 den^2) / den^2.
-Fraction appears only in the printed values: the generators of
-discriminant_group and the form values in [0, 2) of discriminant_form_value.
+a class as that integer column a_i mod d_i over d_i; discriminant_group is
+the only answer that reads it (two_elementary_invariants reads it only to
+name the invariant factor it refuses).
+
+Its 2-torsion needs no Smith form: x/2 is dual exactly when G x = 0
+(mod 2), and lies in L exactly when x = 0 (mod 2), so the classes a with
+2a = 0 are ker(G mod 2), an F_2 elimination (_two_torsion).  (r, a, delta)
+and the glue obstruction of the degeneracy scan read only that kernel and
+the determinant, the last minor of ldl.  Pairings: g = a/den is dual
+exactly when den divides every entry of G a, and then q(g) = (a^t G a mod
+2 den^2) / den^2.  Fraction appears only in the printed values: the
+generators of discriminant_group and the form values in [0, 2) of
+discriminant_form_value.
 """
 
 from __future__ import annotations
@@ -100,27 +107,55 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
     return Fraction(sum(map(mul, a, ga)) % (2 * sq), sq)
 
 
-def _two_torsion_takes_one(L: Lattice, classes) -> bool:
+def _two_torsion(L: Lattice) -> list[Vec]:
+    """A 0/1 basis of ker(G mod 2), the 2-torsion of L*/L when det G != 0.
+
+    x/2 is dual exactly when G x = 0 (mod 2), and lies in L exactly when
+    x = 0 (mod 2), so x -> x/2 maps ker(G mod 2) onto the classes a of L*/L
+    with 2a = 0.  The rows of G mod 2 are int bitmasks (bit j for column
+    j), brought to reduced echelon form by XOR; free column f gives the
+    kernel vector with x_f = 1, x_p = bit f of the row with pivot p, and 0
+    elsewhere.
+    """
+    rows = {}  # pivot column -> reduced row; no other row has that bit
+    for row in L.gram:
+        m = 0
+        for x in reversed(row):
+            m = m << 1 | x & 1
+        for p, r in rows.items():
+            if m >> p & 1:
+                m ^= r
+        if m:
+            p = (m & -m).bit_length() - 1
+            for q, r in rows.items():
+                if r >> p & 1:
+                    rows[q] = r ^ m
+            rows[p] = m
+    n = L.rank
+    return [tuple(rows[j] >> f & 1 if j in rows else int(j == f) for j in range(n))
+            for f in range(n) if f not in rows]
+
+
+def _two_torsion_takes_one(L: Lattice) -> bool:
     """Does some class a of L*/L with 2a = 0 have q(a) = 1 in Q/2Z?
 
-    L must be even and classes = _glue_classes(L).  The 2-torsion is
-    spanned by h_i = (d_i / 2)(a_i / d_i) = a_i / 2 over the even
-    invariant factors d_i, and q(v/2) = v.v / 4 for every integer vector v
-    with v/2 dual.  q mod 1 is additive there (2b(x, y) is an integer), so
-    its kernel V0 has the basis {h_i : q(h_i) in Z} and h_i + h_j for one
-    fixed j with q(h_j) not in Z.  On V0, q mod 2 is an F_2 quadratic form
+    L must be even and nondegenerate.  The 2-torsion is spanned by h_v =
+    v/2 over the basis v of ker(G mod 2) (_two_torsion), and q(v/2) = v.v
+    / 4 mod 2Z.  q mod 1 is additive there (2b(x, y) is an integer), so
+    its kernel V0 has the basis {h_v : q(h_v) in Z} and h_v + h_w for one
+    fixed w with q(h_w) not in Z.  On V0, q mod 2 is an F_2 quadratic form
     with polar form 2b; it takes the value 1 iff it does on a basis vector
     or its polar form does on a basis pair, i.e. iff the Gram matrix of the
     doubled basis has a diagonal entry 4 mod 8 or an off-diagonal entry
-    2 mod 4.  That is O(k^2) pairings instead of 2^k classes.
+    2 mod 4.  That is O(k^2) pairings instead of 2^k classes, and no Smith
+    form.
     """
     basis, half = [], []
-    for d, v in classes:
-        if d % 2 == 0:
-            if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
-                half.append(v)  # q(v/2) is 1/2 or 3/2
-            else:
-                basis.append(v)
+    for v in _two_torsion(L):
+        if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
+            half.append(v)  # q(v/2) is 1/2 or 3/2
+        else:
+            basis.append(v)
     basis += [tuple(map(add, v, half[0])) for v in half[1:]]
     images = [la.mat_vec(L.gram, v) for v in basis]
     for i, v in enumerate(basis):
@@ -136,18 +171,28 @@ def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
 
     r is the rank, a the number of invariant factors (all must equal 2),
     and delta is 0 exactly when the discriminant quadratic form takes only
-    integer values in Q/2Z.  Checking delta on the generators a/2 suffices:
-    q(g+h) = q(g) + q(h) + 2b(g,h) mod 2Z, and 2b is integer-valued on a
-    2-elementary group because twice any element lies in L.  q(a/2) =
-    a.a / 4 mod 2Z is an integer exactly when 4 divides a.a.
+    integer values in Q/2Z.  The 2-torsion of L*/L is ker(G mod 2)
+    (_two_torsion), of order 2^a, and |L*/L| = |det G|; so L*/L is
+    2-elementary exactly when |det G| = 2^a, and then a is its number of
+    invariant factors.  Only a lattice that fails this runs the Smith form,
+    to name its first invariant factor other than 2.  Checking delta on
+    the basis v/2 suffices: q(g+h) = q(g) + q(h) + 2b(g,h) mod 2Z, and 2b
+    is integer-valued on a 2-elementary group because twice any element
+    lies in L.  q(v/2) = v.v / 4 mod 2Z is an integer exactly when 4
+    divides v.v.
     """
     _check_even(L)
-    classes = _glue_classes(L)
-    bad = next((d for d, _ in classes if d != 2), None)
-    if bad is not None:
+    det = determinant(L)
+    if det == 0:
+        raise DegenerateLattice("discriminant group needs a nonzero determinant")
+    if abs(det) == 1:
+        return (L.rank, 0, 0)
+    basis = _two_torsion(L)
+    if abs(det) != 1 << len(basis):
+        bad = next(d for d, _ in _glue_classes(L) if d != 2)
         raise NotTwoElementary(f"invariant factor {bad} is not 2")
-    delta = int(any(sum(map(mul, v, la.mat_vec(L.gram, v))) % 4 for _, v in classes))
-    return (L.rank, len(classes), delta)
+    delta = int(any(sum(map(mul, v, la.mat_vec(L.gram, v))) % 4 for v in basis))
+    return (L.rank, len(basis), delta)
 
 
 def delta_via_involution(L: Lattice, sigma) -> int:

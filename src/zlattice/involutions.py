@@ -8,21 +8,20 @@ fact below reads them from it.  On top of that sit the typed-restriction
 check, the rank/hyperbolicity bookkeeping for period domains, and two
 searches for norm -4 "glue partner" configurations.  Both decide an exact
 obstruction first and search a coordinate box only when it passes; the
-degeneracy scan reads S through one Smith read-out of its saturation.
+degeneracy scan reads S through the Gram matrix of its saturation, its
+determinant and the 2-torsion ker(G mod 2) of its discriminant group.
 The order in which candidates are tried, and the growing boxes they come
 from, are roots' (_witness_candidates, _growing_boxes).
 """
 
 from __future__ import annotations
 
-from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from . import intlinalg as la
-from .discriminant import _glue_classes, _two_torsion_takes_one
+from .discriminant import _two_torsion_takes_one
 from .errors import (
-    DegenerateLattice,
     DegenerateSublattice,
     DimensionMismatch,
     EmbeddingMismatch,
@@ -39,6 +38,7 @@ from .lattices import (
     Vec,
     _ints,
     check_vector,
+    determinant,
     is_even,
     is_hyperbolic,
     lattice_from_json_dict,
@@ -313,22 +313,22 @@ class DegeneracyScanResult(NamedTuple):
     __dataclass_fields__ = _DataclassFields()
 
 
-def _glue_obstructed(sat: SublatticeEmbedding, gs: la.Mat, classes) -> bool:
-    """Is a witness ruled out exactly?  sat, gs, classes: see da_degeneracy_scan.
+def _glue_obstructed(sat: SublatticeEmbedding, gs: la.Mat) -> bool:
+    """Is a witness ruled out exactly?  sat, gs: see da_degeneracy_scan.
 
     A witness delta has delta1 = 2 proj_S(delta) in sat, and delta1/2 pairs
     integrally with sat: it is a class a of A_sat with 2a = 0 and q(a) =
     -1 = 1 in Q/2Z, as delta2/2 is one of A_{S-perp}.  When either group
-    has none, there is no witness.  q is defined mod 2Z only on an even
-    lattice, so an odd side, and a degenerate S-perp, rule nothing out.
+    has none, there is no witness.  Both sides read their 2-torsion as
+    ker(G mod 2) (_two_torsion_takes_one), with no Smith form.  q is
+    defined mod 2Z only on an even lattice, and A_{S-perp} only when
+    det(S-perp) != 0, so an odd side, and a degenerate S-perp, rule
+    nothing out.
     """
-    if is_even(Lattice(gs)) and not _two_torsion_takes_one(Lattice(gs), classes):
+    if is_even(Lattice(gs)) and not _two_torsion_takes_one(Lattice(gs)):
         return True
     perp = orthogonal_complement(sat).induced_lattice()
-    try:
-        return is_even(perp) and not _two_torsion_takes_one(perp, _glue_classes(perp))
-    except DegenerateLattice:
-        return False
+    return is_even(perp) and determinant(perp) != 0 and not _two_torsion_takes_one(perp)
 
 
 def _split(bg: la.Mat, adj: la.Mat, den: int, delta: Vec) -> tuple[Vec, Vec] | None:
@@ -380,11 +380,12 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
     S and one in its orthogonal complement.
 
     Each step reads only the span of S, so the scan works on its
-    saturation sat: one Gram gs and one Smith read-out _glue_classes find a
-    degenerate S (det gs = 0 exactly when S's Gram is singular), decide the
-    sat side of the glue obstruction (_glue_obstructed) and give den =
-    |det gs|, the product of the invariant factors.  When the obstruction
-    holds the answer is an exact "no-witness" and no box is built.
+    saturation sat: one Gram gs and its determinant, the last minor of
+    ldl, find a degenerate S (det gs = 0 exactly when S's Gram is
+    singular) and give the box's split its denominator den = |det gs|.
+    The glue obstruction (_glue_obstructed) reads the 2-torsion of both
+    sides' discriminant groups as ker(G mod 2), with no Smith form.  When
+    it holds the answer is an exact "no-witness" and no box is built.
     Otherwise _box_search tries the box's representatives (first nonzero
     coordinate positive) and splits each in sat's coordinates: the first
     hit is the witness minimizing (coordinate box, lexicographic), so the
@@ -394,14 +395,13 @@ def da_degeneracy_scan(L: Lattice, s: SublatticeEmbedding, bound: int) -> Degene
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
     sat = saturate(s)
     gs = sat.induced_gram()
-    try:
-        classes = _glue_classes(Lattice(gs))
-    except DegenerateLattice:
-        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix") from None
+    den = abs(determinant(Lattice(gs)))
+    if den == 0:
+        raise DegenerateSublattice("marked sublattice has degenerate Gram matrix")
     _check_bound(bound)
-    if _glue_obstructed(sat, gs, classes):
+    if _glue_obstructed(sat, gs):
         return DegeneracyScanResult("no-witness", None, None, None)
-    return _box_search(L, sat, gs, prod(d for d, _ in classes), bound)
+    return _box_search(L, sat, gs, den, bound)
 
 
 def involution_from_json_dict(data) -> tuple[IntegralInvolution, SublatticeEmbedding | None]:

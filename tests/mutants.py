@@ -196,14 +196,37 @@ MUTANTS = (
      "if all(h[i][i] == 1 for i in range(k.rank)):",
      "if all(h[i][i] == 1 for i in range(min(k.rank, 1))):"),
     ("unimodular-shortcut-at-det-2", DISCRIMINANT,
-     "if abs(det) == 1:",
-     "if abs(det) <= 2:"),
-    ("two-torsion-reads-odd-factors", DISCRIMINANT,
-     "        if d % 2 == 0:\n",
-     "        if True:\n"),
-    ("delta-reads-mod-8", DISCRIMINANT,
-     ") % 4 for _, v in classes",
-     ") % 8 for _, v in classes"),
+     "    if abs(det) == 1:\n"
+     "        # |L*/L| = |det|",
+     "    if abs(det) <= 2:\n"
+     "        # |L*/L| = |det|"),
+    # the 2-torsion as ker(G mod 2) (discriminant._two_torsion) and what
+    # reads it: (r, a, delta) and the glue obstruction
+    ("echelon-keeps-new-pivot-in-earlier-rows", DISCRIMINANT,
+     "            for q, r in rows.items():\n"
+     "                if r >> p & 1:\n"
+     "                    rows[q] = r ^ m\n",
+     ""),
+    ("two-torsion-mask-columns-reversed", DISCRIMINANT,
+     "for x in reversed(row):",
+     "for x in row:"),
+    ("two-torsion-reads-pivot-bit", DISCRIMINANT,
+     "rows[j] >> f & 1 if j in rows",
+     "rows[j] >> j & 1 if j in rows"),
+    ("two-elementary-test-less-than", DISCRIMINANT,
+     "if abs(det) != 1 << len(basis):",
+     "if abs(det) < 1 << len(basis):"),
+    ("triple-unimodular-shortcut-at-det-2", DISCRIMINANT,
+     "    if abs(det) == 1:\n"
+     "        return (L.rank, 0, 0)\n",
+     "    if abs(det) <= 2:\n"
+     "        return (L.rank, 0, 0)\n"),
+    ("delta-reads-kernel-mod-8", DISCRIMINANT,
+     ") % 4 for v in basis",
+     ") % 8 for v in basis"),
+    ("perp-skips-degeneracy-check", INVOLUTIONS,
+     "is_even(perp) and determinant(perp) != 0 and not",
+     "is_even(perp) and not"),
     ("scan-skips-saturation", INVOLUTIONS,
      "sat = saturate(s)",
      "sat = s"),

@@ -2,6 +2,7 @@ import cmath
 import collections
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from zlattice import (
     discriminant_group,
     eigenlattices,
     inner_product,
+    is_even,
     make_involution,
     make_lattice,
     signature,
@@ -29,7 +31,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la
-from zlattice.discriminant import _glue_classes, _two_torsion_takes_one
+from zlattice.discriminant import _glue_classes, _two_torsion, _two_torsion_takes_one
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -69,12 +71,30 @@ def test_unimodular_discriminant_group_needs_no_smith_form(monkeypatch):
         discriminant_group(A1M)
 
 
+def test_triple_runs_the_smith_form_only_to_name_a_bad_factor(monkeypatch):
+    # (r, a, delta) reads ker(G mod 2) and the determinant; only a lattice
+    # that is not 2-elementary reaches the Smith form, for its message
+    def refuse(m):
+        raise RuntimeError("Smith form computed")
+
+    monkeypatch.setattr(la, "snf_with_transforms", refuse)
+    d4 = make_lattice(((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)))
+    for L, triple in ((S, (3, 1, 1)), (A1M, (1, 1, 1)), (d4, (4, 2, 0)),
+                      (make_lattice(((0, 2), (2, 0))), (2, 2, 0)),
+                      (direct_sum(direct_sum(U, A1M), A1M), (4, 2, 1)),
+                      (E8M, (8, 0, 0)), (make_lattice(()), (0, 0, 0))):
+        assert two_elementary_invariants(L) == triple, L.gram
+    for L in (make_lattice(((-4,),)), make_lattice(((-2, 1), (1, -2)))):
+        with pytest.raises(RuntimeError, match="Smith form computed"):
+            two_elementary_invariants(L)
+
+
 def test_determinant_signature_and_triple_each_run_one_ldl(monkeypatch):
     # the determinant is the last minor of ldl and the signature the signs
     # of its pivots, so each of the three reads one elimination of the
     # Gram matrix; a second elimination would show as a missing or an
     # extra call.  U's zero diagonal makes ldl repair its first pivot, and
-    # |det| = 4 sends the triple on to the Smith form
+    # |det| = 4 sends the triple on to the kernel of G mod 2
     calls = collections.Counter()
 
     def counted(*a, _orig=la.ldl):
@@ -400,10 +420,18 @@ def test_invariant_triple_more_cases():
 
 
 def test_rejections():
-    with pytest.raises(NotTwoElementary):
-        two_elementary_invariants(make_lattice(((-4,),)))
-    with pytest.raises(NotTwoElementary):
-        two_elementary_invariants(direct_sum(U, make_lattice(((-6,),))))
+    # a group of order 2^a with a = dim ker(G mod 2) is 2-elementary; the
+    # refusal names the first invariant factor other than 2: <-4> has one
+    # class of order 2 in a group of order 4, U + <-6> has one in a group
+    # of order 6, and A2(-1) (det 3) has none
+    for L, bad in ((make_lattice(((-4,),)), 4),
+                   (direct_sum(U, make_lattice(((-6,),))), 6),
+                   (make_lattice(((-2, 1), (1, -2))), 3)):
+        with pytest.raises(NotTwoElementary, match=rf"^invariant factor {bad} is not 2$"):
+            two_elementary_invariants(L)
+    with pytest.raises(DegenerateLattice,
+                       match=r"^discriminant group needs a nonzero determinant$"):
+        two_elementary_invariants(make_lattice(((2, 2), (2, 2))))
     with pytest.raises(NotEven, match=r"^diagonal entry gram\[0\]\[0\] = -1 is odd$"):
         two_elementary_invariants(standard_lattice("PicY"))
 
@@ -417,6 +445,51 @@ def test_a_at_most_r():
             L = direct_sum(L, pool[rng.randrange(len(pool))])
         r, a, delta = two_elementary_invariants(L)
         assert a <= r == L.rank
+
+
+def _f2_span(vectors, n):
+    span = {(0,) * n}
+    for v in vectors:
+        span |= {tuple((a + b) % 2 for a, b in zip(w, v)) for w in span}
+    return span
+
+
+def test_two_torsion_is_the_kernel_of_g_mod_2():
+    # odd, degenerate and G = 0 (mod 2) Gram matrices of rank 0-6: the
+    # returned 0/1 vectors are independent and span every x in {0,1}^n with
+    # G x = 0 (mod 2); on a nondegenerate G they span the same space as
+    # the Smith numerators a_i of the even invariant factors d_i
+    rng = random.Random(61)
+    kinds = collections.Counter()
+    for trial in range(400):
+        n = trial % 7
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        kind = trial // 7 % 4
+        if kind == 1:
+            g = [[2 * x for x in row] for row in g]
+        elif kind == 2 and n > 1:
+            # the last basis vector repeats the first: degenerate
+            g[-1] = list(g[0])
+            for row in g:
+                row[-1] = row[0]
+        L = make_lattice(tuple(map(tuple, g)))
+        basis = _two_torsion(L)
+        assert all(len(v) == n and set(v) <= {0, 1} for v in basis), L.gram
+        span = _f2_span(basis, n)
+        assert len(span) == 2 ** len(basis), L.gram
+        brute = {x for x in itertools.product((0, 1), repeat=n)
+                 if all(sum(map(operator.mul, row, x)) % 2 == 0 for row in g)}
+        assert span == brute, L.gram
+        det = determinant(L)
+        kinds["degenerate" if det == 0 else "odd" if not is_even(L) else "even"] += 1
+        kinds["zero mod 2"] += all(x % 2 == 0 for row in g for x in row)
+        if det:
+            smith = [tuple(x % 2 for x in a) for d, a in _glue_classes(L) if d % 2 == 0]
+            assert span == _f2_span(smith, n), L.gram
+    assert min(kinds.values()) >= 40, kinds
 
 
 def _two_torsion_values(L):
@@ -449,7 +522,7 @@ def test_two_torsion_decisions_match_a_class_walk():
         odd += any(d % 2 for d in discriminant_group(L).invariant_factors)
         expect = 1 in _two_torsion_values(L)
         takes += expect
-        assert _two_torsion_takes_one(L, _glue_classes(L)) == expect, L.gram
+        assert _two_torsion_takes_one(L) == expect, L.gram
     assert odd >= 40 and 20 <= takes <= 180
     # delta of 2-elementary lattices in skewed bases, against every class
     d4 = make_lattice(((-2, 1, 0, 0), (1, -2, 1, 1), (0, 1, -2, 0), (0, 1, 0, -2)))
@@ -466,7 +539,7 @@ def test_two_torsion_decisions_match_a_class_walk():
         # every class has order <= 2
         assert len(values) == abs(determinant(L)) == 2 ** a, L.gram
         assert (r, delta) == (L.rank, int(any(v.denominator != 1 for v in values))), L.gram
-        assert _two_torsion_takes_one(L, _glue_classes(L)) == (1 in values), L.gram
+        assert _two_torsion_takes_one(L) == (1 in values), L.gram
         seen.add((delta, 1 in values))
     assert seen == {(0, False), (0, True), (1, False), (1, True)}
 

@@ -840,10 +840,14 @@ def test_glue_obstruction_pinned_cases():
 
 def test_scan_reads_one_gram_of_s(monkeypatch):
     # the scan builds the Gram of S's saturation once and runs one Bareiss
-    # on it, inside its one Smith read-out; the second, where there is
-    # one, is the complement's
+    # on it, for its degeneracy check and denominator; the second, where
+    # there is one, is the complement's.  The glue obstruction reads both
+    # sides' 2-torsion as ker(G mod 2), so no Smith form runs
     dets, grams = [], []
     bareiss, induced = la.bareiss_det, involutions.SublatticeEmbedding.induced_gram
+
+    def refuse(m):
+        raise AssertionError("Smith form computed")
 
     def counted_det(m):
         dets.append(m)
@@ -855,6 +859,7 @@ def test_scan_reads_one_gram_of_s(monkeypatch):
 
     monkeypatch.setattr(la, "bareiss_det", counted_det)
     monkeypatch.setattr(involutions.SublatticeEmbedding, "induced_gram", counted_gram)
+    monkeypatch.setattr(la, "snf_with_transforms", refuse)
     model = __import__("helpers").s311_model()
     n4 = n4_model().lattice
     u2 = make_lattice(((-2, 1, -2), (1, 0, 0), (-2, 0, -4)))
@@ -876,8 +881,8 @@ def test_scan_reads_one_gram_of_s(monkeypatch):
 
 
 def test_glue_decisions_build_no_fraction(monkeypatch):
-    # (r, a, delta) and the glue obstruction read the integer classes of
-    # the Smith form; Fraction is left to the printed values
+    # (r, a, delta) and the glue obstruction read the integer kernel of G
+    # mod 2; Fraction is left to the printed values
     made = []
     new = Fraction.__new__
 
@@ -1254,6 +1259,12 @@ def test_degenerate_complement_falls_through_to_the_box():
     for bound in (1, 2):
         assert da_degeneracy_scan(L, s, bound) == DegeneracyScanResult(
             "no-witness-within-bound", None, None, None)
+    # S-perp = <0>: ker(G mod 2) holds only the radical class, with q = 0,
+    # but the degenerate side is still not read, so the box answers here too
+    L = make_lattice(((-4, 0), (0, 0)))
+    s = make_sublattice(L, ((1, 0),))
+    assert da_degeneracy_scan(L, s, 1) == DegeneracyScanResult(
+        "no-witness-within-bound", None, None, None)
 
 
 def test_da_scan_rejects_degenerate_sublattice():
