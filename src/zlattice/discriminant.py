@@ -4,20 +4,19 @@ The discriminant group of a nondegenerate lattice L is L*/L.  Working in
 the coordinates of L, L*/L is the cokernel of G: Z^n -> Z^n, so its
 invariant factors come from the Smith normal form P G Q = D, and the same
 transform gives its generators without a matrix inverse: column i of Q
-divided by d_i is the dual vector G^{-1} P^{-1} e_i.  _glue_classes stores
-a class as that integer column a_i mod d_i over d_i; discriminant_group is
-the only answer that reads it (two_elementary_invariants reads it only to
-name the invariant factor it refuses).
+divided by d_i is the dual vector G^{-1} P^{-1} e_i.  discriminant_group
+is the only answer that reads it; two_elementary_invariants runs it only
+to name the invariant factor it refuses.
 
 Its 2-torsion needs no Smith form: x/2 is dual exactly when G x = 0
 (mod 2), and lies in L exactly when x = 0 (mod 2), so the classes a with
-2a = 0 are ker(G mod 2), an F_2 elimination (_two_torsion).  (r, a, delta)
-and the glue obstruction of the degeneracy scan read only that kernel and
-the determinant, the last minor of ldl.  Pairings: g = a/den is dual
-exactly when den divides every entry of G a, and then q(g) = (a^t G a mod
-2 den^2) / den^2.  Fraction appears only in the printed values: the
-generators of discriminant_group and the form values in [0, 2) of
-discriminant_form_value.
+2a = 0 are ker(G mod 2), the F_2 elimination intlinalg.kernel_mod2.
+(r, a, delta) and the glue obstruction of the degeneracy scan read only
+that kernel and the determinant, the last minor of ldl.  Pairings: g =
+a/den is dual exactly when den divides every entry of G a, and then q(g)
+= (a^t G a mod 2 den^2) / den^2.  Fraction appears only in the printed
+values: the generators of discriminant_group and the form values in
+[0, 2) of discriminant_form_value.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
     NotInDualLattice,
     NotTwoElementary,
 )
-from .lattices import Lattice, Vec, _check_even, determinant
+from .lattices import Lattice, _check_even, determinant
 
 QVec = tuple[Fraction, ...]
 
@@ -54,28 +53,23 @@ class DiscriminantGroup(NamedTuple):
         return prod(self.invariant_factors)
 
 
-def _glue_classes(L: Lattice) -> list[tuple[int, Vec]]:
-    """[(d_i, a_i)] over the invariant factors d_i > 1 of L*/L: the class
-    a_i / d_i generates the summand of order d_i.  a_i is column i of Q,
-    P G Q = D, reduced mod d_i, since e_i of the cokernel pulls back to
-    G^{-1} (column i of P^{-1}) = column i of Q D^{-1}.  Raises
-    DegenerateLattice when det G = 0.
+def discriminant_group(L: Lattice) -> DiscriminantGroup:
+    """L*/L from the Smith form P G Q = D: its invariant factors are the
+    d_i > 1, and the class a_i / d_i generates the summand of order d_i,
+    a_i being column i of Q reduced mod d_i, since e_i of the cokernel
+    pulls back to G^{-1} (column i of P^{-1}) = column i of Q D^{-1}.
+    Raises DegenerateLattice when det G = 0.
     """
     det = determinant(L)
     if det == 0:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
     if abs(det) == 1:
         # |L*/L| = |det|: a unimodular lattice has the trivial group
-        return []
+        return DiscriminantGroup((), ())
     d, q = la.snf_with_transforms(L.gram)
-    return [(d[i][i], tuple(row[i] % d[i][i] for row in q))
-            for i in range(L.rank) if d[i][i] > 1]
-
-
-def discriminant_group(L: Lattice) -> DiscriminantGroup:
-    classes = _glue_classes(L)
-    gens = tuple(tuple(Fraction(x, d) for x in a) for d, a in classes)
-    return DiscriminantGroup(tuple(d for d, _ in classes), gens)
+    cols = [(d[i][i], i) for i in range(L.rank) if d[i][i] > 1]
+    gens = tuple(tuple(Fraction(row[i] % e, e) for row in q) for e, i in cols)
+    return DiscriminantGroup(tuple(e for e, _ in cols), gens)
 
 
 def discriminant_form_value(L: Lattice, g) -> Fraction:
@@ -107,40 +101,11 @@ def discriminant_form_value(L: Lattice, g) -> Fraction:
     return Fraction(sum(map(mul, a, ga)) % (2 * sq), sq)
 
 
-def _two_torsion(L: Lattice) -> list[Vec]:
-    """A 0/1 basis of ker(G mod 2), the 2-torsion of L*/L when det G != 0.
-
-    x/2 is dual exactly when G x = 0 (mod 2), and lies in L exactly when
-    x = 0 (mod 2), so x -> x/2 maps ker(G mod 2) onto the classes a of L*/L
-    with 2a = 0.  The rows of G mod 2 are int bitmasks (bit j for column
-    j), brought to reduced echelon form by XOR; free column f gives the
-    kernel vector with x_f = 1, x_p = bit f of the row with pivot p, and 0
-    elsewhere.
-    """
-    rows = {}  # pivot column -> reduced row; no other row has that bit
-    for row in L.gram:
-        m = 0
-        for x in reversed(row):
-            m = m << 1 | x & 1
-        for p, r in rows.items():
-            if m >> p & 1:
-                m ^= r
-        if m:
-            p = (m & -m).bit_length() - 1
-            for q, r in rows.items():
-                if r >> p & 1:
-                    rows[q] = r ^ m
-            rows[p] = m
-    n = L.rank
-    return [tuple(rows[j] >> f & 1 if j in rows else int(j == f) for j in range(n))
-            for f in range(n) if f not in rows]
-
-
 def _two_torsion_takes_one(L: Lattice) -> bool:
     """Does some class a of L*/L with 2a = 0 have q(a) = 1 in Q/2Z?
 
     L must be even and nondegenerate.  The 2-torsion is spanned by h_v =
-    v/2 over the basis v of ker(G mod 2) (_two_torsion), and q(v/2) = v.v
+    v/2 over the basis v of ker(G mod 2) (la.kernel_mod2), and q(v/2) = v.v
     / 4 mod 2Z.  q mod 1 is additive there (2b(x, y) is an integer), so
     its kernel V0 has the basis {h_v : q(h_v) in Z} and h_v + h_w for one
     fixed w with q(h_w) not in Z.  On V0, q mod 2 is an F_2 quadratic form
@@ -151,7 +116,7 @@ def _two_torsion_takes_one(L: Lattice) -> bool:
     form.
     """
     basis, half = [], []
-    for v in _two_torsion(L):
+    for v in la.kernel_mod2(L.gram, L.rank):
         if sum(map(mul, v, la.mat_vec(L.gram, v))) % 4:
             half.append(v)  # q(v/2) is 1/2 or 3/2
         else:
@@ -172,10 +137,11 @@ def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
     r is the rank, a the number of invariant factors (all must equal 2),
     and delta is 0 exactly when the discriminant quadratic form takes only
     integer values in Q/2Z.  The 2-torsion of L*/L is ker(G mod 2)
-    (_two_torsion), of order 2^a, and |L*/L| = |det G|; so L*/L is
+    (la.kernel_mod2), of order 2^a, and |L*/L| = |det G|; so L*/L is
     2-elementary exactly when |det G| = 2^a, and then a is its number of
-    invariant factors.  Only a lattice that fails this runs the Smith form,
-    to name its first invariant factor other than 2.  Checking delta on
+    invariant factors.  Only a lattice that fails this runs the Smith form
+    of G, and reads from its diagonal the first invariant factor other than
+    2 (the first entry > 2), with no second determinant.  Checking delta on
     the basis v/2 suffices: q(g+h) = q(g) + q(h) + 2b(g,h) mod 2Z, and 2b
     is integer-valued on a 2-elementary group because twice any element
     lies in L.  q(v/2) = v.v / 4 mod 2Z is an integer exactly when 4
@@ -187,9 +153,10 @@ def two_elementary_invariants(L: Lattice) -> tuple[int, int, int]:
         raise DegenerateLattice("discriminant group needs a nonzero determinant")
     if abs(det) == 1:
         return (L.rank, 0, 0)
-    basis = _two_torsion(L)
+    basis = la.kernel_mod2(L.gram, L.rank)
     if abs(det) != 1 << len(basis):
-        bad = next(d for d, _ in _glue_classes(L) if d != 2)
+        d = la.snf_with_transforms(L.gram)[0]
+        bad = next(d[i][i] for i in range(L.rank) if d[i][i] > 2)
         raise NotTwoElementary(f"invariant factor {bad} is not 2")
     delta = int(any(sum(map(mul, v, la.mat_vec(L.gram, v))) % 4 for v in basis))
     return (L.rank, len(basis), delta)

@@ -14,8 +14,10 @@ K3 lattice multiply at a fraction of n^3.  The cost is not symmetric in
 the factors, so callers put the sparse factor on the left, rewriting with
 G = G^t and (AB)^t = B^t A^t where they must.  The routines this package
 leans on are one fraction-free symmetric LDL^t elimination (ldl), a
-column-style Hermite normal form with recorded transform, and a Smith
-normal form with its column transform.  All three pay only for live rows:
+column-style Hermite normal form with recorded transform, a Smith normal
+form with its column transform, and one elimination over F_2
+(kernel_mod2), which answers every question mod 2: the rows are int
+bitmasks, reduced by XOR.  The first three pay only for live rows:
 an ldl step updates the rows with a nonzero in its column and brings a
 skipped row current when it is next read (the skipped scalings
 telescope), the Hermite sweeps visit the nonzero columns of the pivot row
@@ -184,6 +186,32 @@ def kernel(m, ncols: int | None = None) -> tuple[Vec, ...]:
     h, u = hnf_with_transform(m, ncols)
     rank = sum(1 for c in zip(*h) if any(c))
     return tuple(zip(*u))[rank:]
+
+
+def kernel_mod2(rows, ncols: int) -> list[Vec]:
+    """A 0/1 basis of {x : M x = 0 (mod 2)}, M the given rows (there may
+    be none), each of length ncols.
+
+    The rows mod 2 are int bitmasks (bit j for column j), brought to
+    reduced echelon form by XOR; free column f gives the kernel vector with
+    x_f = 1, x_p = bit f of the row with pivot p, and 0 elsewhere.
+    """
+    pivots = {}  # pivot column -> reduced row; no other row has that bit
+    for row in rows:
+        m = 0
+        for x in reversed(row):
+            m = m << 1 | x & 1
+        for p, r in pivots.items():
+            if m >> p & 1:
+                m ^= r
+        if m:
+            p = (m & -m).bit_length() - 1
+            for q, r in pivots.items():
+                if r >> p & 1:
+                    pivots[q] = r ^ m
+            pivots[p] = m
+    return [tuple(pivots[j] >> f & 1 if j in pivots else int(j == f) for j in range(ncols))
+            for f in range(ncols) if f not in pivots]
 
 
 def solve_int(m, v) -> Vec | None:

@@ -7,11 +7,14 @@ elementary 2-group.  The involution value computes them once and every
 fact below reads them from it.  On top of that sit the typed-restriction
 check, the rank/hyperbolicity bookkeeping for period domains, and two
 searches for norm -4 "glue partner" configurations.  Both decide an exact
-obstruction first and search a coordinate box only when it passes; the
-degeneracy scan reads S through the Gram matrix of its saturation, its
-determinant and the 2-torsion ker(G mod 2) of its discriminant group.
-The order in which candidates are tried, and the growing boxes they come
-from, are roots' (_witness_candidates, _growing_boxes).
+obstruction mod 2 first, each with the one F_2 elimination
+intlinalg.kernel_mod2, and search only when it passes: the membership
+test reads whether d1 + 2L meets the complement of S, and in which coset
+of twice the complement; the degeneracy scan reads S through the Gram
+matrix of its saturation, its determinant, and the 2-torsion ker(G mod 2)
+of the discriminant groups on both sides.  The order in which candidates
+are tried, and the growing boxes they come from, are roots'
+(_witness_candidates, _growing_boxes).
 """
 
 from __future__ import annotations
@@ -258,14 +261,23 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
     """Does some delta2 in the orthogonal complement of S satisfy
     delta2^2 = -4 and (d1 + delta2)/2 in L?
 
-    The coset test solves d1 = 2u + B^t y for u in L and y in the
-    coordinates of the complement, whose basis rows B are saturated
-    (orthogonal_complement); no solution answers "no".  Saturation makes
-    B^t z lie in 2L exactly when z = 0 (mod 2), so d1 + B^t c lies in 2L
-    exactly when c = y (mod 2), whichever solution y is found: the partners
-    are the norm -4 vectors of the coset y + 2M, M the complement's own
-    lattice, and _coset_vector looks for them.  Its witness is mapped to
-    ambient coordinates, its sign normalized as canonical_order does.
+    The coset test asks for u in L and y in the coordinates of the
+    complement, whose basis rows B are saturated (orthogonal_complement),
+    with d1 = 2u + B^t y; that has a solution exactly when d1 = B^t y
+    (mod 2), a question mod 2 alone.  Saturation keeps the b_i independent
+    mod 2 (B extends to a basis of Z^n), so the kernel mod 2 of the n x
+    (k + 1) matrix with columns b_1 .. b_k, d1 (la.kernel_mod2) is empty,
+    which answers "no", or one vector; that vector ends in 1, as one ending
+    in 0 would be a dependency among the b_i, and its first k entries are
+    y mod 2.  Saturation also makes B^t z lie in 2L exactly when z = 0
+    (mod 2), so d1 + B^t c lies in 2L exactly when c = y (mod 2): the
+    partners are the norm -4 vectors of the coset y + 2M, M the
+    complement's own lattice, and _coset_vector looks for them.  The coset
+    runs no Hermite or Smith form: the Hermite forms here are
+    from_ambient's check that d1 lies in S and the complement's kernel,
+    and the Smith form serves discriminant_group and the refusal message
+    of two_elementary_invariants only.  The witness is mapped to ambient
+    coordinates, its sign normalized as canonical_order does.
     """
     if s.ambient.gram != L.gram:
         raise EmbeddingMismatch("sublattice is embedded in a different lattice")
@@ -277,14 +289,11 @@ def delta4_membership(L: Lattice, s: SublatticeEmbedding, d1, bound: int) -> Mem
         raise WrongNorm(f"d1 has square {d1_norm}, expected -4")
     _check_bound(bound)
     comp = orthogonal_complement(s)
-    n = L.rank
-    # columns: 2 e_j for u, then the complement's basis vectors for y
-    stacked = tuple(tuple(2 * (i == j) for j in range(n)) + tuple(b[i] for b in comp.basis)
-                    for i in range(n))
-    sol = la.solve_int(stacked, d1)
-    if sol is None:
+    # columns b_1 .. b_k, d1: the kernel mod 2 is empty or one (y, 1)
+    coset = la.kernel_mod2(zip(*comp.basis, d1), comp.rank + 1)
+    if not coset:
         return MembershipResult("no", None)
-    found = _coset_vector(comp.induced_lattice(), sol[n:], bound)
+    found = _coset_vector(comp.induced_lattice(), coset[0][:-1], bound)
     if found.witness is None:
         return found
     w = comp.to_ambient(found.witness)

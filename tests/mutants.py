@@ -200,19 +200,24 @@ MUTANTS = (
      "        # |L*/L| = |det|",
      "    if abs(det) <= 2:\n"
      "        # |L*/L| = |det|"),
-    # the 2-torsion as ker(G mod 2) (discriminant._two_torsion) and what
-    # reads it: (r, a, delta) and the glue obstruction
-    ("echelon-keeps-new-pivot-in-earlier-rows", DISCRIMINANT,
-     "            for q, r in rows.items():\n"
+    # the one F_2 elimination (intlinalg.kernel_mod2) and what reads it:
+    # (r, a, delta), the glue obstruction and the membership coset
+    ("echelon-keeps-new-pivot-in-earlier-rows", INTLINALG,
+     "            for q, r in pivots.items():\n"
      "                if r >> p & 1:\n"
-     "                    rows[q] = r ^ m\n",
+     "                    pivots[q] = r ^ m\n",
      ""),
-    ("two-torsion-mask-columns-reversed", DISCRIMINANT,
+    ("two-torsion-mask-columns-reversed", INTLINALG,
      "for x in reversed(row):",
      "for x in row:"),
-    ("two-torsion-reads-pivot-bit", DISCRIMINANT,
-     "rows[j] >> f & 1 if j in rows",
-     "rows[j] >> j & 1 if j in rows"),
+    ("two-torsion-reads-pivot-bit", INTLINALG,
+     "pivots[j] >> f & 1 if j in pivots",
+     "pivots[j] >> j & 1 if j in pivots"),
+    ("kernel-mod2-sized-by-rows", INTLINALG,
+     "for j in range(ncols))\n"
+     "            for f in range(ncols) if f not in pivots]",
+     "for j in range(len(rows)))\n"
+     "            for f in range(len(rows)) if f not in pivots]"),
     ("two-elementary-test-less-than", DISCRIMINANT,
      "if abs(det) != 1 << len(basis):",
      "if abs(det) < 1 << len(basis):"),
@@ -230,13 +235,20 @@ MUTANTS = (
     ("scan-skips-saturation", INVOLUTIONS,
      "sat = saturate(s)",
      "sat = s"),
-    # the coset question of delta4_membership (involutions._coset_vector)
+    # the coset question of delta4_membership: the coset read mod 2 and
+    # the search in it (involutions._coset_vector)
     ("coset-parity-mod-4", INVOLUTIONS,
      "(a - b) % 2 == 0 for a, b in zip(c, x)",
      "(a - b) % 4 == 0 for a, b in zip(c, x)"),
     ("coset-rep-zero", INVOLUTIONS,
-     "sol[n:]",
+     "coset[0][:-1]",
      "(0,) * comp.rank"),
+    ("coset-d1-column-first", INVOLUTIONS,
+     "zip(*comp.basis, d1)",
+     "zip(d1, *comp.basis)"),
+    ("coset-matrix-untransposed", INVOLUTIONS,
+     "zip(*comp.basis, d1)",
+     "(*comp.basis, d1)"),
     ("coset-sign-min", INVOLUTIONS,
      "max(w, tuple(-x for x in w))",
      "min(w, tuple(-x for x in w))"),

@@ -15,7 +15,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.matrices.normalforms import smith_normal_form
 
-from zlattice.intlinalg import Mat, freeze, hnf_with_transform, mat_vec, transpose, xgcd
+from zlattice.intlinalg import Mat, freeze, hnf_with_transform, mat_vec, solve_int, transpose, xgcd
 
 
 def cofactor_det(m) -> int:
@@ -593,3 +593,15 @@ def restriction_by_columns(psi_matrix, s):
             return None
         cols.append(coords)
     return transpose(cols)
+
+
+def stacked_coset_solve(comp_basis, d1):
+    """The integer coset test that delta4_membership's read mod 2 must agree
+    with: one solution (u, y) of d1 = 2u + B^t y, B the complement's basis
+    rows, by solve_int on the stacked n x (n + k) matrix [2I | B^t].
+    Returns y, or None when there is none."""
+    n = len(d1)
+    stacked = tuple(tuple(2 * (i == j) for j in range(n)) + tuple(b[i] for b in comp_basis)
+                    for i in range(n))
+    sol = solve_int(stacked, d1)
+    return None if sol is None else sol[n:]

@@ -31,7 +31,7 @@ from zlattice import (
     two_elementary_invariants,
 )
 from zlattice import intlinalg as la
-from zlattice.discriminant import _glue_classes, _two_torsion, _two_torsion_takes_one
+from zlattice.discriminant import _two_torsion_takes_one
 
 U = standard_lattice("U")
 S = standard_lattice("S311")
@@ -94,7 +94,9 @@ def test_determinant_signature_and_triple_each_run_one_ldl(monkeypatch):
     # of its pivots, so each of the three reads one elimination of the
     # Gram matrix; a second elimination would show as a missing or an
     # extra call.  U's zero diagonal makes ldl repair its first pivot, and
-    # |det| = 4 sends the triple on to the kernel of G mod 2
+    # |det| = 4 sends the triple on to the kernel of G mod 2.  A refused
+    # triple reads its bad invariant factor off the Smith diagonal, with
+    # no second determinant
     calls = collections.Counter()
 
     def counted(*a, _orig=la.ldl):
@@ -108,6 +110,11 @@ def test_determinant_signature_and_triple_each_run_one_ldl(monkeypatch):
         calls.clear()
         assert f(L) == value
         assert calls == {"ldl": 1}, f.__name__
+    for L, bad in ((make_lattice(((-4,),)), 4), (make_lattice(((-2, 1), (1, -2))), 3)):
+        calls.clear()
+        with pytest.raises(NotTwoElementary, match=rf"^invariant factor {bad} is not 2$"):
+            two_elementary_invariants(L)
+        assert calls == {"ldl": 1}, L.gram
 
 
 def test_discriminant_group_order_equals_det():
@@ -476,7 +483,7 @@ def test_two_torsion_is_the_kernel_of_g_mod_2():
             for row in g:
                 row[-1] = row[0]
         L = make_lattice(tuple(map(tuple, g)))
-        basis = _two_torsion(L)
+        basis = la.kernel_mod2(L.gram, n)
         assert all(len(v) == n and set(v) <= {0, 1} for v in basis), L.gram
         span = _f2_span(basis, n)
         assert len(span) == 2 ** len(basis), L.gram
@@ -487,7 +494,9 @@ def test_two_torsion_is_the_kernel_of_g_mod_2():
         kinds["degenerate" if det == 0 else "odd" if not is_even(L) else "even"] += 1
         kinds["zero mod 2"] += all(x % 2 == 0 for row in g for x in row)
         if det:
-            smith = [tuple(x % 2 for x in a) for d, a in _glue_classes(L) if d % 2 == 0]
+            dg = discriminant_group(L)
+            smith = [tuple(int(d * x) % 2 for x in gen)
+                     for d, gen in zip(dg.invariant_factors, dg.generators) if d % 2 == 0]
             assert span == _f2_span(smith, n), L.gram
     assert min(kinds.values()) >= 40, kinds
 

@@ -187,6 +187,36 @@ def test_kernel_is_saturated():
         la.kernel(())
 
 
+def test_kernel_mod2_spans_the_brute_force_kernel():
+    # 0-6 rows by 0-7 columns, square, wide and tall, some rows zero and
+    # some matrices all even: the returned 0/1 vectors are independent mod
+    # 2 and span every x in {0,1}^ncols with M x = 0 (mod 2)
+    rng = random.Random(89)
+    kinds = collections.Counter()
+    for trial in range(400):
+        nrows, ncols = trial % 7, trial // 7 % 8
+        m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 5 == 0:
+            m = [[2 * x for x in row] for row in m]
+        for row in m:
+            if rng.random() < 0.2:
+                row[:] = [0] * ncols
+        basis = la.kernel_mod2(m, ncols)
+        assert all(len(v) == ncols and set(v) <= {0, 1} for v in basis), m
+        span = {(0,) * ncols}
+        for v in basis:
+            span |= {tuple((a + b) % 2 for a, b in zip(w, v)) for w in span}
+        assert len(span) == 2 ** len(basis), m
+        brute = {x for x in itertools.product((0, 1), repeat=ncols)
+                 if all(sum(a * b for a, b in zip(row, x)) % 2 == 0 for row in m)}
+        assert span == brute, m
+        kinds["wide" if ncols > nrows else "tall" if ncols < nrows else "square"] += 1
+        kinds["zero row"] += any(not any(row) for row in m)
+        kinds["all even"] += bool(m) and all(x % 2 == 0 for row in m for x in row)
+        kinds["no rows"] += not m
+    assert min(kinds.values()) >= 40, kinds
+
+
 def test_solve_int_roundtrip_and_unsolvable():
     rng = random.Random(73)
     for _ in range(120):

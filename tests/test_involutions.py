@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -653,6 +654,72 @@ def test_positive_definite_complement_answers_an_exact_no():
     assert all((a - b) % 2 == 0 for a, b in zip((1, 0), comp.basis[0]))
     for bound in (1, 3):
         assert delta4_membership(L, s, (1, 0), bound) == MembershipResult("no", None)
+
+
+def test_membership_runs_one_integer_solve(monkeypatch):
+    # from_ambient's check that d1 lies in S is the one solve_int of a
+    # membership query; the coset is read mod 2 by kernel_mod2
+    calls = []
+    solve = la.solve_int
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(la, "solve_int", counted)
+    for gram, d1, want in ((OVER44_GRAM, OVER44_D1, ("yes", (0, 1))),
+                           (PLAIN44_GRAM, (1, 0), ("no", None)),
+                           (DEEP_GRAM, DEEP_D1, ("yes", DEEP_WITNESS))):
+        L = make_lattice(gram)
+        calls.clear()
+        assert tuple(delta4_membership(L, make_sublattice(L, (d1,)), d1, 2)) == want
+        assert len(calls) == 1, gram
+
+
+def test_coset_read_matches_the_stacked_solve(monkeypatch):
+    # on random even lattices, half of them in a skewed basis, with S of
+    # rank 1-3 around a norm -4 vector d1: the coset delta4_membership
+    # hands _coset_vector is the stacked integer solve's y mod 2, and the
+    # coset test answers "no" exactly where that solve has no solution
+    handed = []
+    search = involutions._coset_vector
+
+    def recorded(M, x, bound):
+        handed.append(x)
+        return search(M, x, bound)
+
+    monkeypatch.setattr(involutions, "_coset_vector", recorded)
+    rng = random.Random(97)
+    kinds = collections.Counter()
+    while sum(kinds[k] for k in ("solvable", "unsolvable")) < 320:
+        g = _random_even_gram(rng)
+        if g is None:
+            continue
+        n = len(g)
+        fours = oracles.brute_box_vectors(g, -4, 1)
+        if not fours:
+            continue
+        d1 = rng.choice(fours)
+        basis = [d1] + [tuple(rng.randint(-1, 1) for _ in range(n))
+                        for _ in range(rng.randint(0, min(2, n - 1)))]
+        if la.integer_rank(basis) != len(basis):
+            continue
+        L = make_lattice(tuple(map(tuple, g)))
+        s = make_sublattice(L, basis)
+        if rng.random() < 0.5:
+            L, s, d1 = _rebased(L, s, *_unimodular(rng, n, rng.randint(1, 6)), d1)
+            kinds["skewed"] += 1
+        kinds[f"rank {s.rank}"] += 1
+        ref = oracles.stacked_coset_solve(orthogonal_complement(s).basis, d1)
+        handed.clear()
+        got = delta4_membership(L, s, d1, 1)
+        if ref is None:
+            kinds["unsolvable"] += 1
+            assert got == MembershipResult("no", None) and handed == [], (L.gram, s.basis, d1)
+        else:
+            kinds["solvable"] += 1
+            assert handed == [tuple(y % 2 for y in ref)], (L.gram, s.basis, d1)
+    assert min(kinds.values()) >= 40, kinds
 
 
 # --- degeneracy scan ---
